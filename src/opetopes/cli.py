@@ -7,6 +7,7 @@ trip, 2 usage or parse errors.  Diagnostics go to stdout as JSON lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,11 +19,11 @@ from .equivalence import EXHAUSTED, dfc_iso_search, opetope_iso_search, tau, the
 from .io import (
     detect_kind,
     dfc_to_doc,
+    normalize_dfc,
+    normalize_opetope,
     opetope_from_doc,
     opetope_to_doc,
-    parse_dfc,
     parse_json,
-    parse_opetope,
     serialize_doc,
 )
 from .poset import dfc_diagnostics, dfc_validate, mop_diagnostics, mop_validate
@@ -46,7 +47,7 @@ def _load_any(path: str, allow_point: bool = False):
     doc = parse_json(_read(path))
     kind = detect_kind(doc)
     if kind == "dfc":
-        doc, warnings = parse_dfc(_read(path))
+        doc, warnings = normalize_dfc(doc)
         for w in warnings:
             _emit({"warning": w, "file": path})
         diags = mop_diagnostics(doc)
@@ -56,7 +57,7 @@ def _load_any(path: str, allow_point: bool = False):
         if diags:
             raise ValidationError(diags)
         return kind, dfc_validate(mop, allow_point=allow_point)
-    doc, warnings = parse_opetope(_read(path))
+    doc, warnings = normalize_opetope(doc)
     for w in warnings:
         _emit({"warning": w, "file": path})
     return kind, opetope_validate(opetope_from_doc(doc))
@@ -219,7 +220,9 @@ def cmd_info(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="opetopes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

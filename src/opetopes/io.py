@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .diagnostics import ParseError
+from .diagnostics import ParseError, ValidationError, make
 from .poset import Dfc, ManyToOnePoset, mop_validate
 from .trees import Constellation, Opetope, RootedTree
 
@@ -43,7 +43,11 @@ def detect_kind(doc) -> str:
 
 def parse_dfc(text: str) -> tuple[dict, list[str]]:
     """Normalized DFC document plus warnings for unknown fields."""
-    doc = parse_json(text)
+    return normalize_dfc(parse_json(text))
+
+
+def normalize_dfc(doc) -> tuple[dict, list[str]]:
+    """parse_dfc on an already decoded document, which it fills in place."""
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ParseError("a DFC document is an object with a 'cells' array")
     warnings = []
@@ -93,7 +97,12 @@ def dfc_to_doc(dfc: Dfc) -> dict:
 
 
 def parse_opetope(text: str) -> tuple[dict, list[str]]:
-    doc = parse_json(text)
+    """Normalized opetope document plus warnings for unknown fields."""
+    return normalize_opetope(parse_json(text))
+
+
+def normalize_opetope(doc) -> tuple[dict, list[str]]:
+    """parse_opetope on an already decoded document, which it fills in place."""
     if not isinstance(doc, dict) or not isinstance(doc.get("trees"), list) or not doc["trees"]:
         raise ParseError("an opetope document is an object with a non-empty 'trees' array")
     warnings = []
@@ -128,6 +137,10 @@ def tree_from_doc(rec: dict) -> RootedTree:
 
 
 def opetope_from_doc(doc: dict) -> Opetope:
+    """The zoom complex of a normalized document; its dim must count its trees."""
+    n = len(doc["trees"]) - 1
+    if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != n):
+        raise ValidationError([make("BadShape", [], "zoom complex", f"document declares dim {doc['dim']!r} but has {n + 1} trees")])
     trees = tuple(tree_from_doc(rec) for rec in doc["trees"])
     constellations = []
     for i, rec in enumerate(doc["constellations"]):

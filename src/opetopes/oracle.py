@@ -10,10 +10,19 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .diagnostics import InternalError, ValidationError, make
 from .isos import dfc_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
+from .to_poset import ExtendedZoom, NestingSubtree
 from .to_zoom import level_tree, whitedot_order
-from .trees import Constellation, Expansion, SubdividedTree
+from .trees import (
+    Constellation,
+    Expansion,
+    RootedTree,
+    SubdividedTree,
+    descendant_dots,
+    tree_diagnostics,
+)
 
 
 def oracle_lozenge(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
@@ -121,6 +130,90 @@ def oracle_kernel(c: Constellation):
     return None
 
 
+def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
+    """The nesting subtree under the edge x of tree k+2, computed for x alone.
+
+    The per-cell reference for to_poset.nesting_subtrees: it rebuilds the
+    expansion of tree k+1, collects the dots above x by walking the
+    descending chain of every leaf and nulldot, and groups every segment of
+    the expansion, so one cell costs as much as the whole level.
+    """
+    s_hi = ez.trees[k + 2]
+    s_lo = ez.trees[k + 1]
+    if x not in set(s_hi.edges):
+        raise ValueError(f"{x!r} is not an edge of tree {k + 2}")
+    st = SubdividedTree(s_lo, ez.subdivision_on(k + 1))
+    exp = Expansion(st)
+    blackdots = set(s_lo.nodes)
+    whitedots = set(exp.whitedots)
+    dots = descendant_dots(s_hi, x) & (blackdots | whitedots)
+
+    # group segments through the whitedots of the cut; each group is one
+    # edge of the subtree and stays inside a single original edge
+    parent: dict[str, str] = {s: s for s in exp.tree.edges}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(s1, s2):
+        parent[find(s1)] = find(s2)
+
+    for w in sorted(dots & whitedots):
+        below = exp.tree.node_target[w]
+        for above in exp.tree.sources_of(w):
+            union(above, below)
+
+    groups: dict[str, list[str]] = {}
+    for s in exp.tree.edges:
+        groups.setdefault(find(s), []).append(s)
+
+    kept: dict[str, dict] = {}
+    for rep, segs in sorted(groups.items()):
+        segs.sort(key=lambda s: exp.origin[s][1])
+        lo_end, _ = exp.segment_ends(segs[0])
+        _, hi_end = exp.segment_ends(segs[-1])
+        inner_w = [exp.tree.edge_target[s] for s in segs[1:]]
+        touches = bool(inner_w) or (lo_end in dots) or (hi_end in dots)
+        if not touches:
+            continue
+        names = {exp.origin[s][0] for s in segs}
+        if len(names) != 1:
+            raise InternalError(f"segment group of {x!r} crosses original edges {sorted(names)}")
+        kept[rep] = {
+            "name": names.pop(),
+            "target": lo_end if lo_end in dots and lo_end in blackdots else None,
+            "source": hi_end if hi_end in dots and hi_end in blackdots else None,
+            "whitedots": tuple(inner_w),
+        }
+
+    nodes = sorted(dots & blackdots)
+    names = [info["name"] for info in kept.values()]
+    if len(set(names)) != len(names):
+        raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} reuses an edge name; upstream constellation invalid")])
+    edges = sorted(names)
+    node_target, edge_target, v = {}, {}, {}
+    roots = []
+    for info in kept.values():
+        if info["target"] is not None:
+            edge_target[info["name"]] = info["target"]
+        else:
+            roots.append(info["name"])
+        if info["source"] is not None:
+            node_target[info["source"]] = info["name"]
+        if info["whitedots"]:
+            v[info["name"]] = info["whitedots"]
+    if len(roots) != 1:
+        raise ValidationError([make("DisconnectedNesting", [x, *sorted(roots)], "kernel rule", f"cut of {x!r} has {len(roots)} root candidates")])
+    diags = tree_diagnostics(nodes, edges, node_target, edge_target, roots[0])
+    if diags:
+        raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
+    tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
+    return NestingSubtree(x, frozenset(dots), tree, v, tree.root, tree.leaves)
+
+
 def oracle_tree_paths(nodes, edges, node_target, edge_target, root) -> bool:
     """Naive rooted-tree recognition by enumerating all root-directed paths."""
     edge_set, node_set = set(edges), set(nodes)
@@ -170,7 +263,6 @@ def oracle_hexagon(dfc: Dfc) -> list[tuple]:
         srcs = [c for c in sorted(mop.delta_minus(b)) if not mop.is_loop(c)]
         if len(srcs) < 2:
             continue
-        from .diagnostics import ValidationError
         from .poset import delta_tree
 
         try:

@@ -7,6 +7,12 @@ A facet relation y < x carries a sign: minus (y a proper source), plus
 is such a poset with a greatest element, plus-cofaces for loops, oriented thinness
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
+
+The face-complex checks index each cell x once instead of rescanning per
+chain: thinness maps every facet z of a facet to its completions over
+facets(x), acyclicity maps every cell to the facets of x it is a proper
+source of, and the local orders count the loop sources of x by the cell
+they loop on.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class ManyToOnePoset:
         self.delta = {c: frozenset(delta.get(c, ())) for c in self.cells}
         self.gamma = {c: frozenset(gamma.get(c, ())) for c in self.cells}
         self.local_orders = {k: tuple(v) for k, v in local_orders.items()}
+        self._lam: frozenset[str] | None = None
 
         self._by_dim: dict[int, list[str]] = {}
         for c in sorted(self.cells):
@@ -121,19 +128,17 @@ class ManyToOnePoset:
         return tuple(sorted(self._minus_cofaces[y] + self._plus_cofaces[y] + self._loop_cofaces[y]))
 
     def lam(self) -> frozenset[str]:
-        """Cells that are never the proper target of another cell."""
-        strict_targets = {y for x in self.cells for y in self.gamma_plus(x)}
-        return frozenset(c for c in self.cells if c not in strict_targets and self.dim[c] >= 0)
+        """Cells that are never the proper target of another cell; computed once."""
+        if self._lam is None:
+            strict_targets = {y for x in self.cells for y in self.gamma_plus(x)}
+            self._lam = frozenset(c for c in self.cells if c not in strict_targets and self.dim[c] >= 0)
+        return self._lam
 
     def loop_cells(self) -> frozenset[str]:
         return frozenset(c for c in self.cells if self.is_loop(c))
 
     def sourceless(self) -> frozenset[str]:
         return frozenset(c for c in self.cells if self.dim[c] >= 0 and not self.delta[c])
-
-    def loop_chain_set(self, x: str, z: str) -> tuple[str, ...]:
-        """All y with z loop-below y and y a proper source of x, sorted."""
-        return tuple(sorted(y for y in self.delta_minus(x) if self.sign(z, y) == LOOP))
 
 
 def relation_sign(mop: ManyToOnePoset, y: str, x: str) -> str | None:
@@ -234,21 +239,31 @@ def mop_diagnostics(doc: dict) -> list[Diagnostic]:
     return sorted(set(out), key=sort_key)
 
 
+def _loop_sources(mop: ManyToOnePoset, x: str) -> dict[str, set[str]]:
+    """The proper sources of x that are loops, by the cell they loop on."""
+    out: dict[str, set[str]] = {}
+    for y in mop.delta_minus(x):
+        for z in mop.delta[y] & mop.gamma[y]:
+            out.setdefault(z, set()).add(y)
+    return out
+
+
 def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     out = []
-    lam = mop.lam()
+    loop_sources = {}
     required: set[tuple[str, str]] = set()
-    for x in sorted(lam):
+    for x in sorted(mop.lam()):
         if mop.dim[x] < 1:
             continue
-        for z in sorted({z for y in mop.facets(x) for z in mop.facets(y)}):
-            if len(mop.loop_chain_set(x, z)) >= 2:
-                required.add((x, z))
+        loop_sources[x] = _loop_sources(mop, x)
+        required.update((x, z) for z, ys in loop_sources[x].items() if len(ys) >= 2)
     for key in sorted(required - set(mop.local_orders)):
         x, z = key
         out.append(make("LocalOrderMissing", [x, z], "local order", f"{x!r} has several loop sources on {z!r} but no stored order"))
     for (x, z), seq in sorted(mop.local_orders.items()):
-        expected = set(mop.loop_chain_set(x, z))
+        if x not in loop_sources:
+            loop_sources[x] = _loop_sources(mop, x)
+        expected = loop_sources[x].get(z, set())
         if len(set(seq)) != len(seq) or set(seq) != expected:
             out.append(make("LocalOrderInvalid", [x, z, *seq], "local order", f"stored order at ({x!r}, {z!r}) is not an enumeration of the loop sources"))
     return out
@@ -331,12 +346,24 @@ def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     for x in sorted(mop.cells):
         if mop.dim[x] < 1:
             continue
+        # per facet z of a facet: the signed completions (y', alpha', beta')
+        # in facet order, and how many y' are not loops on z below a source
+        signed: dict[str, list[tuple[str, str, str]]] = {}
+        other: dict[str, int] = {}
+        for y2 in mop.facets(x):
+            alpha2 = mop.sign(y2, x)
+            for z in mop.facets(y2):
+                beta2 = mop.sign(z, y2)
+                if alpha2 != LOOP and beta2 != LOOP:
+                    signed.setdefault(z, []).append((y2, alpha2, beta2))
+                if not (alpha2 == MINUS and beta2 == LOOP):
+                    other[z] = other.get(z, 0) + 1
         for y in mop.facets(x):
             alpha = mop.sign(y, x)
             for z in mop.facets(y):
                 beta = mop.sign(z, y)
                 if alpha != LOOP and beta != LOOP:
-                    comps = thinness_completions(mop, z, y, x)
+                    comps = [c for c in signed[z] if c[0] != y]
                     if not comps:
                         out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
                     elif len(comps) > 1:
@@ -346,12 +373,8 @@ def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
                         if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
                             out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
                 elif beta == LOOP and alpha == MINUS:
-                    found = any(
-                        not (mop.sign(y2, x) == MINUS and mop.sign(z, y2) == LOOP)
-                        for y2 in mop.facets(x)
-                        if y2 != y and mop.sign(z, y2) is not None
-                    )
-                    if not found:
+                    # y itself is a loop on z below a source, so not counted
+                    if not other.get(z):
                         out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
     return out
 
@@ -362,14 +385,15 @@ def _acyclicity_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.dim[x] < 1:
             continue
         fac = mop.facets(x)
+        sources_on: dict[str, list[str]] = {}  # t -> facets a with t a proper source of a
+        for a in fac:
+            for t in mop.delta_minus(a):
+                sources_on.setdefault(t, []).append(a)
         succ = {b: [] for b in fac}
         for b in fac:
             if mop.dim[b] < 0 or not mop.gamma[b]:
                 continue
-            t = mop.gamma_cell(b)
-            for a in fac:
-                if a != b and t in mop.delta_minus(a):
-                    succ[b].append(a)
+            succ[b] = [a for a in sources_on.get(mop.gamma_cell(b), ()) if a != b]
         cycle = _find_cycle(fac, succ)
         if cycle:
             out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
@@ -517,18 +541,20 @@ def delta_tree(dfc: Dfc, a: str) -> RootedTree:
     mop = dfc.mop
     if mop.dim[a] < 1:
         raise ValueError(f"delta_tree needs a cell of dimension >= 1, got {a!r}")
-    loops = mop.loop_cells()
-    nodes = sorted(mop.delta[a] - loops)
+    nodes = sorted(b for b in mop.delta[a] if not mop.is_loop(b))
     root = mop.gamma_cell(mop.gamma_cell(a))
     edges = sorted({root} | {z for b in nodes for z in mop.facets(b)})
     node_target = {b: mop.gamma_cell(b) for b in nodes}
+    owners: dict[str, list[str]] = {}
+    for b in nodes:
+        for z in mop.delta_minus(b):
+            owners.setdefault(z, []).append(b)
     edge_target = {}
     for z in edges:
-        owners = [b for b in nodes if z in mop.delta_minus(b)]
-        if len(owners) > 1:
-            raise ValidationError([make("TreeInvalid", [a, z, *owners], "source tree", f"edge {z!r} has several target nodes in the source tree of {a!r}")])
-        if owners:
-            edge_target[z] = owners[0]
+        if len(owners.get(z, ())) > 1:
+            raise ValidationError([make("TreeInvalid", [a, z, *owners[z]], "source tree", f"edge {z!r} has several target nodes in the source tree of {a!r}")])
+        if z in owners:
+            edge_target[z] = owners[z][0]
     diags = tree_diagnostics(nodes, edges, node_target, edge_target, root)
     if diags:
         raise ValidationError([make("TreeInvalid", [a], "source tree", f"source tree of {a!r} is not a rooted tree")] + diags)

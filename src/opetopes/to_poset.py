@@ -4,6 +4,12 @@ The opetope is first extended by a corolla and a unit tree on a fresh top
 element; the cells of the complex are then the edges of the trees of
 degree >= 2, with sources and target read off the nesting subtree each
 cell cuts out of the tree one degree down.
+
+The cuts are made one level at a time: one expansion of tree k+1, one
+bottom-up sweep of tree k+2 for the dots above each of its edges, and per
+cell a union-find over the segments next to that cell's dots only.
+oracle.oracle_nesting_subtree cuts a single cell from scratch and is the
+reference this route is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .trees import (
     RootedTree,
     SubdividedTree,
     constellation_validate,
-    descendant_dots,
     opetope_validate,
     tree_diagnostics,
     tree_validate,
@@ -112,21 +117,48 @@ class NestingSubtree:
         return self.tree.is_unit
 
 
-def nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
-    """The nesting subtree of the degree-(k+1) tree under the edge x of tree k+2."""
-    s_hi = ez.trees[k + 2]
-    s_lo = ez.trees[k + 1]
-    if x not in set(s_hi.edges):
-        raise ValueError(f"{x!r} is not an edge of tree {k + 2}")
-    st = SubdividedTree(s_lo, ez.subdivision_on(k + 1))
-    exp = Expansion(st)
-    blackdots = set(s_lo.nodes)
-    whitedots = set(exp.whitedots)
-    dots = descendant_dots(s_hi, x) & (blackdots | whitedots)
+def nesting_subtrees(ez: ExtendedZoom, k: int) -> dict[str, NestingSubtree]:
+    """The nesting subtree of the degree-(k+1) tree under every edge of tree k+2.
 
-    # group segments through the whitedots of the cut; each group is one
-    # edge of the subtree and stays inside a single original edge
-    parent: dict[str, str] = {s: s for s in exp.tree.edges}
+    One expansion of tree k+1 and one bottom-up sweep of tree k+2 serve
+    the whole level; each cut then only looks at the segments next to its
+    own dots.
+    """
+    s_lo = ez.trees[k + 1]
+    exp = Expansion(SubdividedTree(s_lo, ez.subdivision_on(k + 1)))
+    blackdots = frozenset(s_lo.nodes)
+    above = _dots_above(ez.trees[k + 2], blackdots | exp.whitedots)
+    return {x: _cut(exp, blackdots, x, above[x]) for x in sorted(ez.trees[k + 2].edges)}
+
+
+def _dots_above(u: RootedTree, keep: frozenset[str]) -> dict[str, frozenset[str]]:
+    """For every element of u, the leaves and nulldots in keep whose descending path meets it."""
+    order, stack = [], [u.root]  # each element after the one below it
+    while stack:
+        b = stack.pop()
+        order.append((b, False))
+        a = u.source_node_of(b)
+        if a is not None:
+            order.append((a, True))
+            stack.extend(u.sources_of(a))
+    above: dict[str, frozenset[str]] = {}
+    for x, is_node in reversed(order):
+        if is_node:
+            srcs = u.sources_of(x)
+            above[x] = frozenset().union(*(above[b] for b in srcs)) if srcs else frozenset({x}) & keep
+        else:
+            a = u.source_node_of(x)
+            above[x] = above[a] if a is not None else frozenset({x}) & keep
+    return above
+
+
+def _cut(exp: Expansion, blackdots: frozenset[str], x: str, dots: frozenset[str]) -> NestingSubtree:
+    """The subtree cut out by dots: the segments next to them, grouped through their whitedots."""
+    seg_tree = exp.tree
+    parent: dict[str, str] = {}
+    for d in sorted(dots):
+        for s in (seg_tree.node_target[d], *seg_tree.sources_of(d)):
+            parent[s] = s
 
     def find(s):
         while parent[s] != s:
@@ -134,45 +166,39 @@ def nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
             s = parent[s]
         return s
 
-    def union(s1, s2):
-        parent[find(s1)] = find(s2)
+    for w in sorted(dots & exp.whitedots):
+        below = find(seg_tree.node_target[w])
+        for s in seg_tree.sources_of(w):
+            parent[find(s)] = below
 
-    for w in sorted(dots & whitedots):
-        below = exp.tree.node_target[w]
-        for above in exp.tree.sources_of(w):
-            union(above, below)
-
+    # each group is one edge of the subtree and stays inside a single
+    # original edge; only segments next to a dot of the cut were taken in
     groups: dict[str, list[str]] = {}
-    for s in exp.tree.edges:
+    for s in parent:
         groups.setdefault(find(s), []).append(s)
-
-    kept: dict[str, dict] = {}
-    for rep, segs in sorted(groups.items()):
+    kept = []
+    for segs in groups.values():
         segs.sort(key=lambda s: exp.origin[s][1])
         lo_end, _ = exp.segment_ends(segs[0])
         _, hi_end = exp.segment_ends(segs[-1])
-        inner_w = [exp.tree.edge_target[s] for s in segs[1:]]
-        touches = bool(inner_w) or (lo_end in dots) or (hi_end in dots)
-        if not touches:
-            continue
         names = {exp.origin[s][0] for s in segs}
         if len(names) != 1:
             raise InternalError(f"segment group of {x!r} crosses original edges {sorted(names)}")
-        kept[rep] = {
+        kept.append({
             "name": names.pop(),
             "target": lo_end if lo_end in dots and lo_end in blackdots else None,
             "source": hi_end if hi_end in dots and hi_end in blackdots else None,
-            "whitedots": tuple(inner_w),
-        }
+            "whitedots": tuple(seg_tree.edge_target[s] for s in segs[1:]),
+        })
 
     nodes = sorted(dots & blackdots)
-    names = [info["name"] for info in kept.values()]
+    names = [info["name"] for info in kept]
     if len(set(names)) != len(names):
         raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} reuses an edge name; upstream constellation invalid")])
     edges = sorted(names)
     node_target, edge_target, v = {}, {}, {}
     roots = []
-    for info in kept.values():
+    for info in kept:
         if info["target"] is not None:
             edge_target[info["name"]] = info["target"]
         else:
@@ -187,7 +213,7 @@ def nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     if diags:
         raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
     tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
-    return NestingSubtree(x, frozenset(dots), tree, v, tree.root, tree.leaves)
+    return NestingSubtree(x, dots, tree, v, tree.root, tree.leaves)
 
 
 # -- the complex of an opetope ------------------------------------------
@@ -205,19 +231,20 @@ def p_image(ope: Opetope) -> PImage:
     ez = extend(ope)
     n = ez.base_dim
     records = [{"id": ez.bottom, "dim": -1, "delta": [], "gamma": []}]
+    records += [{"id": x, "dim": 0, "delta": [], "gamma": [ez.bottom]} for x in sorted(ez.trees[2].edges)]
     subtree: dict[str, NestingSubtree] = {}
-    for k in range(n + 1):
-        for x in sorted(ez.trees[k + 2].edges):
-            if k == 0:
-                records.append({"id": x, "dim": 0, "delta": [], "gamma": [ez.bottom]})
-                continue
-            st = nesting_subtree(ez, k, x)
-            subtree[x] = st
+    for k in range(1, n + 1):
+        cuts = nesting_subtrees(ez, k)
+        subtree.update(cuts)
+        for x, st in cuts.items():
             records.append({"id": x, "dim": k, "delta": sorted(set(st.leaf_names)), "gamma": [st.root_name]})
 
     by_id = {rec["id"]: rec for rec in records}
     local_orders = []
     for k in range(2, n + 1):
+        # the loops' cuts are disjoint whitedot runs on the edge z of the
+        # tree one degree down; leftmost position decides
+        position = {w: i for ws in ez.subdivision_on(k).values() for i, w in enumerate(ws)}
         for x in sorted(ez.trees[k + 2].edges):
             loops_by_base: dict[str, list[str]] = {}
             for y in by_id[x]["delta"]:
@@ -227,10 +254,6 @@ def p_image(ope: Opetope) -> PImage:
             for z, ys in sorted(loops_by_base.items()):
                 if len(ys) < 2:
                     continue
-                # the loops' cuts are disjoint whitedot runs on the edge z
-                # of the tree one degree down; leftmost position decides
-                sub = ez.subdivision_on(k)
-                position = {w: i for ws in sub.values() for i, w in enumerate(ws)}
                 ys.sort(key=lambda y: min(position[w] for w in subtree[y].dots))
                 local_orders.append({"x": x, "z": z, "order": ys})
 
@@ -256,18 +279,18 @@ def sigma_tree(pz: PImage, x: str) -> RootedTree:
         raise ValueError(f"source trees need dimension >= 2, got {x!r}")
     if mop.is_loop(x):
         raise ValueError(f"{x!r} is a loop cell")
-    cuts = {y: nesting_subtree(ez, k - 1, y) for y in sorted(mop.delta[x])}
+    level = nesting_subtrees(ez, k - 1)
+    cuts = {y: level[y] for y in sorted(mop.delta[x])}
     nodes = sorted(y for y, st in cuts.items() if not st.is_unit)
     root = mop.gamma_cell(mop.gamma_cell(x))
     edges = sorted({root} | {z for y in nodes for z in (set(cuts[y].leaf_names) | {cuts[y].root_name})})
     node_target = {y: cuts[y].root_name for y in nodes}
     edge_target = {}
-    for z in edges:
-        owners = [y for y in nodes if z in cuts[y].leaf_names]
-        if len(owners) > 1:
-            raise InternalError(f"edge {z!r} is a leaf of two source cuts under {x!r}")
-        if owners:
-            edge_target[z] = owners[0]
+    for y in nodes:
+        for z in cuts[y].leaf_names:
+            if z in edge_target:
+                raise InternalError(f"edge {z!r} is a leaf of two source cuts under {x!r}")
+            edge_target[z] = y
     return tree_validate(RootedTree(nodes, edges, node_target, edge_target, root))
 
 

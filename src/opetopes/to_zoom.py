@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_opetope_iso
-from .poset import LOOP, MINUS, PLUS, Dfc, thinness_completions
+from .poset import LOOP, MINUS, PLUS, Dfc
 from .trees import Constellation, Opetope, RootedTree, opetope_validate, tree_validate
 
 
@@ -36,13 +36,16 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
     nodes = sorted(dfc.lam_k[k - 1])
     edges = mop.grade(k - 2)
     node_target = {x: mop.gamma_cell(x) for x in nodes}
+    owners: dict[str, list[str]] = {}
+    for x in nodes:
+        for y in mop.delta_minus(x):
+            owners.setdefault(y, []).append(x)
     edge_target = {}
     for y in edges:
-        owners = [x for x in nodes if y in mop.delta_minus(x)]
-        if len(owners) > 1:
+        if len(owners.get(y, ())) > 1:
             raise InternalError(f"edge {y!r} has several target nodes at level {k}")
-        if owners:
-            edge_target[y] = owners[0]
+        if y in owners:
+            edge_target[y] = owners[y][0]
     return tree_validate(RootedTree(nodes, edges, node_target, edge_target, dfc.iterated_targets[k - 2]))
 
 
@@ -75,7 +78,7 @@ def _chain_sort_key(chain):
 def zigzag(dfc: Dfc, c: str) -> ZigZag:
     """The maximal zig-zag of chains c < b < a with a never a proper target."""
     mop = dfc.mop
-    lam = set(mop.lam())
+    lam = mop.lam()
     chains = []
     for b in sorted(set(mop.minus_cofaces(c)) | set(mop.plus_cofaces(c))):
         beta = mop.sign(c, b)
@@ -179,7 +182,7 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
     mop = dfc.mop
     if mop.sign(c, b) != LOOP:
         raise ValueError(f"{b!r} is not a loop on {c!r}")
-    lam = set(mop.lam())
+    lam = mop.lam()
     members: list[str] = []
     entering: list[str] = []
     current = b
@@ -202,10 +205,14 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
                     raise InternalError(f"confinement fails at {a!r}: source {y!r} is not a loop on {c!r}")
             current = g
             continue
-        comps = thinness_completions(mop, c, current, a)
-        if not comps:
+        # the first sign completion in facet order, sought among the cofaces of c
+        y2 = min(
+            (y2 for y2 in mop.minus_cofaces(c) + mop.plus_cofaces(c) if y2 != current and mop.sign(y2, a) in (MINUS, PLUS)),
+            default=None,
+        )
+        if y2 is None:
             raise InternalError(f"chain {c!r} <o {current!r} <- {a!r} has no sign completion")
-        return LoopPath(c, b, tuple(members), tuple(entering), None, (comps[0][1], comps[0][2]))
+        return LoopPath(c, b, tuple(members), tuple(entering), None, (mop.sign(y2, a), mop.sign(c, y2)))
     raise InternalError(f"loop path from {b!r} over {c!r} exceeded the step bound")
 
 
@@ -242,9 +249,12 @@ def whitedot_order(dfc: Dfc, k: int, y: str) -> tuple[str, ...]:
     """The sourceless non-target k-cells with second target y, in ascending order."""
     mop = dfc.mop
     lam, nulls = dfc.lam_k.get(k, frozenset()), dfc.null_k.get(k, frozenset())
+    # a sourceless cell is a plus-coface of its target, which has y as target
     members = sorted(
-        w for w in mop.grade(k)
-        if w in lam and w in nulls and mop.gamma_cell(mop.gamma_cell(w)) == y
+        w
+        for g in mop.plus_cofaces(y) + mop.loop_cofaces(y)
+        for w in mop.plus_cofaces(g)
+        if w in lam and w in nulls
     )
     if len(members) < 2:
         return tuple(members)

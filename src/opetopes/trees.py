@@ -28,6 +28,7 @@ class RootedTree:
         self._source_node = {}                 # edge -> node above it
         for a, b in self.node_target.items():
             self._source_node.setdefault(b, a)
+        self._edge_set = frozenset(self.edges)
         self._sources = {a: [] for a in self.nodes}
         for b in sorted(self.edges):
             a = self.edge_target.get(b)
@@ -52,7 +53,7 @@ class RootedTree:
     def descending_chain(self, x: str) -> list[str]:
         """Alternating element chain from x down to the root; x may be a node or an edge."""
         chain = [x]
-        cur, is_edge = x, x in set(self.edges)
+        cur, is_edge = x, x in self._edge_set
         bound = len(self.edges) + len(self.nodes) + 1
         for _ in range(bound):
             nxt = self.edge_target.get(cur) if is_edge else self.node_target.get(cur)
@@ -304,10 +305,13 @@ def constellation_diagnostics(c: Constellation) -> list[Diagnostic]:
     sigma = dict(black)
     sigma.update(white)
     adj = exp.dot_adjacency()
-    # descending chains in the codomain, per dot image
-    chains = {t: set(c.codomain.descending_chain(sigma[t])) for t in sigma}
+    # the dots whose image descends through each element of the codomain
+    pulled_at: dict[str, list[str]] = {}
+    for t in sigma:
+        for x in c.codomain.descending_chain(sigma[t]):
+            pulled_at.setdefault(x, []).append(t)
     for x in [*sorted(c.codomain.nodes), *sorted(c.codomain.edges)]:
-        pulled = sorted(t for t in sigma if x in chains[t])
+        pulled = sorted(pulled_at.get(x, ()))
         if len(pulled) <= 1:
             continue
         components = _components(pulled, adj)

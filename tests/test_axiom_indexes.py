@@ -1,0 +1,210 @@
+"""The indexed face-complex checks against the per-chain scans they replace.
+
+The reference scans below rescan the facets of x for every chain
+z < y < x, scan every pair of facets for the facet flow, and recount the
+loop sources of x for every (x, z).  Each check must return the identical
+diagnostic list, on valid complexes and on single-edit corruptions.
+"""
+
+import copy
+import random
+
+import pytest
+
+from opetopes import poset
+from opetopes.generator import GenParams, gen_opetope
+from opetopes.io import dfc_to_doc, parse_dfc
+from opetopes.poset import LOOP, MINUS, ManyToOnePoset, make, sign_negate, sign_product, thinness_completions
+from opetopes.to_poset import p_of
+
+from conftest import FIXTURES
+
+
+def reference_thinness(mop):
+    out = []
+    for x in sorted(mop.cells):
+        if mop.dim[x] < 1:
+            continue
+        for y in mop.facets(x):
+            alpha = mop.sign(y, x)
+            for z in mop.facets(y):
+                beta = mop.sign(z, y)
+                if alpha != LOOP and beta != LOOP:
+                    comps = thinness_completions(mop, z, y, x)
+                    if not comps:
+                        out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
+                    elif len(comps) > 1:
+                        out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
+                    else:
+                        y2, alpha2, beta2 = comps[0]
+                        if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
+                            out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
+                elif beta == LOOP and alpha == MINUS:
+                    found = any(
+                        not (mop.sign(y2, x) == MINUS and mop.sign(z, y2) == LOOP)
+                        for y2 in mop.facets(x)
+                        if y2 != y and mop.sign(z, y2) is not None
+                    )
+                    if not found:
+                        out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
+    return out
+
+
+def reference_acyclicity(mop):
+    out = []
+    for x in sorted(mop.cells):
+        if mop.dim[x] < 1:
+            continue
+        fac = mop.facets(x)
+        succ = {b: [] for b in fac}
+        for b in fac:
+            if mop.dim[b] < 0 or not mop.gamma[b]:
+                continue
+            t = mop.gamma_cell(b)
+            for a in fac:
+                if a != b and t in mop.delta_minus(a):
+                    succ[b].append(a)
+        cycle = poset._find_cycle(fac, succ)
+        if cycle:
+            out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
+    return out
+
+
+def _loop_chain_set(mop, x, z):
+    return tuple(sorted(y for y in mop.delta_minus(x) if mop.sign(z, y) == LOOP))
+
+
+def reference_local_orders(mop):
+    out = []
+    required = set()
+    for x in sorted(mop.lam()):
+        if mop.dim[x] < 1:
+            continue
+        for z in sorted({z for y in mop.facets(x) for z in mop.facets(y)}):
+            if len(_loop_chain_set(mop, x, z)) >= 2:
+                required.add((x, z))
+    for key in sorted(required - set(mop.local_orders)):
+        x, z = key
+        out.append(make("LocalOrderMissing", [x, z], "local order", f"{x!r} has several loop sources on {z!r} but no stored order"))
+    for (x, z), seq in sorted(mop.local_orders.items()):
+        expected = set(_loop_chain_set(mop, x, z))
+        if len(set(seq)) != len(seq) or set(seq) != expected:
+            out.append(make("LocalOrderInvalid", [x, z, *seq], "local order", f"stored order at ({x!r}, {z!r}) is not an enumeration of the loop sources"))
+    return out
+
+
+REFERENCES = {
+    "_thinness_diagnostics": reference_thinness,
+    "_acyclicity_diagnostics": reference_acyclicity,
+    "_local_order_diagnostics": reference_local_orders,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as err:  # an unchecked document may break either route the same way
+        return "raises", type(err).__name__
+
+
+def _mop(doc):
+    _, c = poset._structural_diagnostics(doc)
+    return ManyToOnePoset(c["order"], c["dim"], c["delta"], c["gamma"], c["local_orders"])
+
+
+def assert_same_diagnostics(doc, monkeypatch):
+    for name, reference in REFERENCES.items():
+        assert _outcome(getattr(poset, name), _mop(doc)) == _outcome(reference, _mop(doc)), name
+    fast = (_outcome(poset.mop_diagnostics, copy.deepcopy(doc)), _outcome(poset.dfc_diagnostics, _mop(doc)))
+    with monkeypatch.context() as m:
+        for name, reference in REFERENCES.items():
+            m.setattr(poset, name, reference)
+        slow = (_outcome(poset.mop_diagnostics, copy.deepcopy(doc)), _outcome(poset.dfc_diagnostics, _mop(doc)))
+    assert fast == slow
+
+
+# -- single edits of a face-complex document ------------------------------
+
+
+def _cells_of_dim(doc, lo):
+    return [rec for rec in doc["cells"] if rec["dim"] >= lo]
+
+
+def _ids_of_dim(doc, k):
+    return sorted(rec["id"] for rec in doc["cells"] if rec["dim"] == k)
+
+
+def drop_source(doc, rng):
+    rec = rng.choice([r for r in _cells_of_dim(doc, 1) if r["delta"]])
+    rec["delta"].remove(rng.choice(rec["delta"]))
+
+
+def add_source(doc, rng):
+    rec = rng.choice(_cells_of_dim(doc, 1))
+    rec["delta"].append(rng.choice(_ids_of_dim(doc, rec["dim"] - 1)))
+    rec["delta"] = sorted(set(rec["delta"]))
+
+
+def swap_source_and_target(doc, rng):
+    rec = rng.choice([r for r in _cells_of_dim(doc, 1) if r["delta"]])
+    y = rng.choice(rec["delta"])
+    rec["delta"] = sorted(set(rec["delta"]) - {y} | set(rec["gamma"]))
+    rec["gamma"] = [y]
+
+
+def retarget(doc, rng):
+    rec = rng.choice(_cells_of_dim(doc, 1))
+    rec["gamma"] = [rng.choice(_ids_of_dim(doc, rec["dim"] - 1))]
+
+
+def make_loop(doc, rng):
+    rec = rng.choice(_cells_of_dim(doc, 1))
+    rec["delta"] = list(rec["gamma"])
+
+
+def drop_cell(doc, rng):
+    doc["cells"].remove(rng.choice(_cells_of_dim(doc, 0)))
+
+
+def drop_local_order(doc, rng):
+    if doc["local_orders"]:
+        doc["local_orders"].pop(rng.randrange(len(doc["local_orders"])))
+
+
+def repeat_in_local_order(doc, rng):
+    orders = [r for r in doc["local_orders"] if len(r["order"]) >= 2]
+    if orders:
+        order = rng.choice(orders)["order"]
+        order[1] = order[0]
+
+
+EDITS = (drop_source, add_source, swap_source_and_target, retarget, make_loop, drop_cell, drop_local_order, repeat_in_local_order)
+
+
+@pytest.fixture(scope="module")
+def generated():
+    rng = random.Random(11)
+    return [dfc_to_doc(p_of(gen_opetope(rng, GenParams(dim=2 + i % 4, max_whitedots_per_edge=3)))) for i in range(24)]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.dfc.json")) + sorted(FIXTURES.glob("mutations/*.dfc.json")), ids=lambda p: p.name)
+def test_indexed_checks_match_the_scans_on_fixtures(path, monkeypatch):
+    doc, _ = parse_dfc(path.read_text())
+    assert_same_diagnostics(doc, monkeypatch)
+
+
+def test_indexed_checks_match_the_scans_on_generated_complexes(generated, monkeypatch):
+    for doc in generated:
+        assert_same_diagnostics(doc, monkeypatch)
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=lambda e: e.__name__)
+def test_indexed_checks_match_the_scans_after_one_edit(edit, generated, monkeypatch):
+    rng = random.Random(edit.__name__)
+    rejected = 0
+    for doc in generated:
+        edited = copy.deepcopy(doc)
+        edit(edited, rng)
+        assert_same_diagnostics(edited, monkeypatch)
+        rejected += bool(poset.mop_diagnostics(copy.deepcopy(edited)) or poset.dfc_diagnostics(_mop(edited)))
+    assert rejected

@@ -195,3 +195,16 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", str(bad)]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_rejects_declared_dim_that_disagrees_with_the_trees(tmp_path, capsys):
+    doc = json.loads(fixture_text("rho3.ope.json"))
+    doc["dim"] = 5
+    path = tmp_path / "rho3_dim5.ope.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["code"] for line in lines[:-1]] == ["BadShape"]
+    assert lines[-1] == {"file": str(path), "valid": False}
+    assert main(["info", str(path)]) == 1
+    assert "dimension" not in capsys.readouterr().out

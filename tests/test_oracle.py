@@ -1,5 +1,9 @@
 """Oracle battery: brute-force checks agree with the optimized paths."""
 
+import random
+
+import pytest
+
 from opetopes.equivalence import dfc_iso_search
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.oracle import (
@@ -8,6 +12,7 @@ from opetopes.oracle import (
     oracle_iso,
     oracle_kernel,
     oracle_lozenge,
+    oracle_nesting_subtree,
     oracle_strictness,
     run_fact_suite,
 )
@@ -21,10 +26,10 @@ from opetopes.poset import (
     path_order,
     thinness_completions,
 )
-from opetopes.to_poset import p_of
+from opetopes.to_poset import extend, nesting_subtrees, p_of
 from opetopes.trees import constellation_diagnostics
 
-from conftest import load_dfc_doc
+from conftest import generated_corpus, load_dfc_doc
 from test_poset import ARROW, cell
 
 
@@ -148,3 +153,35 @@ def test_oracle_iso_identity_and_empty(rho_dfc):
     assert oracle_iso(point, point) == [{"*": "*", "p": "p"}]
     arrow = dfc_validate(mop_validate(ARROW))
     assert oracle_iso(arrow, point) == []
+
+
+# -- nesting subtrees: the per-level route against the per-cell reference --
+
+
+def _cut_fields(st):
+    t = st.tree
+    return (st.owner, st.dots, t.nodes, t.edges, t.node_target, t.edge_target, t.root, st.v, st.root_name, st.leaf_names)
+
+
+def _assert_cuts_agree(ope):
+    ez = extend(ope)
+    for k in range(1, ez.base_dim + 1):
+        level = nesting_subtrees(ez, k)
+        assert sorted(level) == sorted(ez.trees[k + 2].edges)
+        for x, st in level.items():
+            assert _cut_fields(st) == _cut_fields(oracle_nesting_subtree(ez, k, x)), (k, x)
+
+
+def test_nesting_subtrees_agree_with_the_oracle_on_the_fixtures(rho_ope, omega_ope):
+    for ope in (rho_ope, omega_ope):
+        _assert_cuts_agree(ope)
+
+
+def test_nesting_subtrees_agree_with_the_oracle_on_the_corpus():
+    for ope in generated_corpus(200):
+        _assert_cuts_agree(ope)
+
+
+@pytest.mark.parametrize("dim,seed", [(6, 1), (6, 2), (7, 3)])
+def test_nesting_subtrees_agree_with_the_oracle_in_high_dimension(dim, seed):
+    _assert_cuts_agree(gen_opetope(random.Random(seed), GenParams(dim=dim, max_whitedots_per_edge=3)))

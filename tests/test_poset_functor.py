@@ -1,12 +1,15 @@
 """The zoom-to-poset translation: extension, nesting subtrees, cell extraction."""
 
+import random
+
 import pytest
 
+from opetopes import to_poset, trees
 from opetopes.diagnostics import NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso, make_opetope_iso
 from opetopes.poset import LOOP, MINUS, PLUS, delta_tree, dfc_diagnostics, thinness_completions
-from opetopes.to_poset import extend, nesting_subtree, p_image, p_map, p_of, sigma_tree
+from opetopes.to_poset import extend, nesting_subtrees, p_image, p_map, p_of, sigma_tree
 from opetopes.trees import RootedTree
 
 from conftest import load_ope, load_ope_doc
@@ -43,12 +46,12 @@ def test_extend_unit_top_tree_gets_the_top_whitedot():
 
 def test_nesting_subtree_examples(rho_ope):
     ez = extend(rho_ope)
-    st = nesting_subtree(ez, 1, "b4")
+    st = nesting_subtrees(ez, 1)["b4"]
     assert st.is_unit and st.tree.edges == ("c1",) and st.dots == frozenset({"a3"})
-    st = nesting_subtree(ez, 2, "a2")
+    st = nesting_subtrees(ez, 2)["a2"]
     assert st.tree.is_corolla and st.root_name == "b3" and set(st.leaf_names) == {"b4", "b5"}
     # a leaf edge of the extension corolla cuts out the corolla around its node
-    st = nesting_subtree(ez, 2, "a1")
+    st = nesting_subtrees(ez, 2)["a1"]
     assert st.root_name == "b0" and set(st.leaf_names) == {"b2", "b3", "b6", "b7"}
     assert st.tree.nodes == ("a1",)
 
@@ -56,7 +59,7 @@ def test_nesting_subtree_examples(rho_ope):
 def test_nesting_subtree_whitedot_runs(rho_ope):
     ez = extend(rho_ope)
     # the subtree under b3 contains the whitedot interval (a4, a3) on c1
-    st = nesting_subtree(ez, 1, "b3")
+    st = nesting_subtrees(ez, 1)["b3"]
     assert st.is_unit and st.v == {"c1": ("a4", "a3")}
     assert st.dots == frozenset({"a3", "a4"})
 
@@ -95,12 +98,9 @@ def test_loop_iff_unit_subtree(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
         img = p_image(ope)
         mop = img.dfc.mop
-        for x in sorted(mop.cells):
-            k = mop.dim[x]
-            if k < 1:
-                continue
-            st = nesting_subtree(img.ez, k, x)
-            assert st.is_unit == mop.is_loop(x)
+        for k in range(1, mop.dimension + 1):
+            for x, st in nesting_subtrees(img.ez, k).items():
+                assert st.is_unit == mop.is_loop(x)
 
 
 def test_sigma_tree_equals_delta_tree(rho_ope, omega_ope):
@@ -133,6 +133,27 @@ def test_sigma_tree_single_covering_corolla():
     top = img.dfc.omega
     tree = sigma_tree(img, top)
     assert len(tree.nodes) == 1
+
+
+def test_p_image_builds_one_expansion_per_level_and_walks_no_chains(monkeypatch):
+    ope = gen_opetope(random.Random(5), GenParams(dim=5))
+    expanded, chain_walks = [], []
+    real_expansion, real_descendant_dots = to_poset.Expansion, trees.descendant_dots
+
+    def counting_expansion(st):
+        expanded.append(st.base)
+        return real_expansion(st)
+
+    def counting_descendant_dots(*args):
+        chain_walks.append(args)
+        return real_descendant_dots(*args)
+
+    monkeypatch.setattr(to_poset, "Expansion", counting_expansion)
+    monkeypatch.setattr(to_poset, "descendant_dots", counting_descendant_dots, raising=False)
+    monkeypatch.setattr(trees, "descendant_dots", counting_descendant_dots)
+    img = to_poset.p_image(ope)
+    assert [id(t) for t in expanded] == [id(img.ez.trees[k + 1]) for k in range(1, 6)]
+    assert chain_walks == []
 
 
 # -- the lozenge completion facts, checked verbatim on p_of output --------
@@ -214,11 +235,9 @@ def test_distinct_leaves_distinct_names(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
         img = p_image(ope)
         mop = img.dfc.mop
-        for x in sorted(mop.cells):
-            if mop.dim[x] < 1:
-                continue
-            st = nesting_subtree(img.ez, mop.dim[x], x)
-            assert len(set(st.leaf_names)) == len(st.leaf_names)
+        for k in range(1, mop.dimension + 1):
+            for st in nesting_subtrees(img.ez, k).values():
+                assert len(set(st.leaf_names)) == len(st.leaf_names)
 
 
 # -- P on isomorphisms ----------------------------------------------------
