@@ -26,13 +26,10 @@ from .poset import (
     delta_tree,
     dfc_diagnostics,
     dfc_validate,
-    iterated_target,
     mop_diagnostics,
     mop_validate,
     path_order,
-    relation_sign,
     sign_product,
-    strata,
 )
 from .trees import (
     Constellation,
@@ -40,7 +37,6 @@ from .trees import (
     RootedTree,
     SubdividedTree,
     constellation_diagnostics,
-    constellation_validate,
     descendant_dots,
     opetope_diagnostics,
     opetope_validate,

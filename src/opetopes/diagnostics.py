@@ -32,7 +32,7 @@ def make(code: str, cells, axiom: str, message: str) -> Diagnostic:
 
 
 class ValidationError(Exception):
-    """Raised by the *_validate wrappers; carries the full diagnostic list."""
+    """Raised by a validator on a broken input (never on translator output); carries every diagnostic."""
 
     def __init__(self, diagnostics):
         self.diagnostics = sorted(diagnostics, key=sort_key)

@@ -15,7 +15,7 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def export_dot(obj, style: str = "auto") -> str:
+def export_dot(obj) -> str:
     if isinstance(obj, ManyToOnePoset):
         return _dot_hasse(obj)
     if isinstance(obj, RootedTree):
@@ -24,8 +24,9 @@ def export_dot(obj, style: str = "auto") -> str:
         return _dot_trees([("", obj)])
     if isinstance(obj, Opetope):
         pairs = []
+        subdivisions = [c.subdivision for c in obj.constellations] + [{}]  # the top tree carries none
         for i, t in enumerate(obj.trees):
-            pairs.append((f"T{i}", SubdividedTree(t, obj.subdivision(i))))
+            pairs.append((f"T{i}", SubdividedTree(t, subdivisions[i])))
         return _dot_trees(pairs)
     if hasattr(obj, "mop"):
         return _dot_hasse(obj.mop)

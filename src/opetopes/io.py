@@ -3,7 +3,8 @@
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and keeps arrays in document order, so serialize . parse . serialize equals
 serialize byte for byte.  Unknown fields survive a round trip and are
-reported as warnings.
+reported as warnings.  Normalizing rejects a field of the wrong JSON type
+with a ParseError naming its path; an id may be any scalar but no container.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .diagnostics import ParseError, ValidationError, make
-from .poset import Dfc, ManyToOnePoset, mop_validate
+from .poset import Dfc, ManyToOnePoset
 from .trees import Constellation, Opetope, RootedTree
 
 DFC_CELL_KEYS = {"id", "dim", "delta", "gamma"}
@@ -28,6 +29,19 @@ def parse_json(text: str):
 
 def serialize_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _check_id(value, path: str) -> None:
+    """Non-string scalars pass: the validators report them as bad ids."""
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{path} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
+
+
+def _check_ids(value, path: str, container=list) -> None:
+    if not isinstance(value, container):
+        raise ParseError(f"{path} must be an {'array' if container is list else 'object'} of ids")
+    for key, v in value.items() if container is dict else enumerate(value):
+        _check_id(v, f"{path}[{json.dumps(key)}]")
 
 
 def detect_kind(doc) -> str:
@@ -51,18 +65,26 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ParseError("a DFC document is an object with a 'cells' array")
     warnings = []
-    for rec in doc["cells"]:
+    for i, rec in enumerate(doc["cells"]):
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each cell is an object with at least an 'id'")
         rec.setdefault("dim", -1)
         rec.setdefault("delta", [])
         rec.setdefault("gamma", [])
+        _check_id(rec["id"], f"cells[{i}].id")
+        _check_ids(rec["delta"], f"cells[{i}].delta")
+        _check_ids(rec["gamma"], f"cells[{i}].gamma")
         for key in sorted(set(rec) - DFC_CELL_KEYS):
             warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
     doc.setdefault("local_orders", [])
-    for rec in doc["local_orders"]:
+    if not isinstance(doc["local_orders"], list):
+        raise ParseError("local_orders must be an array")
+    for i, rec in enumerate(doc["local_orders"]):
         if not isinstance(rec, dict) or not {"x", "z", "order"} <= set(rec):
             raise ParseError("each local order is an object with 'x', 'z' and 'order'")
+        _check_id(rec["x"], f"local_orders[{i}].x")
+        _check_id(rec["z"], f"local_orders[{i}].z")
+        _check_ids(rec["order"], f"local_orders[{i}].order")
     for key in sorted(set(doc) - {"cells", "local_orders"}):
         warnings.append(f"document: unknown field {key!r} preserved")
     return doc, warnings
@@ -113,13 +135,27 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         rec.setdefault("edges", [])
         rec.setdefault("node_target", {})
         rec.setdefault("edge_target", {})
+        _check_id(rec["root"], f"trees[{i}].root")
+        _check_ids(rec["nodes"], f"trees[{i}].nodes")
+        _check_ids(rec["edges"], f"trees[{i}].edges")
+        _check_ids(rec["node_target"], f"trees[{i}].node_target", dict)
+        _check_ids(rec["edge_target"], f"trees[{i}].edge_target", dict)
         for key in sorted(set(rec) - TREE_KEYS):
             warnings.append(f"tree {i}: unknown field {key!r} preserved")
     doc.setdefault("constellations", [])
+    if not isinstance(doc["constellations"], list):
+        raise ParseError("constellations must be an array")
     for i, rec in enumerate(doc["constellations"]):
         if not isinstance(rec, dict):
             raise ParseError(f"constellation {i} must be an object")
         rec.setdefault("subdivision", {})
+        if not isinstance(rec["subdivision"], dict):
+            raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
+        for b, ws in rec["subdivision"].items():
+            _check_ids(ws, f"constellations[{i}].subdivision[{json.dumps(b)}]")
+        for key in ("sigma_black", "sigma_white"):
+            if rec.get(key) is not None:
+                _check_ids(rec[key], f"constellations[{i}].{key}", dict)
         for key in sorted(set(rec) - CONSTELLATION_KEYS):
             warnings.append(f"constellation {i}: unknown field {key!r} preserved")
     if len(doc["constellations"]) != len(doc["trees"]) - 1:

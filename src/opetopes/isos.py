@@ -19,10 +19,6 @@ class DfcIso:
     target: Dfc
     fwd: dict
 
-    @property
-    def bwd(self) -> dict:
-        return {v: k for k, v in self.fwd.items()}
-
     def to_json(self) -> dict:
         return {"forward": dict(sorted(self.fwd.items()))}
 

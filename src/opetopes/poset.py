@@ -42,7 +42,7 @@ def sign_negate(a: str) -> str:
 class ManyToOnePoset:
     """Graded cell set with source/target facet maps and local loop orders.
 
-    Immutable by convention after construction; build through mop_validate.
+    Immutable by convention after construction; build through mop_validate or trusted_mop.
     local_orders maps (x, z) to the stored order of the loops on z among
     the sources of x.
     """
@@ -139,10 +139,6 @@ class ManyToOnePoset:
 
     def sourceless(self) -> frozenset[str]:
         return frozenset(c for c in self.cells if self.dim[c] >= 0 and not self.delta[c])
-
-
-def relation_sign(mop: ManyToOnePoset, y: str, x: str) -> str | None:
-    return mop.sign(y, x)
 
 
 # -- MOP validation ----------------------------------------------------
@@ -274,8 +270,19 @@ def mop_validate(doc: dict) -> ManyToOnePoset:
     diags = mop_diagnostics(doc)
     if diags:
         raise ValidationError(diags)
-    _, c = _structural_diagnostics(doc)
-    return ManyToOnePoset(c["order"], c["dim"], c["delta"], c["gamma"], c["local_orders"])
+    return trusted_mop(doc)
+
+
+def trusted_mop(doc: dict) -> ManyToOnePoset:
+    """The poset of a document known to satisfy the axioms, read without checks."""
+    cells = doc.get("cells", [])
+    return ManyToOnePoset(
+        [rec["id"] for rec in cells],
+        {rec["id"]: rec["dim"] for rec in cells},
+        {rec["id"]: rec.get("delta", []) for rec in cells},
+        {rec["id"]: rec.get("gamma", []) for rec in cells},
+        {(rec["x"], rec["z"]): rec.get("order", []) for rec in doc.get("local_orders", [])},
+    )
 
 
 # -- DFC validation ----------------------------------------------------
@@ -297,11 +304,14 @@ class Dfc:
     lam_k: dict[int, frozenset[str]]
     omega_k: dict[int, frozenset[str]]
     null_k: dict[int, frozenset[str]]
-    degenerate: bool = False
 
     @property
     def dimension(self) -> int:
         return self.mop.dimension
+
+    @property
+    def degenerate(self) -> bool:
+        return self.dimension == 0
 
     @property
     def bottom(self) -> str:
@@ -428,7 +438,7 @@ def _find_cycle(vertices, succ) -> list[str] | None:
 
 
 def dfc_diagnostics(mop: ManyToOnePoset, allow_point: bool = False) -> list[Diagnostic]:
-    """Every DFC axiom violation; assumes mop already passed mop_diagnostics."""
+    """Every DFC axiom violation; assumes mop already passed mop_diagnostics (local orders included)."""
     out: list[Diagnostic] = []
     n = mop.dimension
 
@@ -450,7 +460,6 @@ def dfc_diagnostics(mop: ManyToOnePoset, allow_point: bool = False) -> list[Diag
 
     out.extend(_thinness_diagnostics(mop))
     out.extend(_acyclicity_diagnostics(mop))
-    out.extend(_local_order_diagnostics(mop))
     return sorted(set(out), key=sort_key)
 
 
@@ -458,8 +467,13 @@ def dfc_validate(mop: ManyToOnePoset, allow_point: bool = False) -> Dfc:
     diags = dfc_diagnostics(mop, allow_point=allow_point)
     if diags:
         raise ValidationError(diags)
+    return trusted_dfc(mop)
+
+
+def trusted_dfc(mop: ManyToOnePoset) -> Dfc:
+    """The face complex on a poset known to satisfy its axioms; checks nothing."""
     n = mop.dimension
-    omega = [c for c in mop.cells if not mop.cofaces(c)][0]
+    (omega,) = mop.grade(n)  # the greatest element is the only top-dimensional cell
     targets = [omega]
     for _ in range(n):
         targets.append(mop.gamma_cell(targets[-1]))
@@ -470,16 +484,7 @@ def dfc_validate(mop: ManyToOnePoset, allow_point: bool = False) -> Dfc:
     lam_k = {k: frozenset(c for c in mop.grade(k) if c in lam) for k in range(n + 1)}
     omega_k = {k: frozenset(c for c in mop.grade(k) if c in loops) for k in range(n + 1)}
     null_k = {k: frozenset(c for c in mop.grade(k) if c in nulls) for k in range(n + 1)}
-    return Dfc(mop, omega, tuple(targets), lam_k, omega_k, null_k, degenerate=n == 0)
-
-
-def iterated_target(dfc: Dfc, j: int) -> str:
-    """The unique j-dimensional cell reached from omega by iterating gamma."""
-    return dfc.iterated_targets[j]
-
-
-def strata(dfc: Dfc) -> tuple[dict[int, frozenset[str]], dict[int, frozenset[str]], dict[int, frozenset[str]]]:
-    return dfc.lam_k, dfc.omega_k, dfc.null_k
+    return Dfc(mop, omega, tuple(targets), lam_k, omega_k, null_k)
 
 
 # -- path orders -------------------------------------------------------

@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 from .diagnostics import InternalError, NotAnIsomorphism, ValidationError, make
 from .isos import DfcIso, OpetopeIso, make_dfc_iso, opetope_iso_failures
-from .poset import Dfc, dfc_validate, mop_validate
+from .poset import Dfc, trusted_dfc, trusted_mop
 from .trees import (
     Constellation,
     Expansion,
     Opetope,
     RootedTree,
     SubdividedTree,
-    constellation_validate,
-    opetope_validate,
-    tree_diagnostics,
-    tree_validate,
 )
 
 
@@ -68,8 +64,6 @@ def extend(ope: Opetope) -> ExtendedZoom:
     """Append the corolla on a fresh top element and the unit tree above it."""
     if isinstance(ope, ExtendedZoom):
         raise ValueError("input is already an extended zoom complex")
-    ope = opetope_validate(ope)
-    n = ope.dim
     used = set()
     for t in ope.trees:
         used |= set(t.nodes) | set(t.edges)
@@ -87,8 +81,8 @@ def extend(ope: Opetope) -> ExtendedZoom:
     # a unit top tree has no blackdot, so the top element itself must
     # appear as the only whitedot for the appended constellation to be exact
     v_n = {} if s_n.nodes else {s_n.root: (top,)}
-    c_up = constellation_validate(Constellation(s_n, v_n, corolla))
-    c_top = constellation_validate(Constellation(corolla, {}, unit))
+    c_up = Constellation(s_n, v_n, corolla)
+    c_top = Constellation(corolla, {}, unit)
     return ExtendedZoom(
         ope, ope.trees + (corolla, unit), ope.constellations + (c_up, c_top), top, ext_root
     )
@@ -209,9 +203,6 @@ def _cut(exp: Expansion, blackdots: frozenset[str], x: str, dots: frozenset[str]
             v[info["name"]] = info["whitedots"]
     if len(roots) != 1:
         raise ValidationError([make("DisconnectedNesting", [x, *sorted(roots)], "kernel rule", f"cut of {x!r} has {len(roots)} root candidates")])
-    diags = tree_diagnostics(nodes, edges, node_target, edge_target, roots[0])
-    if diags:
-        raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
     tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
     return NestingSubtree(x, dots, tree, v, tree.root, tree.leaves)
 
@@ -258,15 +249,11 @@ def p_image(ope: Opetope) -> PImage:
                 local_orders.append({"x": x, "z": z, "order": ys})
 
     doc = {"cells": records, "local_orders": local_orders}
-    try:
-        dfc = dfc_validate(mop_validate(doc), allow_point=n == 0)
-    except ValidationError as err:
-        raise InternalError(f"complex of a valid opetope failed to validate: {err}") from err
-    return PImage(ez, dfc)
+    return PImage(ez, trusted_dfc(trusted_mop(doc)))
 
 
 def p_of(ope: Opetope) -> Dfc:
-    """The face complex of an opetope; valid by construction, revalidated anyway."""
+    """The face complex of a valid opetope; valid by construction and not re-checked."""
     return p_image(ope).dfc
 
 
@@ -291,7 +278,7 @@ def sigma_tree(pz: PImage, x: str) -> RootedTree:
             if z in edge_target:
                 raise InternalError(f"edge {z!r} is a leaf of two source cuts under {x!r}")
             edge_target[z] = y
-    return tree_validate(RootedTree(nodes, edges, node_target, edge_target, root))
+    return RootedTree(nodes, edges, node_target, edge_target, root)
 
 
 def p_map(f: OpetopeIso) -> DfcIso:

@@ -15,7 +15,8 @@ from functools import cmp_to_key
 from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_opetope_iso
 from .poset import LOOP, MINUS, PLUS, Dfc
-from .trees import Constellation, Opetope, RootedTree, opetope_validate, tree_validate
+from .to_poset import _fresh
+from .trees import Constellation, Opetope, RootedTree
 
 
 def level_tree(dfc: Dfc, k: int) -> RootedTree:
@@ -46,7 +47,7 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
             raise InternalError(f"edge {y!r} has several target nodes at level {k}")
         if y in owners:
             edge_target[y] = owners[y][0]
-    return tree_validate(RootedTree(nodes, edges, node_target, edge_target, dfc.iterated_targets[k - 2]))
+    return RootedTree(nodes, edges, node_target, edge_target, dfc.iterated_targets[k - 2])
 
 
 # -- zig-zags ----------------------------------------------------------
@@ -169,14 +170,6 @@ class LoopPath:
     root_loop: str | None
     completion: tuple[str, str] | None
 
-    @property
-    def steps(self) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.members, self.entering[1:] + (self.terminal,)))
-
-    @property
-    def terminal(self) -> str:
-        return self.root_loop if self.root_loop is not None else self.members[-1]
-
 
 def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
     mop = dfc.mop
@@ -268,15 +261,8 @@ def whitedot_order(dfc: Dfc, k: int, y: str) -> tuple[str, ...]:
 # -- assembly ----------------------------------------------------------
 
 
-def _fresh(name: str, used: set[str]) -> str:
-    while name in used:
-        name += "'"
-    used.add(name)
-    return name
-
-
 def z_of(dfc: Dfc) -> Opetope:
-    """The zoom complex of a face complex of dimension >= 0."""
+    """The zoom complex of a valid face complex of dimension >= 0; valid by construction and not re-checked."""
     mop = dfc.mop
     n = dfc.dimension
     used = set(mop.cells)
@@ -284,7 +270,7 @@ def z_of(dfc: Dfc) -> Opetope:
         point = mop.grade(0)[0]
         t0_leaf = _fresh("__t0_leaf", used)
         t0 = RootedTree((point,), (dfc.bottom, t0_leaf), {point: dfc.bottom}, {t0_leaf: point}, dfc.bottom)
-        return opetope_validate(Opetope((t0,), ()))
+        return Opetope((t0,), ())
 
     trees = {k: level_tree(dfc, k) for k in range(2, n + 1)}
     aux = trees[2] if n >= 2 else level_tree(dfc, 2)  # for n = 1: the corolla on omega
@@ -308,7 +294,7 @@ def z_of(dfc: Dfc) -> Opetope:
                 if w:
                     sub[y] = w
         constellations.append(Constellation(ordered[i], sub, ordered[i + 1]))
-    return opetope_validate(Opetope(tuple(ordered), tuple(constellations)))
+    return Opetope(tuple(ordered), tuple(constellations))
 
 
 def z_map(f: DfcIso) -> OpetopeIso:

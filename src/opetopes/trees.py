@@ -11,7 +11,7 @@ constrained low-degree trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -75,9 +75,6 @@ class RootedTree:
     def is_linear(self) -> bool:
         return all(len(self._sources[a]) == 1 for a in self.nodes) and len(self.edges) == len(self.nodes) + 1
 
-    def element_count(self) -> int:
-        return len(self.nodes) + len(self.edges)
-
 
 def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagnostic]:
     out: list[Diagnostic] = []
@@ -114,15 +111,21 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
     if out:
         return sorted(set(out), key=sort_key)
 
-    tree = RootedTree(nodes, edges, node_target, edge_target, root)
-    for b in sorted(edge_set):
-        try:
-            chain = tree.descending_chain(b)
-        except ValidationError as err:
-            return sorted(set(out + err.diagnostics), key=sort_key)
-        if chain[-1] != root:
-            out.append(make("UnreachableEdge", [b], "rooted tree", f"edge {b!r} does not descend to the root"))
-    return sorted(set(out), key=sort_key)
+    # every node has a target edge and every edge but the root a target
+    # node, so what one sweep up from the root misses descends into a cycle
+    source_node = {node_target[a]: a for a in node_set}
+    sources: dict = {}
+    for b, a in edge_target.items():
+        sources.setdefault(a, []).append(b)
+    reached, stack = set(), [root]
+    while stack:
+        b = stack.pop()
+        reached.add(b)
+        stack.extend(sources.get(source_node.get(b), ()))
+    stuck = sorted(edge_set - reached)
+    if stuck:
+        return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
+    return []
 
 
 def tree_validate(doc) -> RootedTree:
@@ -341,13 +344,6 @@ def _components(members, adj) -> list[list[str]]:
     return comps
 
 
-def constellation_validate(c: Constellation) -> Constellation:
-    diags = constellation_diagnostics(c)
-    if diags:
-        raise ValidationError(diags)
-    return c
-
-
 # -- zoom complexes and opetopes ---------------------------------------
 
 
@@ -357,17 +353,14 @@ class Opetope:
 
     trees: tuple[RootedTree, ...]
     constellations: tuple[Constellation, ...]
-    degenerate: bool = field(default=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.trees) - 1
 
-    def subdivision(self, i: int) -> dict:
-        """The subdivision carried by tree i (empty for the top tree)."""
-        if i + 1 <= self.dim:
-            return self.constellations[i].subdivision
-        return {}
+    @property
+    def degenerate(self) -> bool:
+        return self.dim >= 2 and self.trees[2].is_unit
 
 
 def _same_tree(a: RootedTree, b: RootedTree) -> bool:
@@ -421,5 +414,4 @@ def opetope_validate(ope: Opetope) -> Opetope:
     diags = opetope_diagnostics(ope)
     if diags:
         raise ValidationError(diags)
-    degenerate = ope.dim >= 2 and ope.trees[2].is_unit
-    return Opetope(ope.trees, ope.constellations, degenerate=degenerate)
+    return ope

@@ -4,10 +4,12 @@ import random
 
 from opetopes.equivalence import _tree_isos
 from opetopes.generator import GenParams, _Namer, gen_base, gen_nesting, gen_opetope, gen_subdivision
-from opetopes.io import opetope_to_doc, serialize_doc
-from opetopes.poset import dfc_diagnostics
+from opetopes.io import dfc_to_doc, opetope_to_doc, serialize_doc
+from opetopes.poset import dfc_diagnostics, mop_diagnostics
 from opetopes.to_poset import p_of
 from opetopes.trees import SubdividedTree, constellation_diagnostics, opetope_diagnostics
+
+from conftest import generated_corpus
 
 
 def test_gen_base_shapes():
@@ -61,11 +63,14 @@ def test_gen_opetope_dim1_arrow():
     assert ope.dim == 1 and all(len(t.nodes) == 1 for t in ope.trees)
 
 
-def test_gen_opetope_valid_and_p_of_valid():
-    for seed in range(25):
-        ope = gen_opetope(seed, GenParams(dim=3))
-        assert not opetope_diagnostics(ope)
-        assert not dfc_diagnostics(p_of(ope).mop)
+def test_gen_opetope_valid_and_p_of_valid(rho_ope, omega_ope):
+    # neither the generator nor p_of re-checks its output; this test does
+    seeded = [gen_opetope(seed, GenParams(dim=3)) for seed in range(25)]
+    for ope in seeded + generated_corpus(200) + [rho_ope, omega_ope]:
+        assert opetope_diagnostics(ope) == []
+        dfc = p_of(ope)
+        assert mop_diagnostics(dfc_to_doc(dfc)) == []
+        assert dfc_diagnostics(dfc.mop) == []
 
 
 def test_gen_opetope_dim4_within_caps():
@@ -76,7 +81,7 @@ def test_gen_opetope_dim4_within_caps():
     assert time.perf_counter() - t0 < 1.0
     assert ope.dim == 4
     for i, t in enumerate(ope.trees[:-1]):
-        dots = len(t.nodes) + sum(len(ws) for ws in ope.subdivision(i).values())
+        dots = len(t.nodes) + sum(len(ws) for ws in ope.constellations[i].subdivision.values())
         assert dots <= 40 + 3  # cap plus the mandatory unit-tree whitedot slack
 
 

@@ -1,7 +1,9 @@
 """Documents and the command-line surface."""
 
+import importlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -208,3 +210,66 @@ def test_cli_rejects_declared_dim_that_disagrees_with_the_trees(tmp_path, capsys
     assert lines[-1] == {"file": str(path), "valid": False}
     assert main(["info", str(path)]) == 1
     assert "dimension" not in capsys.readouterr().out
+
+
+# (fixture, JSON path, value): one field of the wrong JSON type each
+WRONG_TYPES = [
+    ("rho3.dfc.json", ("cells", 1, "id"), ["c0"]),
+    ("rho3.dfc.json", ("cells", 1, "id"), {"id": "c0"}),
+    ("rho3.dfc.json", ("cells", -1, "delta", 0), ["a1"]),
+    ("rho3.dfc.json", ("cells", -1, "gamma", 0), ["a0"]),
+    ("rho3.dfc.json", ("cells", -1, "delta"), 3),
+    ("rho3.dfc.json", ("local_orders", 0, "x"), ["a1"]),
+    ("rho3.dfc.json", ("local_orders", 0, "order"), 3),
+    ("rho3.ope.json", ("constellations", 2, "subdivision"), []),
+    ("rho3.ope.json", ("constellations", 2, "subdivision", "c1"), 3),
+    ("rho3.ope.json", ("trees", 1, "root"), ["*"]),
+    ("rho3.ope.json", ("trees", 1, "nodes"), 3),
+    ("rho3.ope.json", ("trees", 1, "edges", 0), {"id": "*"}),
+]
+
+
+@pytest.mark.parametrize("name, field, value", WRONG_TYPES)
+def test_cli_validate_rejects_wrong_json_types_without_a_traceback(tmp_path, capsys, name, field, value):
+    doc = json.loads(fixture_text(name))
+    *parents, last = field
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    edited = tmp_path / name
+    edited.write_text(json.dumps(doc))
+    assert main(["validate", str(edited)]) in (1, 2)
+
+
+COUNTED = (
+    ("poset", "_structural_diagnostics"),
+    ("poset", "_thinness_diagnostics"),
+    ("trees", "tree_diagnostics"),
+    ("trees", "constellation_diagnostics"),
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "omega4.dfc.json"], (1, 1, 0, 0)),
+    (["convert", "--to", "ope", "omega4.dfc.json"], (1, 1, 0, 0)),
+    (["roundtrip", "omega4.dfc.json"], (1, 1, 0, 0)),
+    (["roundtrip", "omega4.ope.json"], (0, 0, 5, 4)),
+    (["convert", "--to", "dfc", "omega4.ope.json"], (0, 0, 5, 4)),
+    (["iso", "rho3.dfc.json", "rho3.dfc.json"], (2, 2, 0, 0)),
+])
+def test_cli_validates_each_loaded_document_once(monkeypatch, capsys, argv, expected):
+    calls = dict.fromkeys([name for _, name in COUNTED], 0)
+    for module, name in COUNTED:
+        original = getattr(importlib.import_module(f"opetopes.{module}"), name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # rebind the name in every module that imported it, so every caller is counted
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("opetopes") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert main([path(a) if a.endswith(".json") else a for a in argv]) == 0
+    assert tuple(calls.values()) == expected

@@ -10,13 +10,10 @@ from opetopes.poset import (
     delta_tree,
     dfc_diagnostics,
     dfc_validate,
-    iterated_target,
     mop_diagnostics,
     mop_validate,
     path_order,
-    relation_sign,
     sign_product,
-    strata,
 )
 
 from conftest import load_dfc_doc
@@ -91,11 +88,11 @@ def test_mop_validate_collects_all_violations():
 
 def test_relation_sign_examples(rho_dfc):
     mop = rho_dfc.mop
-    assert relation_sign(mop, "c1", "b4") == LOOP
-    assert relation_sign(mop, "a0", "rho") == PLUS
-    assert relation_sign(mop, "b2", "a1") == MINUS
-    assert relation_sign(mop, "rho", "rho") is None
-    assert relation_sign(mop, "c0", "a0") is None
+    assert mop.sign("c1", "b4") == LOOP
+    assert mop.sign("a0", "rho") == PLUS
+    assert mop.sign("b2", "a1") == MINUS
+    assert mop.sign("rho", "rho") is None
+    assert mop.sign("c0", "a0") is None
 
 
 def test_dfc_validate_flattened_loop_mutation():
@@ -136,15 +133,15 @@ def test_loop_without_plus_coface():
 
 
 def test_iterated_targets(rho_dfc, omega_dfc):
-    assert iterated_target(rho_dfc, 2) == "a0"
-    assert iterated_target(rho_dfc, 3) == "rho"
-    assert iterated_target(rho_dfc, 0) == "c0"
-    assert iterated_target(omega_dfc, 1) == "c0"
-    assert iterated_target(omega_dfc, 0) == "d0"
+    assert rho_dfc.iterated_targets[2] == "a0"
+    assert rho_dfc.iterated_targets[3] == "rho"
+    assert rho_dfc.iterated_targets[0] == "c0"
+    assert omega_dfc.iterated_targets[1] == "c0"
+    assert omega_dfc.iterated_targets[0] == "d0"
 
 
 def test_strata(rho_dfc):
-    lam, loops, nulls = strata(rho_dfc)
+    lam, loops, nulls = rho_dfc.lam_k, rho_dfc.omega_k, rho_dfc.null_k
     assert loops[1] == frozenset({"b3", "b4", "b5", "b6", "b8"})
     assert nulls[2] & lam[2] == frozenset({"a3", "a4", "a5", "a7"})
     assert "rho" in lam[3]

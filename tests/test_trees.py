@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from opetopes.diagnostics import ValidationError
+from opetopes.diagnostics import ValidationError, make
 from opetopes.oracle import oracle_kernel, oracle_tree_paths
 from opetopes.trees import (
     Constellation,
@@ -33,6 +33,11 @@ PAPER_TREE = dict(
 )
 
 
+# e and f descend into each other; only the root r reaches the root
+CYCLE = dict(nodes=["a", "b"], edges=["e", "f", "r"], node_target={"a": "e", "b": "f"},
+             edge_target={"e": "b", "f": "a"}, root="r")
+
+
 def codes(diags):
     return sorted({d.code for d in diags})
 
@@ -58,10 +63,17 @@ def test_two_targetless_edges():
 def test_node_without_target_and_cycle():
     bad = dict(nodes=["a"], edges=["e"], node_target={}, edge_target={"e": "a"}, root="e")
     assert "NodeWithoutTarget" in codes(tree_diagnostics(**bad))
-    cyc = dict(nodes=["a", "b"], edges=["e", "f", "r"], node_target={"a": "e", "b": "f"},
-               edge_target={"e": "b", "f": "a"}, root="r")
-    got = codes(tree_diagnostics(**cyc))
-    assert "Cycle" in got or "UnreachableEdge" in got
+    assert tree_diagnostics(**CYCLE) == [make("Cycle", ["e"], "rooted tree", "no finite descending path from 'e'")]
+
+
+def test_tree_diagnostics_makes_no_descending_chain_call(monkeypatch, rho_ope, omega_ope):
+    calls = []
+    chain = RootedTree.descending_chain
+    monkeypatch.setattr(RootedTree, "descending_chain", lambda self, x: calls.append(x) or chain(self, x))
+    for t in rho_ope.trees + omega_ope.trees:
+        assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
+    assert codes(tree_diagnostics(**PAPER_TREE)) == [] and codes(tree_diagnostics(**CYCLE)) == ["Cycle"]
+    assert calls == []
 
 
 def test_tree_validate_matches_naive_path_oracle():

@@ -8,6 +8,7 @@ from opetopes.diagnostics import NotAnIsomorphism
 from opetopes.equivalence import opetope_iso_search
 from opetopes.isos import DfcIso, make_dfc_iso
 from opetopes.poset import LOOP, MINUS, PLUS, dfc_validate, mop_validate
+from opetopes.to_poset import p_of
 from opetopes.to_zoom import (
     compare_loops,
     level_tree,
@@ -19,7 +20,7 @@ from opetopes.to_zoom import (
 )
 from opetopes.trees import opetope_diagnostics, tree_diagnostics
 
-from conftest import load_dfc_doc
+from conftest import generated_corpus, load_dfc_doc
 from test_poset import ARROW
 
 
@@ -203,9 +204,10 @@ def test_z_of_arrow():
     assert ope.trees[1].nodes == ("s",) and ope.trees[1].root == "*"
 
 
-def test_z_of_output_validates(rho_dfc, omega_dfc):
-    for dfc in (rho_dfc, omega_dfc):
-        assert not opetope_diagnostics(z_of(dfc))
+def test_z_of_output_validates(rho_dfc, omega_dfc, rho_ope, omega_ope):
+    # z_of does not re-check its output; this test does
+    for dfc in [rho_dfc, omega_dfc] + [p_of(ope) for ope in generated_corpus(200) + [rho_ope, omega_ope]]:
+        assert opetope_diagnostics(z_of(dfc)) == []
 
 
 def test_z_of_constellations_pass_kernel_oracle(rho_dfc, omega_dfc):
