@@ -15,7 +15,7 @@ from pathlib import Path
 from . import generator, oracle
 from .diagnostics import IncomparableLoops, ParseError, RoundTripBroken, ValidationError
 from .dot import export_dot
-from .equivalence import EXHAUSTED, dfc_iso_search, opetope_iso_search, tau, theta
+from .equivalence import dfc_iso_search, opetope_iso_search, tau, theta
 from .io import (
     detect_kind,
     dfc_to_doc,
@@ -93,10 +93,7 @@ def cmd_iso(args) -> int:
         _emit({"result": "none", "reason": "documents encode different kinds of structure"})
         return INVALID
     search = dfc_iso_search if kind_a == "dfc" else opetope_iso_search
-    witness = search(a, b, budget=args.budget)
-    if witness is EXHAUSTED:
-        _emit({"result": "exhausted", "budget": args.budget})
-        return INVALID
+    witness = search(a, b)
     if witness is None:
         _emit({"result": "none"})
         return INVALID
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="search for an isomorphism witness")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser("roundtrip", help="verify the round-trip witness of a document")

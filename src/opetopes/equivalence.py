@@ -4,13 +4,15 @@ theta maps a face complex onto the complex of its own zoom complex; tau
 maps an opetope onto the zoom complex of its own face complex.  Both are
 built id-wise (with a fixed correspondence for the reserved top/bottom
 names) and then verified; failure to verify is an implementation bug, not
-an input error.  The searches are deterministic backtrackers over
-id-sorted candidates with an optional expansion budget.
+an input error.  Isomorphism search needs no backtracking, because
+opetopes are rigid: each opetope gets a canonical order of its elements in
+one pass from tree 0 upward, two opetopes are paired position by position
+and the pairing is verified, and face complexes are compared through
+their zoom complexes.  Both searches always decide, in time near linear in
+the input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .diagnostics import RoundTripBroken
 from .isos import (
@@ -19,23 +21,12 @@ from .isos import (
     OpetopeIso,
     dfc_iso_failures,
     make_dfc_iso,
-    make_opetope_iso,
     opetope_iso_failures,
 )
 from .poset import Dfc
 from .to_poset import p_image
 from .to_zoom import z_of
 from .trees import Opetope, RootedTree
-
-
-class Exhausted:
-    """Search hit its node-expansion budget before deciding."""
-
-    def __repr__(self):
-        return "Exhausted"
-
-
-EXHAUSTED = Exhausted()
 
 
 # -- round trips --------------------------------------------------------
@@ -87,167 +78,92 @@ def tau(y: Opetope) -> OpetopeIso:
     return OpetopeIso(y, y2, tuple(levels))
 
 
-# -- isomorphism search: face complexes ----------------------------------
+# -- isomorphism search --------------------------------------------------
 
 
-def _cell_signature(mop, x):
-    return (
-        mop.dim[x],
-        len(mop.delta[x]),
-        mop.is_loop(x),
-        len(mop.minus_cofaces(x)),
-        len(mop.plus_cofaces(x)),
-        len(mop.loop_cofaces(x)),
-        sum(1 for y in mop.delta[x] if mop.is_loop(y)),
-    )
+def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
+    """Per level, the nodes and edges of y in an order fixed by structure alone.
 
-
-def dfc_iso_search(c: Dfc, d: Dfc, budget: int | None = None):
-    """A verified isomorphism witness, None, or EXHAUSTED under a budget.
-
-    Deterministic: cells are processed top dimension first in id order and
-    candidates tried in id order; the first witness found is returned.
+    Opetopes are rigid: the level below pins every leaf (by a blackdot)
+    and every nulldot (by a whitedot and its position on its edge), so
+    keys from the ranks below order the sources of each node strictly,
+    since sibling subtrees hold disjoint pinned elements.  Isomorphic
+    opetopes get orders that correspond position by position.
     """
-    mc, md = c.mop, d.mop
-    if mc.dimension != md.dimension or len(mc.cells) != len(md.cells):
-        return None
-    sig_c = {x: _cell_signature(mc, x) for x in mc.cells}
-    sig_d = {x: _cell_signature(md, x) for x in md.cells}
-    if sorted(sig_c.values()) != sorted(sig_d.values()):
-        return None
-
-    order = sorted(mc.cells, key=lambda x: (-mc.dim[x], x))
-    candidates = {x: sorted(y for y in md.cells if sig_d[y] == sig_c[x]) for x in order}
-    fwd: dict = {}
-    taken: set = set()
-    expansions = 0
-
-    def consistent(x, y):
-        for z in mc.facets(x):
-            if z in fwd and mc.sign(z, x) != md.sign(fwd[z], y):
-                return False
-        for w in mc.cofaces(x):
-            if w in fwd and mc.sign(x, w) != md.sign(y, fwd[w]):
-                return False
-        return True
-
-    def assign(i):
-        nonlocal expansions
-        if i == len(order):
-            return not dfc_iso_failures(c, d, fwd)
-        x = order[i]
-        for y in candidates[x]:
-            if y in taken or not consistent(x, y):
-                continue
-            expansions += 1
-            if budget is not None and expansions > budget:
-                raise _BudgetHit
-            fwd[x] = y
-            taken.add(y)
-            if assign(i + 1):
-                return True
-            del fwd[x]
-            taken.remove(y)
-        return False
-
-    try:
-        found = assign(0)
-    except _BudgetHit:
-        return EXHAUSTED
-    return make_dfc_iso(c, d, fwd) if found else None
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-# -- isomorphism search: opetopes ----------------------------------------
-
-
-def _tree_isos(s: RootedTree, t: RootedTree, forced: dict, counter):
-    """All root-anchored isomorphisms s -> t extending the forced pairs.
-
-    forced pins images of some nodes and edges (from the level below);
-    yields {element: image} dicts covering all nodes and edges.
-    """
-
-    def match_edge(b, b2, amap):
-        counter[0] += 1
-        if counter[1] is not None and counter[0] > counter[1]:
-            raise _BudgetHit
-        if forced.get(b, b2) != b2 or amap.get(b, b2) != b2:
-            return
-        amap = dict(amap)
-        amap[b] = b2
-        a, a2 = s.source_node_of(b), t.source_node_of(b2)
-        if (a is None) != (a2 is None):
-            return
-        if a is None:
-            yield amap
-            return
-        yield from match_node(a, a2, amap)
-
-    def match_node(a, a2, amap):
-        if forced.get(a, a2) != a2 or amap.get(a, a2) != a2:
-            return
-        amap = dict(amap)
-        amap[a] = a2
-        src, src2 = list(s.sources_of(a)), list(t.sources_of(a2))
-        if len(src) != len(src2):
-            return
-        yield from match_source_sets(src, src2, amap)
-
-    def match_source_sets(src, src2, amap):
-        if not src:
-            yield amap
-            return
-        b, rest = src[0], src[1:]
-        for j, b2 in enumerate(src2):
-            for amap2 in match_edge(b, b2, amap):
-                yield from match_source_sets(rest, src2[:j] + src2[j + 1:], amap2)
-
-    yield from match_edge(s.root, t.root, {})
-
-
-def opetope_iso_search(y: Opetope, z: Opetope, budget: int | None = None):
-    """Level-wise isomorphism witness between two opetopes, None, or EXHAUSTED."""
-    if y.dim != z.dim:
-        return None
-    n = y.dim
-    counter = [0, budget]
-
-    def levels_from(i, acc):
-        if i > n:
-            maps = tuple(LevelMap({a: m[a] for a in y.trees[j].nodes}, {b: m[b] for b in y.trees[j].edges}) for j, m in enumerate(acc))
-            if not opetope_iso_failures(y, z, maps):
-                return maps
-            return None
-        forced = {}
+    out: list[tuple[list, list]] = []
+    for i, t in enumerate(y.trees):
+        key: dict = {}
         if i >= 1:
-            below = acc[-1]
-            # blackdots of the tree below are the leaves here
-            for a in y.trees[i - 1].nodes:
-                forced[a] = below[a]
-            # whitedots of the tree below are the nulldots here, matched by
-            # position along their (already mapped) carrying edge
-            sub_y = y.constellations[i - 1].subdivision
-            sub_z = z.constellations[i - 1].subdivision
-            for b in y.trees[i - 1].edges:
-                ws = list(sub_y.get(b, ()))
-                wt = list(sub_z.get(below[b], ()))
-                if len(ws) != len(wt):
-                    return None
-                forced.update(zip(ws, wt))
-        for m in _tree_isos(y.trees[i], z.trees[i], forced, counter):
-            found = levels_from(i + 1, acc + [m])
-            if found is not None:
-                return found
-        return None
+            c = y.constellations[i - 1]
+            nodes_below, edges_below = out[-1]
+            black, white = c.black_map(), c.white_map()
+            for r, a in enumerate(nodes_below):
+                key[black[a]] = (0, r)
+            for r, b in enumerate(edges_below):
+                for p, w in enumerate(c.subdivision.get(b, ())):
+                    key[white[w]] = (1, r, p)
+        down = [t.root]  # parents before children
+        for b in down:
+            a = t.source_node_of(b)
+            if a is not None:
+                down.extend(t.sources_of(a))
+        least: dict = {}  # edge -> least key pinned above it; level 0 has one leaf
+        for b in reversed(down):
+            a = t.source_node_of(b)
+            if a is None:
+                least[b] = key.get(b, ())
+            else:
+                least[b] = min((least[s] for s in t.sources_of(a)), default=key.get(a, ()))
+        nodes, edges, stack = [], [], [t.root]
+        while stack:
+            b = stack.pop()
+            edges.append(b)
+            a = t.source_node_of(b)
+            if a is not None:
+                nodes.append(a)
+                stack.extend(sorted(t.sources_of(a), key=least.__getitem__, reverse=True))
+        out.append((nodes, edges))
+    return out
 
-    try:
-        maps = levels_from(0, [])
-    except _BudgetHit:
-        return EXHAUSTED
-    if maps is None:
+
+def opetope_iso_search(y: Opetope, z: Opetope) -> OpetopeIso | None:
+    """The isomorphism witness between two opetopes, or None: their canonical orders paired and verified."""
+    if y.dim != z.dim or any(
+        len(s.nodes) != len(t.nodes) or len(s.edges) != len(t.edges) for s, t in zip(y.trees, z.trees)
+    ):
         return None
-    return make_opetope_iso(y, z, maps)
+    levels = tuple(
+        LevelMap(dict(zip(ny, nz)), dict(zip(ey, ez)))
+        for (ny, ey), (nz, ez) in zip(_canonical_order(y), _canonical_order(z))
+    )
+    return None if opetope_iso_failures(y, z, levels) else OpetopeIso(y, z, levels)
+
+
+def dfc_iso_search(c: Dfc, d: Dfc) -> DfcIso | None:
+    """The isomorphism witness between two face complexes, or None.
+
+    c and d are isomorphic exactly when their zoom complexes are, and z_of
+    names tree elements by cell ids, so the witness reads the opetope
+    witness id by id; the reserved cells map as in theta.
+    """
+    if c.dimension != d.dimension or len(c.mop.cells) != len(d.mop.cells):
+        return None
+    g = opetope_iso_search(z_of(c), z_of(d))
+    if g is None:
+        return None
+    image = {}
+    for lv in g.levels:
+        image.update(lv.nodes)
+        image.update(lv.edges)
+    n = c.dimension
+    fwd = {}
+    for x in c.mop.cells:
+        if x == c.omega:
+            fwd[x] = d.omega
+        elif n >= 1 and x == c.iterated_targets[n - 1]:
+            fwd[x] = d.iterated_targets[n - 1]
+        elif x == c.bottom:
+            fwd[x] = d.bottom
+        else:
+            fwd[x] = image[x]
+    return make_dfc_iso(c, d, fwd)

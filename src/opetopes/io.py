@@ -4,7 +4,9 @@ Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and keeps arrays in document order, so serialize . parse . serialize equals
 serialize byte for byte.  Unknown fields survive a round trip and are
 reported as warnings.  Normalizing rejects a field of the wrong JSON type
-with a ParseError naming its path; an id may be any scalar but no container.
+with a ParseError naming its path.  An id is never a container; in a
+face-complex document it may be any scalar, in an opetope document it is a
+string.
 """
 
 from __future__ import annotations
@@ -31,17 +33,19 @@ def serialize_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _check_id(value, path: str) -> None:
-    """Non-string scalars pass: the validators report them as bad ids."""
+def _check_id(value, path: str, strict: bool = False) -> None:
+    """Non-string scalars pass unless strict: the face-complex validators report them as bad ids."""
     if isinstance(value, (list, dict)):
         raise ParseError(f"{path} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
+    if strict and not isinstance(value, str):
+        raise ParseError(f"{path} must be a string id, not {json.dumps(value)}")
 
 
-def _check_ids(value, path: str, container=list) -> None:
+def _check_ids(value, path: str, container=list, strict: bool = False) -> None:
     if not isinstance(value, container):
         raise ParseError(f"{path} must be an {'array' if container is list else 'object'} of ids")
     for key, v in value.items() if container is dict else enumerate(value):
-        _check_id(v, f"{path}[{json.dumps(key)}]")
+        _check_id(v, f"{path}[{json.dumps(key)}]", strict)
 
 
 def detect_kind(doc) -> str:
@@ -135,11 +139,11 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         rec.setdefault("edges", [])
         rec.setdefault("node_target", {})
         rec.setdefault("edge_target", {})
-        _check_id(rec["root"], f"trees[{i}].root")
-        _check_ids(rec["nodes"], f"trees[{i}].nodes")
-        _check_ids(rec["edges"], f"trees[{i}].edges")
-        _check_ids(rec["node_target"], f"trees[{i}].node_target", dict)
-        _check_ids(rec["edge_target"], f"trees[{i}].edge_target", dict)
+        _check_id(rec["root"], f"trees[{i}].root", strict=True)
+        _check_ids(rec["nodes"], f"trees[{i}].nodes", strict=True)
+        _check_ids(rec["edges"], f"trees[{i}].edges", strict=True)
+        _check_ids(rec["node_target"], f"trees[{i}].node_target", dict, strict=True)
+        _check_ids(rec["edge_target"], f"trees[{i}].edge_target", dict, strict=True)
         for key in sorted(set(rec) - TREE_KEYS):
             warnings.append(f"tree {i}: unknown field {key!r} preserved")
     doc.setdefault("constellations", [])
@@ -152,10 +156,10 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         if not isinstance(rec["subdivision"], dict):
             raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
         for b, ws in rec["subdivision"].items():
-            _check_ids(ws, f"constellations[{i}].subdivision[{json.dumps(b)}]")
+            _check_ids(ws, f"constellations[{i}].subdivision[{json.dumps(b)}]", strict=True)
         for key in ("sigma_black", "sigma_white"):
             if rec.get(key) is not None:
-                _check_ids(rec[key], f"constellations[{i}].{key}", dict)
+                _check_ids(rec[key], f"constellations[{i}].{key}", dict, strict=True)
         for key in sorted(set(rec) - CONSTELLATION_KEYS):
             warnings.append(f"constellation {i}: unknown field {key!r} preserved")
     if len(doc["constellations"]) != len(doc["trees"]) - 1:

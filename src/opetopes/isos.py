@@ -48,8 +48,9 @@ def dfc_iso_failures(c: Dfc, d: Dfc, fwd: dict) -> list[str]:
         mirror = md.local_orders.get((fwd[x], fwd[z]))
         if mirror is None or [fwd[y] for y in seq] != list(mirror):
             out.append(f"local order at ({x!r}, {z!r}) not preserved")
+    mapped = {(fwd[a], fwd[b]) for (a, b) in mc.local_orders}
     for (x, z), seq in sorted(md.local_orders.items()):
-        if x in lam_d and len(seq) >= 2 and (x, z) not in {(fwd[a], fwd[b]) for (a, b) in mc.local_orders}:
+        if x in lam_d and len(seq) >= 2 and (x, z) not in mapped:
             out.append(f"target stores a required local order at ({x!r}, {z!r}) with no source counterpart")
     return out
 

@@ -411,29 +411,26 @@ def _acyclicity_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
 
 
 def _find_cycle(vertices, succ) -> list[str] | None:
+    """The first directed cycle a depth-first search meets, closed by its first vertex."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in vertices}
-    stack_path: list[str] = []
-
-    def visit(v):
-        color[v] = GREY
-        stack_path.append(v)
-        for w in succ[v]:
-            if color[w] == GREY:
-                return stack_path[stack_path.index(w):] + [w]
-            if color[w] == WHITE:
-                r = visit(w)
-                if r:
-                    return r
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in vertices:
-        if color[v] == WHITE:
-            r = visit(v)
-            if r:
-                return r
+    for root in vertices:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path, pending = [root], [iter(succ[root])]  # pending[i]: unexplored successors of path[i]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == GREY:
+                    return path[path.index(w):] + [w]
+                if color[w] == WHITE:
+                    color[w] = GREY
+                    path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

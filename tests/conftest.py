@@ -63,3 +63,56 @@ def generated_corpus(count: int, seed: int = 0, dims=(1, 2, 3, 4)):
         dim = dims[i % len(dims)]
         out.append(gen_opetope(rng, GenParams(dim=dim)))
     return out
+
+
+def relabel_doc(doc: dict, rng) -> tuple[dict, dict]:
+    """A copy of a document of either encoding with every id renamed by a seeded permutation, and the renaming."""
+    if "cells" in doc:
+        ids = sorted(rec["id"] for rec in doc["cells"])
+    else:
+        ids = sorted({x for t in doc["trees"] for x in (*t["nodes"], *t["edges"])})
+    names = [f"r{i}" for i in range(len(ids))]
+    rng.shuffle(names)
+    m = dict(zip(ids, names))
+    if "cells" in doc:
+        return {
+            "cells": [
+                {"id": m[c["id"]], "dim": c["dim"], "delta": [m[y] for y in c["delta"]], "gamma": [m[y] for y in c["gamma"]]}
+                for c in doc["cells"]
+            ],
+            "local_orders": [
+                {"x": m[r["x"]], "z": m[r["z"]], "order": [m[y] for y in r["order"]]} for r in doc["local_orders"]
+            ],
+        }, m
+    trees = [
+        {
+            "nodes": [m[a] for a in t["nodes"]],
+            "edges": [m[b] for b in t["edges"]],
+            "node_target": {m[a]: m[b] for a, b in t["node_target"].items()},
+            "edge_target": {m[b]: m[a] for b, a in t["edge_target"].items()},
+            "root": m[t["root"]],
+        }
+        for t in doc["trees"]
+    ]
+    constellations = [
+        {"subdivision": {m[b]: [m[w] for w in ws] for b, ws in c["subdivision"].items()}} for c in doc["constellations"]
+    ]
+    return {"dim": doc["dim"], "trees": trees, "constellations": constellations}, m
+
+
+def linear_opetope_doc(nodes: int) -> dict:
+    """The 2-opetope whose tree 2 is a chain of the given number of nodes."""
+    top = f"e{nodes}"
+    chain = {
+        "nodes": [f"n{i}" for i in range(1, nodes + 1)],
+        "edges": [f"e{i}" for i in range(nodes + 1)],
+        "node_target": {f"n{i}": f"e{i - 1}" for i in range(1, nodes + 1)},
+        "edge_target": {f"e{i}": f"n{i}" for i in range(1, nodes + 1)},
+        "root": "e0",
+    }
+    trees = [
+        {"nodes": ["t1"], "edges": ["s0", "t1'"], "node_target": {"t1": "s0"}, "edge_target": {"t1'": "t1"}, "root": "s0"},
+        {"nodes": [top], "edges": ["s1", "t1"], "node_target": {top: "s1"}, "edge_target": {"t1": top}, "root": "s1"},
+        chain,
+    ]
+    return {"dim": 2, "trees": trees, "constellations": [{"subdivision": {}}, {"subdivision": {}}]}

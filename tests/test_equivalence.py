@@ -1,23 +1,26 @@
 """Round-trip witnesses and the two isomorphism searches."""
 
+import json
+import random
+
 import pytest
 
+from opetopes.cli import main
 from opetopes.diagnostics import RoundTripBroken
 from opetopes.equivalence import (
-    EXHAUSTED,
     dfc_iso_search,
     opetope_iso_search,
     tau,
     theta,
 )
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.io import opetope_from_doc
+from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc
 from opetopes.isos import LevelMap, dfc_iso_failures, opetope_iso_failures
 from opetopes.poset import dfc_validate, mop_validate
 from opetopes.to_poset import p_map, p_of
 from opetopes.to_zoom import z_map, z_of
 
-from conftest import load_dfc_doc, load_ope_doc
+from conftest import linear_opetope_doc, load_dfc_doc, load_ope_doc, relabel_doc
 from test_poset import ARROW
 
 
@@ -58,7 +61,7 @@ def test_theta_on_the_point():
 def test_dfc_iso_search_identity(rho_dfc):
     w = dfc_iso_search(rho_dfc, rho_dfc)
     assert w is not None
-    assert all(k == v for k, v in w.fwd.items())  # lexicographic-first witness
+    assert all(k == v for k, v in w.fwd.items())  # the only witness: opetopes are rigid
 
 
 def _relabel_dfc(name, renames):
@@ -85,10 +88,6 @@ def test_dfc_iso_search_recovers_permutation(rho_dfc):
 
 def test_dfc_iso_search_distinguishes(rho_dfc, omega_dfc):
     assert dfc_iso_search(rho_dfc, omega_dfc) is None
-
-
-def test_dfc_iso_search_budget(rho_dfc):
-    assert dfc_iso_search(rho_dfc, rho_dfc, budget=3) is EXHAUSTED
 
 
 def test_opetope_iso_search_identity(omega_ope):
@@ -124,10 +123,6 @@ def test_opetope_iso_search_relabel(omega_ope):
     assert w is not None
     assert w.levels[4].edges["b2"] == "B2"
     assert w.levels[4].nodes["a3"] == "A3" and w.levels[3].nodes["b2"] == "B2"
-
-
-def test_opetope_iso_search_budget(omega_ope):
-    assert opetope_iso_search(omega_ope, omega_ope, budget=2) is EXHAUSTED
 
 
 def _compose_opetope_isos(f, g):
@@ -178,3 +173,42 @@ def test_roundtrips_on_generated_sample():
         ope = gen_opetope(seed, GenParams(dim=1 + seed % 4))
         tau(ope)
         theta(p_of(ope))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_relabelled_copies_get_the_renaming_as_witness(dim):
+    rng = random.Random(dim)
+    for _ in range(3):
+        ope = gen_opetope(rng, GenParams(dim=dim))
+        doc, m = relabel_doc(opetope_to_doc(ope), rng)
+        other = opetope_from_doc(doc)
+        w = opetope_iso_search(ope, other)
+        assert w is not None and not opetope_iso_failures(ope, other, w.levels)
+        assert all(m[x] == fx for lv in w.levels for part in (lv.nodes, lv.edges) for x, fx in part.items())
+
+        dfc = p_of(ope)
+        doc, m = relabel_doc(dfc_to_doc(dfc), rng)
+        other = dfc_validate(mop_validate(doc))
+        w = dfc_iso_search(dfc, other)
+        assert w is not None and not dfc_iso_failures(dfc, other, w.fwd)
+        assert w.fwd == m
+
+
+@pytest.mark.parametrize("encoding", ["ope", "dfc"])
+def test_cli_iso_decides_a_long_chain_pair(tmp_path, capsys, encoding):
+    # tree 2 is a chain of 1200 nodes: a search that recursed once per
+    # element would exceed the default recursion limit
+    doc = linear_opetope_doc(1200)
+    if encoding == "dfc":
+        doc = dfc_to_doc(p_of(opetope_from_doc(doc)))
+    other, m = relabel_doc(doc, random.Random(11))
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, d in zip(paths, (doc, other)):
+        path.write_text(json.dumps(d))
+    assert main(["iso", *map(str, paths)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["result"] == "iso"
+    if encoding == "dfc":
+        assert got["forward"] == m
+    else:
+        assert all(m[x] == fx for lv in got["levels"] for part in lv.values() for x, fx in part.items())

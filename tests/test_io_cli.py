@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -21,9 +22,10 @@ from opetopes.io import (
     serialize_opetope,
 )
 from opetopes.poset import dfc_diagnostics, mop_validate
+from opetopes.to_poset import p_of
 from opetopes.to_zoom import level_tree
 
-from conftest import FIXTURES, fixture_text, load_dfc
+from conftest import FIXTURES, fixture_text, linear_opetope_doc, load_dfc, relabel_doc
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.json"))
 
@@ -199,6 +201,17 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_cli_validates_a_long_face_complex(tmp_path, capsys):
+    # the facet flow of the top cell is a path of 3000 cells: a cycle search
+    # that recursed once per vertex would exceed the default recursion limit
+    doc = dfc_to_doc(p_of(opetope_from_doc(linear_opetope_doc(3000))))
+    doc, _ = relabel_doc(doc, random.Random(3))
+    path = tmp_path / "long.dfc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"file": str(path), "valid": True}
+
+
 def test_cli_rejects_declared_dim_that_disagrees_with_the_trees(tmp_path, capsys):
     doc = json.loads(fixture_text("rho3.ope.json"))
     doc["dim"] = 5
@@ -227,19 +240,42 @@ WRONG_TYPES = [
     ("rho3.ope.json", ("trees", 1, "nodes"), 3),
     ("rho3.ope.json", ("trees", 1, "edges", 0), {"id": "*"}),
 ]
+APPEND = "+"  # a last path key that appends the value to an array
+# (fixture, JSON path, value, path named in the error): ids of an opetope
+# document that are scalars but not strings
+NON_STRING_IDS = [
+    ("rho3.ope.json", ("trees", 2, "nodes", APPEND), 5, "trees[2].nodes[2]"),
+    ("rho3.ope.json", ("trees", 2, "root"), None, "trees[2].root"),
+    ("rho3.ope.json", ("trees", 3, "edges", 0), 1.5, "trees[3].edges[0]"),
+    ("rho3.ope.json", ("trees", 3, "node_target", "a1"), True, 'trees[3].node_target["a1"]'),
+    ("rho3.ope.json", ("constellations", 2, "subdivision", "c1", 0), 7, 'constellations[2].subdivision["c1"][0]'),
+]
 
 
-@pytest.mark.parametrize("name, field, value", WRONG_TYPES)
-def test_cli_validate_rejects_wrong_json_types_without_a_traceback(tmp_path, capsys, name, field, value):
+def _edited(tmp_path, name, field, value):
     doc = json.loads(fixture_text(name))
     *parents, last = field
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if last == APPEND:
+        target.append(value)
+    else:
+        target[last] = value
     edited = tmp_path / name
     edited.write_text(json.dumps(doc))
-    assert main(["validate", str(edited)]) in (1, 2)
+    return edited
+
+
+@pytest.mark.parametrize("name, field, value", WRONG_TYPES + [case[:3] for case in NON_STRING_IDS])
+def test_cli_validate_rejects_wrong_json_types_without_a_traceback(tmp_path, capsys, name, field, value):
+    assert main(["validate", str(_edited(tmp_path, name, field, value))]) in (1, 2)
+
+
+@pytest.mark.parametrize("name, field, value, path", NON_STRING_IDS)
+def test_cli_validate_names_a_non_string_opetope_id(tmp_path, capsys, name, field, value, path):
+    assert main(["validate", str(_edited(tmp_path, name, field, value))]) == 2
+    assert f"error: {path} must be a string id, not {json.dumps(value)}" in capsys.readouterr().err
 
 
 COUNTED = (

@@ -126,14 +126,20 @@ def test_fact_suite_on_arrow():
 
 
 def _small_instances():
+    yield dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}), allow_point=True)
     yield dfc_validate(mop_validate(ARROW))
     for seed in (0, 1, 2):
         yield p_of(gen_opetope(seed, GenParams(dim=2, max_linear_nodes=2)))
-    yield p_of(gen_opetope(5, GenParams(dim=3, max_linear_nodes=1, max_whitedots_per_edge=1)))
+    # two pairs of equal grade vectors that are not isomorphic
+    for seed in (5, 7):
+        yield p_of(gen_opetope(seed, GenParams(dim=3, max_linear_nodes=1, max_whitedots_per_edge=1)))
+    for seed in (7, 13):
+        yield p_of(gen_opetope(seed, GenParams(dim=4, max_linear_nodes=1, max_whitedots_per_edge=1)))
 
 
 def test_fast_iso_search_complete_against_oracle():
     insts = list(_small_instances())
+    non_isomorphic_equal_sizes = 0
     for a in insts:
         for b in insts:
             if any(len(a.grade(k)) > 8 for k in range(a.dimension + 1)):
@@ -141,8 +147,11 @@ def test_fast_iso_search_complete_against_oracle():
             witnesses = oracle_iso(a, b)
             fast = dfc_iso_search(a, b)
             assert (fast is not None) == bool(witnesses)
+            assert len(witnesses) <= 1  # opetopes are rigid
             if fast is not None:
                 assert fast.fwd in witnesses
+            non_isomorphic_equal_sizes += fast is None and len(a.mop.cells) == len(b.mop.cells)
+    assert non_isomorphic_equal_sizes >= 4
 
 
 def test_oracle_iso_identity_and_empty(rho_dfc):

@@ -1,5 +1,7 @@
 """Core poset layer: MOP and DFC validation, strata, path orders, source trees."""
 
+import random
+
 import pytest
 
 from opetopes.diagnostics import ValidationError
@@ -7,6 +9,7 @@ from opetopes.poset import (
     LOOP,
     MINUS,
     PLUS,
+    _find_cycle,
     delta_tree,
     dfc_diagnostics,
     dfc_validate,
@@ -107,6 +110,46 @@ def test_dfc_diagnostics_are_deterministic():
     runs = [dfc_diagnostics(mop_validate(doc)) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert "AcyclicityCycle" in codes(runs[0])
+
+
+def _recursive_find_cycle(vertices, succ):
+    """The depth-first cycle search as first written, one call per vertex on the path."""
+    color = {v: 0 for v in vertices}
+    path = []
+
+    def visit(v):
+        color[v] = 1
+        path.append(v)
+        for w in succ[v]:
+            if color[w] == 1:
+                return path[path.index(w):] + [w]
+            if color[w] == 0:
+                r = visit(w)
+                if r:
+                    return r
+        path.pop()
+        color[v] = 2
+        return None
+
+    for v in vertices:
+        if color[v] == 0:
+            r = visit(v)
+            if r:
+                return r
+    return None
+
+
+def test_find_cycle_reports_the_cycle_of_the_recursive_search():
+    rng = random.Random(9)
+    cyclic = 0
+    for _ in range(2000):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 8))]
+        rng.shuffle(vertices)
+        succ = {v: rng.sample(vertices, rng.randint(0, min(3, len(vertices)))) for v in vertices}
+        want = _recursive_find_cycle(vertices, succ)
+        assert _find_cycle(vertices, succ) == want
+        cyclic += want is not None
+    assert 200 < cyclic < 1800
 
 
 def test_point_complex_needs_flag():
