@@ -32,7 +32,6 @@ from .poset import (
     sign_product,
 )
 from .trees import (
-    Constellation,
     Opetope,
     RootedTree,
     SubdividedTree,

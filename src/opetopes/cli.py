@@ -43,7 +43,7 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_any(path: str, allow_point: bool = False):
+def _load_any(path: str):
     """(kind, validated object) for a document of either encoding."""
     doc = parse_json(_read(path))
     kind = detect_kind(doc)
@@ -51,7 +51,7 @@ def _load_any(path: str, allow_point: bool = False):
         doc, warnings = normalize_dfc(doc)
         for w in warnings:
             _emit({"warning": w, "file": path})
-        return kind, dfc_validate(mop_validate(doc), allow_point=allow_point)
+        return kind, dfc_validate(mop_validate(doc))
     doc, warnings = normalize_opetope(doc)
     for w in warnings:
         _emit({"warning": w, "file": path})
@@ -62,7 +62,7 @@ def cmd_validate(args) -> int:
     worst = OK
     for path in args.files:
         try:
-            _load_any(path, allow_point=args.allow_point)
+            _load_any(path)
             _emit({"file": path, "valid": True})
         except ValidationError as err:
             for d in err.diagnostics:
@@ -73,7 +73,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    kind, obj = _load_any(args.file, allow_point=args.allow_point)
+    kind, obj = _load_any(args.file)
     if args.to == "ope":
         doc = opetope_to_doc(z_of(obj)) if kind == "dfc" else opetope_to_doc(obj)
     else:
@@ -156,7 +156,7 @@ def cmd_oracle(args) -> int:
     if args.check == "kernel":
         if kind != "opetope":
             raise ParseError("kernel oracle needs an opetope document")
-        bad = [oracle.oracle_kernel(c) for c in obj.constellations]
+        bad = [oracle.oracle_kernel(t, sub, u) for t, sub, u in zip(obj.trees, obj.subdivisions, obj.trees[1:])]
         for i, b in enumerate(bad):
             _emit({"constellation": i + 1, "kernel": "ok" if b is None else {"element": b[0], "components": b[1]}})
         return OK if all(b is None for b in bad) else INVALID
@@ -177,16 +177,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    kind, obj = _load_any(args.file, allow_point=args.allow_point)
-    wanted = {"hasse": "dfc", "tree": "opetope"}.get(args.style)
-    if wanted is not None and wanted != kind:
-        raise ParseError(f"style {args.style!r} applies to {wanted} documents, got a {kind}")
+    _, obj = _load_any(args.file)
     sys.stdout.write(export_dot(obj))
     return OK
 
 
 def cmd_info(args) -> int:
-    kind, obj = _load_any(args.file, allow_point=args.allow_point)
+    kind, obj = _load_any(args.file)
     if kind == "dfc":
         mop = obj.mop
         _emit(
@@ -220,14 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate DFC or opetope documents")
     p.add_argument("files", nargs="+")
-    p.add_argument("--allow-point", action="store_true", help="accept the degenerate point complex")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("convert", help="translate between the two encodings")
     p.add_argument("--to", choices=["ope", "dfc"], required=True)
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--allow-point", action="store_true")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("iso", help="search for an isomorphism witness")
@@ -259,13 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="emit a DOT rendering")
     p.add_argument("file")
-    p.add_argument("--style", choices=["auto", "hasse", "tree"], default="auto")
-    p.add_argument("--allow-point", action="store_true")
     p.set_defaults(fn=cmd_export_dot)
 
     p = sub.add_parser("info", help="summarize a document")
     p.add_argument("file")
-    p.add_argument("--allow-point", action="store_true")
     p.set_defaults(fn=cmd_info)
     return parser
 

@@ -23,11 +23,8 @@ def export_dot(obj) -> str:
     if isinstance(obj, SubdividedTree):
         return _dot_trees([("", obj)])
     if isinstance(obj, Opetope):
-        pairs = []
-        subdivisions = [c.subdivision for c in obj.constellations] + [{}]  # the top tree carries none
-        for i, t in enumerate(obj.trees):
-            pairs.append((f"T{i}", SubdividedTree(t, subdivisions[i])))
-        return _dot_trees(pairs)
+        subdivisions = obj.subdivisions + ({},)  # the top tree carries none
+        return _dot_trees([(f"T{i}", SubdividedTree(t, sub)) for i, (t, sub) in enumerate(zip(obj.trees, subdivisions))])
     if hasattr(obj, "mop"):
         return _dot_hasse(obj.mop)
     raise TypeError(f"cannot export {type(obj).__name__} to DOT")

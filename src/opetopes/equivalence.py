@@ -94,14 +94,14 @@ def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
     for i, t in enumerate(y.trees):
         key: dict = {}
         if i >= 1:
-            c = y.constellations[i - 1]
+            # the blackdots and whitedots below are this tree's leaves and nulldots by name
+            sub = y.subdivisions[i - 1]
             nodes_below, edges_below = out[-1]
-            black, white = c.black_map(), c.white_map()
             for r, a in enumerate(nodes_below):
-                key[black[a]] = (0, r)
+                key[a] = (0, r)
             for r, b in enumerate(edges_below):
-                for p, w in enumerate(c.subdivision.get(b, ())):
-                    key[white[w]] = (1, r, p)
+                for p, w in enumerate(sub.get(b, ())):
+                    key[w] = (1, r, p)
         down = [t.root]  # parents before children
         for b in down:
             a = t.source_node_of(b)

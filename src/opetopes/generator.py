@@ -15,13 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .trees import (
-    Constellation,
-    Expansion,
-    Opetope,
-    RootedTree,
-    SubdividedTree,
-)
+from .trees import Expansion, Opetope, RootedTree, SubdividedTree
+
+CHILD_STOP = 0.45  # chance to stop opening further child circles
+GROW_STOP = 0.5    # chance to stop growing a child circle
 
 
 @dataclass
@@ -29,8 +26,6 @@ class GenParams:
     dim: int = 3
     max_linear_nodes: int = 3
     max_whitedots_per_edge: int = 2
-    child_stop: float = 0.45    # chance to stop opening further child circles
-    grow_stop: float = 0.5      # chance to stop growing a child circle
     max_tree_dots: int = 40
 
 
@@ -45,7 +40,7 @@ class _Namer:
         return f"{self.level}{kind}{i}"
 
 
-def gen_base(rng: random.Random, max_linear_nodes: int) -> tuple[list[RootedTree], list[Constellation]]:
+def gen_base(rng: random.Random, max_linear_nodes: int) -> tuple[list[RootedTree], list[dict]]:
     """Trees of degrees 0..2 with the forced shapes; degree 2 is linear."""
     m = rng.randint(0, max_linear_nodes)
     edges2 = [f"2e{i}" for i in range(m + 1)]
@@ -55,7 +50,7 @@ def gen_base(rng: random.Random, max_linear_nodes: int) -> tuple[list[RootedTree
     t2 = RootedTree(nodes2, edges2, node_target, edge_target, "2e0")
     t1 = RootedTree([edges2[-1]], ["1e0", "1e1"], {edges2[-1]: "1e0"}, {"1e1": edges2[-1]}, "1e0")
     t0 = RootedTree(["1e1"], ["0e0", "0e1"], {"1e1": "0e0"}, {"0e1": "1e1"}, "0e0")
-    return [t0, t1, t2], [Constellation(t0, {}, t1), Constellation(t1, {}, t2)]
+    return [t0, t1, t2], [{}, {}]
 
 
 def gen_subdivision(rng: random.Random, t: RootedTree, max_whitedots_per_edge: int, namer: _Namer) -> SubdividedTree:
@@ -80,14 +75,8 @@ def _grow_connected(rng: random.Random, pool: set[str], adj: dict, size: int) ->
     return grown
 
 
-def gen_nesting(
-    rng: random.Random,
-    t_prime: SubdividedTree,
-    namer: _Namer | None = None,
-    params: GenParams | None = None,
-) -> tuple[RootedTree, Constellation]:
+def gen_nesting(rng: random.Random, t_prime: SubdividedTree, namer: _Namer | None = None) -> RootedTree:
     """A random laminar nesting of the dots, read back as the next tree."""
-    params = params or GenParams()
     namer = namer or _Namer(level=99)
     exp = Expansion(t_prime)
     whitedots = set(exp.whitedots)
@@ -110,9 +99,9 @@ def gen_nesting(
         node_target[circle] = outer_edge
         pool = set(members)
         children: list[set[str]] = []
-        while len(pool) > 1 and rng.random() > params.child_stop:
+        while len(pool) > 1 and rng.random() > CHILD_STOP:
             size = 1
-            while size < len(pool) - 1 and rng.random() > params.grow_stop:
+            while size < len(pool) - 1 and rng.random() > GROW_STOP:
                 size += 1
             group = _grow_connected(rng, pool, adj, size)
             if group >= members:
@@ -136,9 +125,7 @@ def gen_nesting(
     edges.append(root_edge)
     if dots:
         build_circle(dots, root_edge)
-    u = RootedTree(nodes, edges, node_target, edge_target, root_edge)
-    c = Constellation(t_prime.base, dict(t_prime.w), u)
-    return u, c
+    return RootedTree(nodes, edges, node_target, edge_target, root_edge)
 
 
 def gen_opetope(rng_or_seed, params: GenParams | None = None) -> Opetope:
@@ -151,8 +138,8 @@ def gen_opetope(rng_or_seed, params: GenParams | None = None) -> Opetope:
     if params.dim == 1:
         t1 = RootedTree(["1n0"], ["1e0", "1e1"], {"1n0": "1e0"}, {"1e1": "1n0"}, "1e0")
         t0 = RootedTree(["1e1"], ["0e0", "0e1"], {"1e1": "0e0"}, {"0e1": "1e1"}, "0e0")
-        return Opetope((t0, t1), (Constellation(t0, {}, t1),))
-    trees, constellations = gen_base(rng, params.max_linear_nodes)
+        return Opetope((t0, t1), ({},))
+    trees, subdivisions = gen_base(rng, params.max_linear_nodes)
     for level in range(3, params.dim + 1):
         namer = _Namer(level)
         top = trees[-1]
@@ -163,7 +150,6 @@ def gen_opetope(rng_or_seed, params: GenParams | None = None) -> Opetope:
             # a dotless tree admits no exact constellation into anything:
             # the next tree would need neither leaves nor nulldots
             t_prime = SubdividedTree(top, {top.root: (namer.fresh("w"),)})
-        u, c = gen_nesting(rng, t_prime, namer, params)
-        constellations.append(c)
-        trees.append(u)
-    return Opetope(tuple(trees), tuple(constellations))
+        subdivisions.append(dict(t_prime.w))
+        trees.append(gen_nesting(rng, t_prime, namer))
+    return Opetope(tuple(trees), tuple(subdivisions))

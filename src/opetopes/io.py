@@ -6,7 +6,9 @@ serialize byte for byte.  Unknown fields survive a round trip and are
 reported as warnings.  Normalizing rejects a field of the wrong JSON type
 with a ParseError naming its path.  An id is never a container; in a
 face-complex document it may be any scalar, in an opetope document it is a
-string.
+string.  An opetope document may carry a constellation's structure maps
+(sigma_black, sigma_white); they must be identities and are not written
+back.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 
 from .diagnostics import ParseError, ValidationError, make
 from .poset import Dfc, ManyToOnePoset
-from .trees import Constellation, Opetope, RootedTree
+from .trees import Opetope, RootedTree, opetope_diagnostics
 
 DFC_CELL_KEYS = {"id", "dim", "delta", "gamma"}
 TREE_KEYS = {"nodes", "edges", "node_target", "edge_target", "root"}
@@ -177,23 +179,28 @@ def tree_from_doc(rec: dict) -> RootedTree:
 
 
 def opetope_from_doc(doc: dict) -> Opetope:
-    """The zoom complex of a normalized document; its dim must count its trees."""
+    """The zoom complex of a normalized document; its dim must count its trees.
+
+    Constellations are exact, so a sigma_black map must be the identity on
+    the nodes of its tree and a sigma_white map the identity on the
+    subdivision's whitedots; any other map is reported with every
+    diagnostic of the exact reading.
+    """
     n = len(doc["trees"]) - 1
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != n):
         raise ValidationError([make("BadShape", [], "zoom complex", f"document declares dim {doc['dim']!r} but has {n + 1} trees")])
     trees = tuple(tree_from_doc(rec) for rec in doc["trees"])
-    constellations = []
+    subdivisions = tuple({b: tuple(ws) for b, ws in rec["subdivision"].items()} for rec in doc["constellations"])
+    ope = Opetope(trees, subdivisions)
+    non_exact = []
     for i, rec in enumerate(doc["constellations"]):
-        constellations.append(
-            Constellation(
-                domain=trees[i],
-                subdivision={b: tuple(ws) for b, ws in rec["subdivision"].items()},
-                codomain=trees[i + 1],
-                sigma_black=rec.get("sigma_black"),
-                sigma_white=rec.get("sigma_white"),
-            )
-        )
-    return Opetope(trees, tuple(constellations))
+        black = {a: a for a in trees[i].nodes}
+        white = {w: w for ws in subdivisions[i].values() for w in ws}
+        if rec.get("sigma_black") not in (None, black) or rec.get("sigma_white") not in (None, white):
+            non_exact.append(make("NonExactConstellation", [], "opetope", f"constellation {i + 1} has non-identity structure maps"))
+    if non_exact:
+        raise ValidationError(non_exact + opetope_diagnostics(ope))
+    return ope
 
 
 def tree_to_doc(t: RootedTree) -> dict:
@@ -207,18 +214,12 @@ def tree_to_doc(t: RootedTree) -> dict:
 
 
 def opetope_to_doc(ope: Opetope) -> dict:
-    constellations = []
-    for c in ope.constellations:
-        rec = {"subdivision": {b: list(ws) for b, ws in sorted(c.subdivision.items()) if ws}}
-        if c.sigma_black is not None:
-            rec["sigma_black"] = dict(sorted(c.sigma_black.items()))
-        if c.sigma_white is not None:
-            rec["sigma_white"] = dict(sorted(c.sigma_white.items()))
-        constellations.append(rec)
     return {
         "dim": ope.dim,
         "trees": [tree_to_doc(t) for t in ope.trees],
-        "constellations": constellations,
+        "constellations": [
+            {"subdivision": {b: list(ws) for b, ws in sorted(sub.items()) if ws}} for sub in ope.subdivisions
+        ],
     }
 
 

@@ -110,14 +110,14 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
     if out:
         return out
     for i in range(y.dim):
-        cy, cz = y.constellations[i], z.constellations[i]
+        sy, sz = y.subdivisions[i], z.subdivisions[i]
         f_lo, f_hi = levels[i], levels[i + 1]
         # pair whitedots positionally; this is the order-preservation constraint
         wmap: dict = {}
         broken = False
-        for b in sorted(cy.domain.edges):
-            ws = list(cy.subdivision.get(b, ()))
-            wt = list(cz.subdivision.get(f_lo.edges[b], ()))
+        for b in sorted(y.trees[i].edges):
+            ws = list(sy.get(b, ()))
+            wt = list(sz.get(f_lo.edges[b], ()))
             if len(ws) != len(wt):
                 out.append(f"constellation {i + 1}: subdivision length of edge {b!r} differs")
                 broken = True
@@ -125,14 +125,13 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
             wmap.update(zip(ws, wt))
         if broken:
             continue
-        black_y, black_z = cy.black_map(), cz.black_map()
-        for a in sorted(cy.domain.nodes):
-            if f_hi.edges.get(black_y[a]) != black_z.get(f_lo.nodes[a]):
-                out.append(f"constellation {i + 1}: sigma_black not preserved at {a!r}")
-        white_y, white_z = cy.white_map(), cz.white_map()
-        for w in sorted(white_y):
-            if f_hi.nodes.get(white_y[w]) != white_z.get(wmap[w]):
-                out.append(f"constellation {i + 1}: sigma_white not preserved at {w!r}")
+        # constellations are exact: blackdots are the next leaves, whitedots the next nulldots
+        for a in sorted(y.trees[i].nodes):
+            if f_hi.edges.get(a) != f_lo.nodes[a]:
+                out.append(f"constellation {i + 1}: blackdot {a!r} not preserved")
+        for w in sorted(wmap):
+            if f_hi.nodes.get(w) != wmap[w]:
+                out.append(f"constellation {i + 1}: whitedot {w!r} not preserved")
     return out
 
 

@@ -16,7 +16,6 @@ from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
 from .to_poset import ExtendedZoom, NestingSubtree
 from .to_zoom import level_tree, whitedot_order
 from .trees import (
-    Constellation,
     Expansion,
     RootedTree,
     SubdividedTree,
@@ -78,17 +77,15 @@ def oracle_strictness(mop: ManyToOnePoset, k: int, sign: str):
     return pairs, not on_cycles, on_cycles
 
 
-def oracle_kernel(c: Constellation):
-    """None when the kernel rule holds, else (element, components) for a witness.
+def oracle_kernel(t: RootedTree, subdivision: dict, u: RootedTree):
+    """None when the kernel rule of the exact constellation from t into u holds, else (element, components).
 
     Uses union-find labelling and an iterative descent chase, sharing no
     traversal code with constellation_diagnostics.
     """
-    st = SubdividedTree(c.domain, c.subdivision)
+    st = SubdividedTree(t, subdivision)
     exp = Expansion(st)
-    sigma = c.black_map()
-    sigma.update(c.white_map())
-    u = c.codomain
+    dots = st.dots()
     u_edges, u_nodes = set(u.edges), set(u.nodes)
 
     def chase(start):
@@ -101,7 +98,7 @@ def oracle_kernel(c: Constellation):
             seen.append(nxt)
             cur, is_edge = nxt, not is_edge
 
-    below = {t: set(chase(img)) for t, img in sigma.items()}
+    below = {d: set(chase(d)) for d in dots}
 
     parent = {}
 
@@ -112,19 +109,19 @@ def oracle_kernel(c: Constellation):
         return v
 
     for x in sorted(u_nodes | u_edges):
-        pulled = sorted(t for t in sigma if x in below[t])
+        pulled = sorted(d for d in dots if x in below[d])
         if len(pulled) <= 1:
             continue
         parent.clear()
-        parent.update({t: t for t in pulled})
+        parent.update({d: d for d in pulled})
         members = set(pulled)
         for seg in exp.tree.edges:
             lo, hi = exp.segment_ends(seg)
             if lo in members and hi in members:
                 parent[find(lo)] = find(hi)
         labels = {}
-        for t in pulled:
-            labels.setdefault(find(t), []).append(t)
+        for d in pulled:
+            labels.setdefault(find(d), []).append(d)
         if len(labels) > 1:
             return x, sorted(sorted(v) for v in labels.values())
     return None
@@ -142,7 +139,7 @@ def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     s_lo = ez.trees[k + 1]
     if x not in set(s_hi.edges):
         raise ValueError(f"{x!r} is not an edge of tree {k + 2}")
-    st = SubdividedTree(s_lo, ez.subdivision_on(k + 1))
+    st = SubdividedTree(s_lo, ez.subdivisions[k + 1])
     exp = Expansion(st)
     blackdots = set(s_lo.nodes)
     whitedots = set(exp.whitedots)

@@ -166,7 +166,7 @@ def _structural_diagnostics(doc: dict) -> tuple[list[Diagnostic], dict]:
         if cid not in seen:
             continue
         d = rec.get("dim")
-        if not isinstance(d, int) or d < -1:
+        if type(d) is not int or d < -1:  # a JSON true or false is not a dimension
             out.append(make("BadDimension", [cid], "gradation", f"dim of {cid!r} must be an integer >= -1"))
             d = -1
         dim[cid] = d
@@ -434,18 +434,16 @@ def _find_cycle(vertices, succ) -> list[str] | None:
     return None
 
 
-def dfc_diagnostics(mop: ManyToOnePoset, allow_point: bool = False) -> list[Diagnostic]:
+def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     """Every DFC axiom violation; assumes mop already passed mop_diagnostics (local orders included)."""
     out: list[Diagnostic] = []
-    n = mop.dimension
-
     maximal = [c for c in sorted(mop.cells) if not mop.cofaces(c)]
-    degenerate_point = n == 0 and len(mop.cells) == 2
     if len(maximal) != 1:
         out.append(make("NoGreatestElement", maximal, "greatest element", f"{len(maximal)} maximal cells"))
     else:
         omega = maximal[0]
-        if mop.dim[omega] < 1 and not (allow_point and degenerate_point):
+        # a greatest 0-cell is the point {bottom < p}, the 0-opetope
+        if mop.dim[omega] < 0:
             out.append(make("NoGreatestElement", [omega], "greatest element", "greatest element is not of positive dimension"))
         missing = sorted(set(mop.cells) - _down_reach(mop, omega))
         if missing:
@@ -460,8 +458,8 @@ def dfc_diagnostics(mop: ManyToOnePoset, allow_point: bool = False) -> list[Diag
     return sorted(set(out), key=sort_key)
 
 
-def dfc_validate(mop: ManyToOnePoset, allow_point: bool = False) -> Dfc:
-    diags = dfc_diagnostics(mop, allow_point=allow_point)
+def dfc_validate(mop: ManyToOnePoset) -> Dfc:
+    diags = dfc_diagnostics(mop)
     if diags:
         raise ValidationError(diags)
     return trusted_dfc(mop)

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from .diagnostics import InternalError, NotAnIsomorphism, ValidationError, make
 from .isos import DfcIso, OpetopeIso, make_dfc_iso, opetope_iso_failures
 from .poset import Dfc, trusted_dfc, trusted_mop
-from .trees import (
-    Constellation,
-    Expansion,
-    Opetope,
-    RootedTree,
-    SubdividedTree,
-)
+from .trees import Expansion, Opetope, RootedTree, SubdividedTree
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -41,7 +35,7 @@ class ExtendedZoom:
 
     base: Opetope
     trees: tuple[RootedTree, ...]
-    constellations: tuple[Constellation, ...]
+    subdivisions: tuple[dict, ...]
     top: str
     ext_root: str
 
@@ -52,12 +46,6 @@ class ExtendedZoom:
     @property
     def bottom(self) -> str:
         return self.trees[1].root
-
-    def subdivision_on(self, i: int) -> dict:
-        """Subdivision carried by tree i (from the constellation into tree i+1)."""
-        if i < len(self.constellations):
-            return self.constellations[i].subdivision
-        return {}
 
 
 def extend(ope: Opetope) -> ExtendedZoom:
@@ -81,11 +69,7 @@ def extend(ope: Opetope) -> ExtendedZoom:
     # a unit top tree has no blackdot, so the top element itself must
     # appear as the only whitedot for the appended constellation to be exact
     v_n = {} if s_n.nodes else {s_n.root: (top,)}
-    c_up = Constellation(s_n, v_n, corolla)
-    c_top = Constellation(corolla, {}, unit)
-    return ExtendedZoom(
-        ope, ope.trees + (corolla, unit), ope.constellations + (c_up, c_top), top, ext_root
-    )
+    return ExtendedZoom(ope, ope.trees + (corolla, unit), ope.subdivisions + (v_n, {}), top, ext_root)
 
 
 # -- nesting subtrees ---------------------------------------------------
@@ -119,7 +103,7 @@ def nesting_subtrees(ez: ExtendedZoom, k: int) -> dict[str, NestingSubtree]:
     own dots.
     """
     s_lo = ez.trees[k + 1]
-    exp = Expansion(SubdividedTree(s_lo, ez.subdivision_on(k + 1)))
+    exp = Expansion(SubdividedTree(s_lo, ez.subdivisions[k + 1]))
     blackdots = frozenset(s_lo.nodes)
     above = _dots_above(ez.trees[k + 2], blackdots | exp.whitedots)
     return {x: _cut(exp, blackdots, x, above[x]) for x in sorted(ez.trees[k + 2].edges)}
@@ -235,7 +219,7 @@ def p_image(ope: Opetope) -> PImage:
     for k in range(2, n + 1):
         # the loops' cuts are disjoint whitedot runs on the edge z of the
         # tree one degree down; leftmost position decides
-        position = {w: i for ws in ez.subdivision_on(k).values() for i, w in enumerate(ws)}
+        position = {w: i for ws in ez.subdivisions[k].values() for i, w in enumerate(ws)}
         for x in sorted(ez.trees[k + 2].edges):
             loops_by_base: dict[str, list[str]] = {}
             for y in by_id[x]["delta"]:

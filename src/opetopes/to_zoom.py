@@ -16,7 +16,7 @@ from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_opetope_iso
 from .poset import LOOP, MINUS, PLUS, Dfc
 from .to_poset import _fresh
-from .trees import Constellation, Opetope, RootedTree
+from .trees import Opetope, RootedTree
 
 
 def level_tree(dfc: Dfc, k: int) -> RootedTree:
@@ -285,7 +285,7 @@ def z_of(dfc: Dfc) -> Opetope:
     t0 = RootedTree((t1_leaf,), (t0_root, t0_leaf), {t1_leaf: t0_root}, {t0_leaf: t1_leaf}, t0_root)
 
     ordered = [t0, t1] + [trees[k] for k in range(2, n + 1)]
-    constellations = []
+    subdivisions = []
     for i in range(n):
         sub = {}
         if i >= 2:
@@ -293,8 +293,8 @@ def z_of(dfc: Dfc) -> Opetope:
                 w = whitedot_order(dfc, i, y)
                 if w:
                     sub[y] = w
-        constellations.append(Constellation(ordered[i], sub, ordered[i + 1]))
-    return Opetope(tuple(ordered), tuple(constellations))
+        subdivisions.append(sub)
+    return Opetope(tuple(ordered), tuple(subdivisions))
 
 
 def z_map(f: DfcIso) -> OpetopeIso:

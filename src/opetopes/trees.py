@@ -1,12 +1,14 @@
-"""Rooted trees, subdivisions, constellations and zoom complexes.
+"""Rooted trees, subdivisions, exact constellations and opetopes.
 
 Trees grow upward from a distinguished targetless root edge: each node has
 exactly one target edge below it, each edge at most one target node below
 it.  Sourceless edges are leaves, sourceless nodes are nulldots.  A
-subdivision puts an ordered run of whitedots on each edge; a constellation
-maps the dots of a subdivided tree into the next tree subject to the
-kernel (connectivity) rule.  An opetope is an exact zoom complex with
-constrained low-degree trees.
+subdivision puts an ordered run of whitedots on each edge.  An opetope is
+stored as its trees and one subdivision per tree below the top: the
+constellation from tree i into tree i+1 is exact, so the blackdots (nodes)
+of subdivided tree i are the leaves of tree i+1 and its whitedots are the
+nulldots, by name, subject to the kernel (connectivity) rule.  The trees
+of degree 0..2 have constrained shapes.
 """
 
 from __future__ import annotations
@@ -240,48 +242,10 @@ def subdivided_as_tree(st: SubdividedTree) -> RootedTree:
 
 
 # -- constellations ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Constellation:
-    """A constellation between two rooted trees.
-
-    sigma_black maps the blackdots (nodes) of the subdivided domain to the
-    leaves of the codomain, sigma_white the whitedots to the nulldots;
-    None means the identity (the exact case).
-    """
-
-    domain: RootedTree
-    subdivision: dict
-    codomain: RootedTree
-    sigma_black: dict | None = None
-    sigma_white: dict | None = None
-
-    def subdivided_domain(self) -> SubdividedTree:
-        return SubdividedTree(self.domain, self.subdivision)
-
-    def black_map(self) -> dict:
-        if self.sigma_black is not None:
-            return dict(self.sigma_black)
-        return {a: a for a in self.domain.nodes}
-
-    def white_map(self) -> dict:
-        if self.sigma_white is not None:
-            return dict(self.sigma_white)
-        return {d: d for d in self.subdivided_domain().whitedots()}
-
-    def is_exact(self) -> bool:
-        return all(k == v for k, v in self.black_map().items()) and all(
-            k == v for k, v in self.white_map().items()
-        )
-
-
-def _bijection_diagnostics(name: str, mapping: dict, domain, codomain) -> list[Diagnostic]:
-    out = []
-    domain, codomain = set(domain), set(codomain)
-    if set(mapping) != domain or set(mapping.values()) != codomain or len(set(mapping.values())) != len(mapping):
-        out.append(make("SigmaNotBijective", sorted(domain ^ set(mapping)) or sorted(codomain ^ set(mapping.values())), name, f"{name} is not a bijection onto its expected codomain"))
-    return out
+#
+# An opetope's constellations are exact: the blackdots of subdivided tree i
+# are the leaves of tree i+1 and its whitedots are the nulldots, by name.
+# So a constellation is just the subdivision of tree i.
 
 
 def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
@@ -293,27 +257,37 @@ def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def constellation_diagnostics(c: Constellation) -> list[Diagnostic]:
-    out = subdivided_diagnostics(c.subdivided_domain())
+def _same_dots(name: str, dots, expected) -> list[Diagnostic]:
+    """No diagnostic when dots are exactly the expected dots of the next tree.
+
+    name is the structure map that exactness makes the identity; the
+    diagnostic is reported under it.
+    """
+    diff = sorted(set(dots) ^ set(expected))
+    if not diff:
+        return []
+    return [make("SigmaNotBijective", diff, name, f"{name} is not a bijection onto its expected codomain")]
+
+
+def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -> list[Diagnostic]:
+    """Violations of the exact constellation from tree t, subdivided, into the next tree u."""
+    st = SubdividedTree(t, subdivision)
+    out = subdivided_diagnostics(st)
     if out:
         return out
-    st = c.subdivided_domain()
-    exp = Expansion(st)
-    black, white = c.black_map(), c.white_map()
-    out.extend(_bijection_diagnostics("sigma_black", black, st.base.nodes, c.codomain.leaves))
-    out.extend(_bijection_diagnostics("sigma_white", white, st.whitedots(), c.codomain.nulldots))
+    whitedots = st.whitedots()
+    out.extend(_same_dots("sigma_black", t.nodes, u.leaves))
+    out.extend(_same_dots("sigma_white", whitedots, u.nulldots))
     if out:
         return sorted(set(out), key=sort_key)
 
-    sigma = dict(black)
-    sigma.update(white)
-    adj = exp.dot_adjacency()
-    # the dots whose image descends through each element of the codomain
+    adj = Expansion(st).dot_adjacency()
+    # the dots that descend through each element of u
     pulled_at: dict[str, list[str]] = {}
-    for t in sigma:
-        for x in c.codomain.descending_chain(sigma[t]):
-            pulled_at.setdefault(x, []).append(t)
-    for x in [*sorted(c.codomain.nodes), *sorted(c.codomain.edges)]:
+    for d in (*t.nodes, *whitedots):
+        for x in u.descending_chain(d):
+            pulled_at.setdefault(x, []).append(d)
+    for x in [*sorted(u.nodes), *sorted(u.edges)]:
         pulled = sorted(pulled_at.get(x, ()))
         if len(pulled) <= 1:
             continue
@@ -349,10 +323,15 @@ def _components(members, adj) -> list[list[str]]:
 
 @dataclass(frozen=True)
 class Opetope:
-    """An exact zoom complex with the base-shape constraints of an opetope."""
+    """An exact zoom complex with the base-shape constraints of an opetope.
+
+    subdivisions[i] maps edges of tree i to their whitedots, ascending from
+    the target end (edges without whitedots may be left out); the top tree
+    carries none.
+    """
 
     trees: tuple[RootedTree, ...]
-    constellations: tuple[Constellation, ...]
+    subdivisions: tuple[dict, ...]
 
     @property
     def dim(self) -> int:
@@ -363,16 +342,6 @@ class Opetope:
         return self.dim >= 2 and self.trees[2].is_unit
 
 
-def _same_tree(a: RootedTree, b: RootedTree) -> bool:
-    return (
-        sorted(a.nodes) == sorted(b.nodes)
-        and sorted(a.edges) == sorted(b.edges)
-        and a.node_target == b.node_target
-        and a.edge_target == b.edge_target
-        and a.root == b.root
-    )
-
-
 def _is_arrow_shape(t: RootedTree) -> bool:
     return len(t.nodes) == 1 and len(t.edges) == 2
 
@@ -380,20 +349,15 @@ def _is_arrow_shape(t: RootedTree) -> bool:
 def opetope_diagnostics(ope: Opetope) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     n = ope.dim
-    if len(ope.constellations) != n:
-        out.append(make("BadShape", [], "zoom complex", f"{n + 1} trees need {n} constellations, got {len(ope.constellations)}"))
+    if len(ope.subdivisions) != n:
+        out.append(make("BadShape", [], "zoom complex", f"{n + 1} trees need {n} constellations, got {len(ope.subdivisions)}"))
         return out
-    for i, t in enumerate(ope.trees):
+    for t in ope.trees:
         out.extend(tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root))
     if out:
         return sorted(set(out), key=sort_key)
-    for i, c in enumerate(ope.constellations):
-        if not (_same_tree(c.domain, ope.trees[i]) and _same_tree(c.codomain, ope.trees[i + 1])):
-            out.append(make("BadShape", [], "zoom complex", f"constellation {i + 1} does not link trees {i} and {i + 1}"))
-            return out
-        if not c.is_exact():
-            out.append(make("NonExactConstellation", [], "opetope", f"constellation {i + 1} has non-identity structure maps"))
-        out.extend(constellation_diagnostics(c))
+    for i, sub in enumerate(ope.subdivisions):
+        out.extend(constellation_diagnostics(ope.trees[i], sub, ope.trees[i + 1]))
     # cells of distinct degrees must not share ids (edge with edge, node with node)
     for i in range(len(ope.trees)):
         for j in range(i + 1, len(ope.trees)):

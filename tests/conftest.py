@@ -55,6 +55,11 @@ def omega_ope():
     return load_ope("omega4.ope.json")
 
 
+def constellations(ope):
+    """(tree i, its subdivision, tree i+1) for every constellation of an opetope."""
+    return list(zip(ope.trees, ope.subdivisions, ope.trees[1:]))
+
+
 def generated_corpus(count: int, seed: int = 0, dims=(1, 2, 3, 4)):
     """Deterministic corpus of valid opetopes cycling through the dimensions."""
     rng = random.Random(seed)

@@ -54,7 +54,7 @@ def test_theta_on_the_point():
         {"id": "*", "dim": -1, "delta": [], "gamma": []},
         {"id": "p", "dim": 0, "delta": [], "gamma": ["*"]},
     ], "local_orders": []}
-    w = theta(dfc_validate(mop_validate(point), allow_point=True))
+    w = theta(dfc_validate(mop_validate(point)))
     assert set(w.fwd) == {"*", "p"}
 
 

@@ -15,11 +15,11 @@ from conftest import generated_corpus
 def test_gen_base_shapes():
     for seed in range(10):
         rng = random.Random(seed)
-        trees, constellations = gen_base(rng, max_linear_nodes=3)
-        assert len(trees) == 3 and len(constellations) == 2
+        trees, subdivisions = gen_base(rng, max_linear_nodes=3)
+        assert len(trees) == 3 and len(subdivisions) == 2
         assert trees[2].is_linear or trees[2].is_unit
-        for c in constellations:
-            assert not constellation_diagnostics(c)
+        for t, sub, u in zip(trees, subdivisions, trees[1:]):
+            assert not constellation_diagnostics(t, sub, u)
 
 
 def test_gen_subdivision_bounds_and_reproducibility():
@@ -34,22 +34,22 @@ def test_gen_subdivision_bounds_and_reproducibility():
 
 def test_500_nestings_all_validate(rho_ope):
     s2 = rho_ope.trees[2]
-    sub = rho_ope.constellations[2].subdivision
+    sub = rho_ope.subdivisions[2]
     t_prime = SubdividedTree(s2, sub)
     for seed in range(500):
-        u, c = gen_nesting(random.Random(seed), t_prime, _Namer(7))
-        assert not constellation_diagnostics(c), seed
+        u = gen_nesting(random.Random(seed), t_prime, _Namer(7))
+        assert not constellation_diagnostics(s2, sub, u), seed
 
 
 def test_worked_nesting_is_reachable(rho_ope):
     # the published nesting of the subdivided linear tree (two blackdots,
     # four whitedots on the middle edge) must come up within a seed sweep
     s2 = rho_ope.trees[2]
-    t_prime = SubdividedTree(s2, rho_ope.constellations[2].subdivision)
+    t_prime = SubdividedTree(s2, rho_ope.subdivisions[2])
     # trees 0..2 are shared, so an isomorphism fixes the dots of t_prime
     for seed in range(3000):
-        u, c = gen_nesting(random.Random(seed), t_prime, _Namer(7))
-        nested = Opetope(rho_ope.trees[:3] + (u,), rho_ope.constellations[:2] + (c,))
+        u = gen_nesting(random.Random(seed), t_prime, _Namer(7))
+        nested = Opetope(rho_ope.trees[:3] + (u,), rho_ope.subdivisions)
         if opetope_iso_search(nested, rho_ope) is not None:
             return
     raise AssertionError("the published nesting never came up in 3000 seeds")
@@ -78,7 +78,7 @@ def test_gen_opetope_dim4_within_caps():
     assert time.perf_counter() - t0 < 1.0
     assert ope.dim == 4
     for i, t in enumerate(ope.trees[:-1]):
-        dots = len(t.nodes) + sum(len(ws) for ws in ope.constellations[i].subdivision.values())
+        dots = len(t.nodes) + sum(len(ws) for ws in ope.subdivisions[i].values())
         assert dots <= 40 + 3  # cap plus the mandatory unit-tree whitedot slack
 
 

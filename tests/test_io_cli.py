@@ -1,6 +1,7 @@
 """Documents and the command-line surface."""
 
 import importlib
+import importlib.util
 import json
 import pathlib
 import random
@@ -40,6 +41,18 @@ def test_serialize_parse_serialize_is_stable(name):
     assert serialize_doc(doc2) == once
     # the shipped fixtures are already canonical
     assert once == text
+
+
+def test_make_fixtures_regenerates_the_fixtures_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES.parent / "tools" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "ROOT", tmp_path)
+    make_fixtures.main()
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+    assert written == ALL_FIXTURES and len(written) == 19
+    for name in written:
+        assert (tmp_path / name).read_text() == fixture_text(name), name
 
 
 def test_malformed_json_reports_location():
@@ -191,7 +204,6 @@ def test_cli_export_dot_and_info(capsys):
     assert main(["info", path("rho3.dfc.json")]) == 0
     out = capsys.readouterr().out
     assert '"dimension": 3' in out
-    assert main(["export-dot", "--style", "tree", path("rho3.dfc.json")]) == 2
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
@@ -223,6 +235,62 @@ def test_cli_rejects_declared_dim_that_disagrees_with_the_trees(tmp_path, capsys
     assert lines[-1] == {"file": str(path), "valid": False}
     assert main(["info", str(path)]) == 1
     assert "dimension" not in capsys.readouterr().out
+
+
+def test_cli_point_from_gen_validates_round_trips_and_is_isomorphic_to_itself(tmp_path, capsys):
+    ope, dfc = tmp_path / "point.ope.json", tmp_path / "point.dfc.json"
+    assert main(["gen", "--dim", "0"]) == 0
+    ope.write_text(capsys.readouterr().out)
+    assert main(["convert", "--to", "dfc", str(ope), "-o", str(dfc)]) == 0
+    assert main(["validate", str(dfc)]) == 0
+    assert main(["roundtrip", str(dfc)]) == 0
+    assert main(["iso", str(dfc), str(dfc)]) == 0
+    assert main(["validate", "--allow-point", str(dfc)]) == 2
+
+
+def test_cli_rejects_boolean_dims(tmp_path, capsys):
+    doc = json.loads(fixture_text("rho3.dfc.json"))
+    for rec in doc["cells"]:
+        rec["dim"] = {0: False, 1: True}.get(rec["dim"], rec["dim"])
+    bools = tmp_path / "rho3_bool_dims.dfc.json"
+    bools.write_text(json.dumps(doc))
+    assert main(["validate", str(bools)]) == 1
+    codes = {json.loads(line).get("code") for line in capsys.readouterr().out.splitlines()}
+    assert "BadDimension" in codes
+    assert main(["convert", "--to", "dfc", str(bools), "-o", str(tmp_path / "out.json")]) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_accepts_identity_structure_maps_and_does_not_write_them_back(tmp_path, capsys):
+    doc = json.loads(fixture_text("rho3.ope.json"))
+    for tree, rec in zip(doc["trees"], doc["constellations"]):
+        rec["sigma_black"] = {a: a for a in tree["nodes"]}
+        rec["sigma_white"] = {w: w for ws in rec["subdivision"].values() for w in ws}
+    maps, back = tmp_path / "rho3_maps.ope.json", tmp_path / "back.ope.json"
+    maps.write_text(json.dumps(doc))
+    assert main(["validate", str(maps)]) == 0
+    assert main(["convert", "--to", "ope", str(maps), "-o", str(back)]) == 0
+    assert back.read_text() == fixture_text("rho3.ope.json")
+
+
+@pytest.mark.parametrize("field, value", [
+    (("constellations", 2, "sigma_black"), {"b1": "b1"}),  # the identity, but not on every blackdot
+    (("constellations", 2, "sigma_white"), {}),
+    (("constellations", 2, "sigma_white"), {"a7": "a5", "a5": "a7", "a4": "a4", "a3": "a3"}),
+])
+def test_cli_reports_structure_maps_that_are_not_identities(tmp_path, capsys, field, value):
+    assert main(["validate", str(_edited(tmp_path, "rho3.ope.json", field, value))]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["code"] for line in lines[:-1]] == ["NonExactConstellation"]
+    assert lines[-1]["valid"] is False
+
+
+def test_cli_leaf_swap_reports_one_non_exact_constellation(capsys):
+    assert main(["validate", path("mutations/o01_leaf_swap.ope.json")]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(line["code"], line["message"]) for line in lines[:-1]] == [
+        ("NonExactConstellation", "constellation 4 has non-identity structure maps")
+    ]
 
 
 # (fixture, JSON path, value): one field of the wrong JSON type each

@@ -29,7 +29,7 @@ from opetopes.poset import (
 from opetopes.to_poset import extend, nesting_subtrees, p_of
 from opetopes.trees import constellation_diagnostics
 
-from conftest import generated_corpus, load_dfc_doc
+from conftest import constellations, generated_corpus, load_dfc_doc
 from test_poset import ARROW, cell
 
 
@@ -92,9 +92,9 @@ def test_strictness_detects_artificial_cycle():
 
 def test_kernel_oracle_agrees_with_validator(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        for c in ope.constellations:
-            diags = [d for d in constellation_diagnostics(c) if d.code == "KernelRuleViolated"]
-            assert (oracle_kernel(c) is None) == (not diags)
+        for c in constellations(ope):
+            diags = [d for d in constellation_diagnostics(*c) if d.code == "KernelRuleViolated"]
+            assert (oracle_kernel(*c) is None) == (not diags)
 
 
 def test_hexagon_oracle_on_fixtures(rho_dfc, omega_dfc):
@@ -126,7 +126,7 @@ def test_fact_suite_on_arrow():
 
 
 def _small_instances():
-    yield dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}), allow_point=True)
+    yield dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}))
     yield dfc_validate(mop_validate(ARROW))
     for seed in (0, 1, 2):
         yield p_of(gen_opetope(seed, GenParams(dim=2, max_linear_nodes=2)))
@@ -155,10 +155,7 @@ def test_fast_iso_search_complete_against_oracle():
 
 
 def test_oracle_iso_identity_and_empty(rho_dfc):
-    point = dfc_validate(
-        mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}),
-        allow_point=True,
-    )
+    point = dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}))
     assert oracle_iso(point, point) == [{"*": "*", "p": "p"}]
     arrow = dfc_validate(mop_validate(ARROW))
     assert oracle_iso(arrow, point) == []

@@ -152,12 +152,11 @@ def test_find_cycle_reports_the_cycle_of_the_recursive_search():
     assert 200 < cyclic < 1800
 
 
-def test_point_complex_needs_flag():
-    doc = {"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}
-    mop = mop_validate(doc)
-    assert "NoGreatestElement" in codes(dfc_diagnostics(mop))
-    point = dfc_validate(mop, allow_point=True)
+def test_point_validates_and_the_lone_bottom_cell_does_not():
+    point = dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}))
     assert point.degenerate and point.omega == "p"
+    bottom = mop_validate({"cells": [cell("*", -1)], "local_orders": []})
+    assert codes(dfc_diagnostics(bottom)) == ["NoGreatestElement"]
 
 
 def test_loop_without_plus_coface():

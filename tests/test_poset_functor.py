@@ -41,7 +41,7 @@ def test_extend_unit_top_tree_gets_the_top_whitedot():
     ope = gen_opetope(0, GenParams(dim=2, max_linear_nodes=0))
     assert ope.trees[2].is_unit
     ez = extend(ope)
-    assert ez.constellations[2].subdivision == {ope.trees[2].root: (ez.top,)}
+    assert ez.subdivisions[2] == {ope.trees[2].root: (ez.top,)}
 
 
 def test_nesting_subtree_examples(rho_ope):

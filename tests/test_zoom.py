@@ -20,7 +20,7 @@ from opetopes.to_zoom import (
 )
 from opetopes.trees import opetope_diagnostics, tree_diagnostics
 
-from conftest import generated_corpus, load_dfc_doc
+from conftest import constellations, generated_corpus, load_dfc_doc
 from test_poset import ARROW
 
 
@@ -214,8 +214,8 @@ def test_z_of_constellations_pass_kernel_oracle(rho_dfc, omega_dfc):
     from opetopes.oracle import oracle_kernel
 
     for dfc in (rho_dfc, omega_dfc):
-        for c in z_of(dfc).constellations:
-            assert oracle_kernel(c) is None
+        for c in constellations(z_of(dfc)):
+            assert oracle_kernel(*c) is None
 
 
 def test_z_map_identity_and_relabel(omega_dfc):
