@@ -3,9 +3,12 @@
 The poset side stores an opetope as a graded face poset (a face complex);
 the tree side as a zoom complex of rooted trees linked by exact
 constellations.  The translations between the two are implemented in
-to_zoom and to_poset, round-trip witnesses in equivalence, brute-force
-re-checks of the structural facts in oracle, and a seeded random
-generator of valid instances in generator.
+to_zoom and to_poset, round-trip witnesses and isomorphism search in
+equivalence, and a seeded random generator of valid instances in
+generator.  oracle is the reference side: the paper's constructions
+that the command line never runs (path orders, source trees, the
+functors' actions on isomorphisms) and brute-force re-checks of the
+structural facts.
 """
 
 from .diagnostics import (
@@ -23,12 +26,10 @@ from .poset import (
     PLUS,
     Dfc,
     ManyToOnePoset,
-    delta_tree,
     dfc_diagnostics,
     dfc_validate,
     mop_diagnostics,
     mop_validate,
-    path_order,
     sign_product,
 )
 from .trees import (
@@ -36,12 +37,9 @@ from .trees import (
     RootedTree,
     SubdividedTree,
     constellation_diagnostics,
-    descendant_dots,
     opetope_diagnostics,
     opetope_validate,
-    subdivided_as_tree,
     tree_diagnostics,
-    tree_validate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

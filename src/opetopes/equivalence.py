@@ -24,7 +24,7 @@ from .isos import (
     opetope_iso_failures,
 )
 from .poset import Dfc
-from .to_poset import p_image
+from .to_poset import p_of
 from .to_zoom import z_of
 from .trees import Opetope, RootedTree
 
@@ -32,21 +32,24 @@ from .trees import Opetope, RootedTree
 # -- round trips --------------------------------------------------------
 
 
+def _reserved_map(c: Dfc, d: Dfc) -> dict:
+    """The greatest cell of c, its target and its bottom, sent to those of d.
+
+    Both witnesses fix these cells by position: the zoom complex in
+    between has no element named after the first two.
+    """
+    n = c.dimension
+    fwd = {c.omega: d.omega, c.bottom: d.bottom}
+    if n >= 1:
+        fwd[c.iterated_targets[n - 1]] = d.iterated_targets[n - 1]
+    return fwd
+
+
 def theta(c: Dfc) -> DfcIso:
     """The identity-on-cells witness from a complex to the complex of its zoom."""
-    img = p_image(z_of(c))
-    d = img.dfc
-    n = c.dimension
-    fwd = {}
-    for x in c.mop.cells:
-        if x == c.omega:
-            fwd[x] = img.ez.top
-        elif n >= 1 and x == c.iterated_targets[n - 1]:
-            fwd[x] = img.ez.ext_root
-        elif x == c.bottom:
-            fwd[x] = d.bottom
-        else:
-            fwd[x] = x
+    d = p_of(z_of(c))
+    reserved = _reserved_map(c, d)
+    fwd = {x: reserved.get(x, x) for x in c.mop.cells}
     failures = dfc_iso_failures(c, d, fwd)
     if failures:
         raise RoundTripBroken(f"theta on {c.omega!r}: " + "; ".join(failures[:4]))
@@ -61,7 +64,7 @@ def _arrow_parts(t: RootedTree) -> tuple[str, str, str]:
 
 def tau(y: Opetope) -> OpetopeIso:
     """The identity-on-elements witness from an opetope to the zoom of its complex."""
-    y2 = z_of(p_image(y).dfc)
+    y2 = z_of(p_of(y))
     n = y.dim
     levels = []
     for i in range(n + 1):
@@ -72,10 +75,11 @@ def tau(y: Opetope) -> OpetopeIso:
             s_root, s_node, s_leaf = _arrow_parts(s)
             t_root, t_node, t_leaf = _arrow_parts(t)
             levels.append(LevelMap({s_node: t_node}, {s_root: t_root, s_leaf: t_leaf}))
-    failures = opetope_iso_failures(y, y2, tuple(LevelMap(lv.nodes, lv.edges) for lv in levels))
+    levels = tuple(levels)
+    failures = opetope_iso_failures(y, y2, levels)
     if failures:
         raise RoundTripBroken(f"tau on a {n}-opetope: " + "; ".join(failures[:4]))
-    return OpetopeIso(y, y2, tuple(levels))
+    return OpetopeIso(y, y2, levels)
 
 
 # -- isomorphism search --------------------------------------------------
@@ -155,15 +159,5 @@ def dfc_iso_search(c: Dfc, d: Dfc) -> DfcIso | None:
     for lv in g.levels:
         image.update(lv.nodes)
         image.update(lv.edges)
-    n = c.dimension
-    fwd = {}
-    for x in c.mop.cells:
-        if x == c.omega:
-            fwd[x] = d.omega
-        elif n >= 1 and x == c.iterated_targets[n - 1]:
-            fwd[x] = d.iterated_targets[n - 1]
-        elif x == c.bottom:
-            fwd[x] = d.bottom
-        else:
-            fwd[x] = image[x]
-    return make_dfc_iso(c, d, fwd)
+    reserved = _reserved_map(c, d)
+    return make_dfc_iso(c, d, {x: reserved[x] if x in reserved else image[x] for x in c.mop.cells})

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from .diagnostics import ParseError, ValidationError, make
-from .poset import Dfc, ManyToOnePoset
+from .poset import Dfc
 from .trees import Opetope, RootedTree, opetope_diagnostics
 
 DFC_CELL_KEYS = {"id", "dim", "delta", "gamma"}
@@ -96,29 +96,14 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
     return doc, warnings
 
 
-def serialize_dfc(obj) -> str:
-    if isinstance(obj, Dfc):
-        obj = dfc_to_doc(obj)
-    elif isinstance(obj, ManyToOnePoset):
-        obj = mop_to_doc(obj)
-    return serialize_doc(obj)
-
-
-def mop_to_doc(mop: ManyToOnePoset) -> dict:
-    cells = []
-    for c in sorted(mop.cells, key=lambda c: (mop.dim[c], c)):
-        cells.append(
-            {"id": c, "dim": mop.dim[c], "delta": sorted(mop.delta[c]), "gamma": sorted(mop.gamma[c])}
-        )
-    orders = [
-        {"x": x, "z": z, "order": list(seq)}
-        for (x, z), seq in sorted(mop.local_orders.items())
-    ]
-    return {"cells": cells, "local_orders": orders}
-
-
 def dfc_to_doc(dfc: Dfc) -> dict:
-    return mop_to_doc(dfc.mop)
+    mop = dfc.mop
+    cells = [
+        {"id": c, "dim": mop.dim[c], "delta": sorted(mop.delta[c]), "gamma": sorted(mop.gamma[c])}
+        for c in sorted(mop.cells, key=lambda c: (mop.dim[c], c))
+    ]
+    orders = [{"x": x, "z": z, "order": list(seq)} for (x, z), seq in sorted(mop.local_orders.items())]
+    return {"cells": cells, "local_orders": orders}
 
 
 # -- opetope documents -------------------------------------------------
@@ -221,9 +206,3 @@ def opetope_to_doc(ope: Opetope) -> dict:
             {"subdivision": {b: list(ws) for b, ws in sorted(sub.items()) if ws}} for sub in ope.subdivisions
         ],
     }
-
-
-def serialize_opetope(obj) -> str:
-    if isinstance(obj, Opetope):
-        obj = opetope_to_doc(obj)
-    return serialize_doc(obj)

@@ -1,7 +1,7 @@
 """Isomorphisms of face complexes and of zoom complexes, with verifiers.
 
 A verifier returns the list of failed conditions (empty when the map is a
-genuine isomorphism); the *_iso constructors raise NotAnIsomorphism.
+genuine isomorphism); make_dfc_iso raises NotAnIsomorphism instead.
 """
 
 from __future__ import annotations
@@ -133,11 +133,3 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
             if f_hi.nodes.get(w) != wmap[w]:
                 out.append(f"constellation {i + 1}: whitedot {w!r} not preserved")
     return out
-
-
-def make_opetope_iso(y: Opetope, z: Opetope, levels) -> OpetopeIso:
-    levels = tuple(LevelMap(dict(lv.nodes), dict(lv.edges)) for lv in levels)
-    failures = opetope_iso_failures(y, z, levels)
-    if failures:
-        raise NotAnIsomorphism(failures)
-    return OpetopeIso(y, z, levels)

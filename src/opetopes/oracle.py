@@ -1,6 +1,13 @@
-"""Brute-force re-checks of the structural facts, independent of the fast paths.
+"""The reference side: the paper's constructions and brute-force re-checks.
 
-Everything here favours exhaustive scans and matrix closures over the
+The paper proves the two encodings equivalent through constructions the
+command line never runs: thinness completions, path orders, the source
+tree of a cell on each side (delta_tree, sigma_tree), the dots descending
+through an element, and the actions p_map and z_map of the two functors
+on isomorphisms (the zoom-side objects follow Kock, Joyal, Batanin and
+Mascari 2010).  They live here as references for the fast routes.
+
+The checkers favour exhaustive scans and matrix closures over the
 traversal logic used by the validators and translators, so the two routes
 can certify each other.  Each fact checker returns a list of
 counterexamples, empty when the fact holds.
@@ -8,20 +15,188 @@ counterexamples, empty when the fact holds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 
-from .diagnostics import InternalError, ValidationError, make
-from .isos import dfc_iso_failures
-from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
-from .to_poset import ExtendedZoom, NestingSubtree
-from .to_zoom import level_tree, whitedot_order
-from .trees import (
-    Expansion,
-    RootedTree,
-    SubdividedTree,
-    descendant_dots,
-    tree_diagnostics,
-)
+from .diagnostics import InternalError, NotAnIsomorphism, ValidationError, make
+from .equivalence import _arrow_parts
+from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
+from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
+from .to_poset import ExtendedZoom, NestingSubtree, PImage, nesting_subtrees, p_image
+from .to_zoom import level_tree, whitedot_order, z_of
+from .trees import Expansion, Opetope, RootedTree, SubdividedTree, tree_diagnostics
+
+
+# -- the paper's reference constructions ---------------------------------
+
+
+def thinness_completions(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
+    """Non-loop-signed completions (y', alpha', beta') of the chain z < y < x."""
+    out = []
+    for y2 in mop.facets(x):
+        if y2 == y:
+            continue
+        beta2 = mop.sign(z, y2)
+        alpha2 = mop.sign(y2, x)
+        if beta2 in (MINUS, PLUS) and alpha2 in (MINUS, PLUS):
+            out.append((y2, alpha2, beta2))
+    return out
+
+
+@dataclass(frozen=True)
+class PathOrder:
+    """Transitive closure of a one-step path relation on a grade, plus strictness."""
+
+    pairs: frozenset[tuple[str, str]]
+    strict: bool
+    cycle: tuple[str, ...] | None
+
+
+def path_order(dfc, k: int, sign: str) -> PathOrder:
+    """Closure of the lower (minus) or upper (plus) one-step order on the k-cells."""
+    mop = dfc.mop if isinstance(dfc, Dfc) else dfc
+    grade = mop.grade(k)
+    succ = {x: set() for x in grade}
+    if sign == MINUS:
+        # for k = 0 the targets are the bottom cell, which is nobody's
+        # source, so the relation comes out empty as required
+        for x in grade:
+            t = mop.gamma_cell(x)
+            for x2 in mop.minus_cofaces(t):
+                if mop.dim[x2] == k:
+                    succ[x].add(x2)
+    elif sign == PLUS:
+        for w in mop.grade(k + 1):
+            for x in sorted(mop.delta_minus(w)):
+                for x2 in sorted(mop.gamma_plus(w)):
+                    succ[x].add(x2)
+    else:
+        raise ValueError(f"path_order sign must be {MINUS!r} or {PLUS!r}")
+
+    closure: set[tuple[str, str]] = set()
+    for x in grade:
+        seen: set[str] = set()
+        stack = sorted(succ[x])
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            stack.extend(sorted(succ[v]))
+        closure.update((x, v) for v in seen)
+    strict = all((x, x) not in closure for x in grade)
+    cycle = None
+    if not strict:
+        cycle = tuple(_find_cycle(list(grade), {v: sorted(succ[v]) for v in grade}) or ())
+    return PathOrder(frozenset(closure), strict, cycle)
+
+
+def delta_tree(dfc: Dfc, a: str) -> RootedTree:
+    """The tree of non-loop sources of a, rooted at the second target."""
+    mop = dfc.mop
+    if mop.dim[a] < 1:
+        raise ValueError(f"delta_tree needs a cell of dimension >= 1, got {a!r}")
+    nodes = sorted(b for b in mop.delta[a] if not mop.is_loop(b))
+    root = mop.gamma_cell(mop.gamma_cell(a))
+    edges = sorted({root} | {z for b in nodes for z in mop.facets(b)})
+    node_target = {b: mop.gamma_cell(b) for b in nodes}
+    owners: dict[str, list[str]] = {}
+    for b in nodes:
+        for z in mop.delta_minus(b):
+            owners.setdefault(z, []).append(b)
+    edge_target = {}
+    for z in edges:
+        if len(owners.get(z, ())) > 1:
+            raise ValidationError([make("TreeInvalid", [a, z, *owners[z]], "source tree", f"edge {z!r} has several target nodes in the source tree of {a!r}")])
+        if z in owners:
+            edge_target[z] = owners[z][0]
+    diags = tree_diagnostics(nodes, edges, node_target, edge_target, root)
+    if diags:
+        raise ValidationError([make("TreeInvalid", [a], "source tree", f"source tree of {a!r} is not a rooted tree")] + diags)
+    return RootedTree(nodes, edges, node_target, edge_target, root)
+
+
+def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
+    """Leaves and nulldots of u whose descending path passes through x."""
+    out = set()
+    for d in list(u.leaves) + list(u.nulldots):
+        if x in u.descending_chain(d):
+            out.add(d)
+    return frozenset(out)
+
+
+def sigma_tree(pz: PImage, x: str) -> RootedTree:
+    """Source tree of a cell assembled from the nesting subtrees of its sources."""
+    dfc, ez = pz.dfc, pz.ez
+    mop = dfc.mop
+    k = mop.dim[x]
+    if k < 2:
+        raise ValueError(f"source trees need dimension >= 2, got {x!r}")
+    if mop.is_loop(x):
+        raise ValueError(f"{x!r} is a loop cell")
+    level = nesting_subtrees(ez, k - 1)
+    cuts = {y: level[y].tree for y in sorted(mop.delta[x])}
+    nodes = sorted(y for y, t in cuts.items() if not t.is_unit)
+    root = mop.gamma_cell(mop.gamma_cell(x))
+    edges = sorted({root} | {z for y in nodes for z in (set(cuts[y].leaves) | {cuts[y].root})})
+    node_target = {y: cuts[y].root for y in nodes}
+    edge_target = {}
+    for y in nodes:
+        for z in cuts[y].leaves:
+            if z in edge_target:
+                raise InternalError(f"edge {z!r} is a leaf of two source cuts under {x!r}")
+            edge_target[z] = y
+    return RootedTree(nodes, edges, node_target, edge_target, root)
+
+
+def make_opetope_iso(y: Opetope, z: Opetope, levels) -> OpetopeIso:
+    levels = tuple(LevelMap(dict(lv.nodes), dict(lv.edges)) for lv in levels)
+    failures = opetope_iso_failures(y, z, levels)
+    if failures:
+        raise NotAnIsomorphism(failures)
+    return OpetopeIso(y, z, levels)
+
+
+def p_map(f: OpetopeIso) -> DfcIso:
+    """The cell map induced by a level-wise opetope isomorphism."""
+    failures = opetope_iso_failures(f.source, f.target, f.levels)
+    if failures:
+        raise NotAnIsomorphism(failures)
+    src, tgt = p_image(f.source), p_image(f.target)
+    n = src.ez.base_dim
+    fwd = {src.ez.bottom: tgt.ez.bottom, src.ez.top: tgt.ez.top, src.ez.ext_root: tgt.ez.ext_root}
+    for k in range(n + 1):
+        for x in src.ez.trees[k + 2].edges:
+            if k == n:
+                continue  # the top element, already mapped
+            if k == n - 1:
+                if x != src.ez.ext_root:
+                    fwd[x] = f.levels[n].nodes[x]  # nodes of the top original tree
+            else:
+                fwd[x] = f.levels[k + 2].edges[x]
+    return make_dfc_iso(src.dfc, tgt.dfc, fwd)
+
+
+def z_map(f: DfcIso) -> OpetopeIso:
+    """The level-wise tree isomorphism induced by a complex isomorphism."""
+    failures = dfc_iso_failures(f.source, f.target, f.fwd)
+    if failures:
+        raise NotAnIsomorphism(failures)
+    src, tgt = z_of(f.source), z_of(f.target)
+    n = src.dim
+    levels = []
+    for i in range(n + 1):
+        s, t = src.trees[i], tgt.trees[i]
+        if i >= 2:
+            levels.append(LevelMap({a: f.fwd[a] for a in s.nodes}, {b: f.fwd[b] for b in s.edges}))
+        else:
+            s_root, s_node, s_leaf = _arrow_parts(s)
+            t_root, t_node, t_leaf = _arrow_parts(t)
+            levels.append(LevelMap({s_node: t_node}, {s_root: t_root, s_leaf: t_leaf}))
+    return make_opetope_iso(src, tgt, levels)
+
+
+# -- brute-force re-checks ------------------------------------------------
 
 
 def oracle_lozenge(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
@@ -207,8 +382,7 @@ def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     diags = tree_diagnostics(nodes, edges, node_target, edge_target, roots[0])
     if diags:
         raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
-    tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
-    return NestingSubtree(x, frozenset(dots), tree, v, tree.root, tree.leaves)
+    return NestingSubtree(x, frozenset(dots), RootedTree(nodes, edges, node_target, edge_target, roots[0]), v)
 
 
 def oracle_tree_paths(nodes, edges, node_target, edge_target, root) -> bool:
@@ -260,8 +434,6 @@ def oracle_hexagon(dfc: Dfc) -> list[tuple]:
         srcs = [c for c in sorted(mop.delta_minus(b)) if not mop.is_loop(c)]
         if len(srcs) < 2:
             continue
-        from .poset import delta_tree
-
         try:
             tree = delta_tree(dfc, b)
         except ValidationError:
@@ -431,8 +603,6 @@ def check_whitedots_nulldots(dfc: Dfc) -> list[tuple]:
 
 
 def check_pencil_linearity(dfc: Dfc) -> list[tuple]:
-    from .poset import path_order
-
     mop = dfc.mop
     bad = []
     for k in range(0, dfc.dimension + 1):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
-from .trees import RootedTree, tree_diagnostics
 
 MINUS = "-"
 PLUS = "+"
@@ -317,12 +316,6 @@ class Dfc:
     def bottom(self) -> str:
         return self.mop.bottom
 
-    def grade(self, k: int) -> tuple[str, ...]:
-        return self.mop.grade(k)
-
-    def sign(self, y: str, x: str) -> str | None:
-        return self.mop.sign(y, x)
-
 
 def _down_reach(mop: ManyToOnePoset, start: str) -> set[str]:
     seen = {start}
@@ -336,19 +329,6 @@ def _down_reach(mop: ManyToOnePoset, start: str) -> set[str]:
                 seen.add(y)
                 stack.append(y)
     return seen
-
-
-def thinness_completions(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
-    """Non-loop-signed completions (y', alpha', beta') of the chain z < y < x."""
-    out = []
-    for y2 in mop.facets(x):
-        if y2 == y:
-            continue
-        beta2 = mop.sign(z, y2)
-        alpha2 = mop.sign(y2, x)
-        if beta2 in (MINUS, PLUS) and alpha2 in (MINUS, PLUS):
-            out.append((y2, alpha2, beta2))
-    return out
 
 
 def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
@@ -444,7 +424,7 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         omega = maximal[0]
         # a greatest 0-cell is the point {bottom < p}, the 0-opetope
         if mop.dim[omega] < 0:
-            out.append(make("NoGreatestElement", [omega], "greatest element", "greatest element is not of positive dimension"))
+            out.append(make("NoGreatestElement", [omega], "greatest element", "the bottom cell is the only maximal cell"))
         missing = sorted(set(mop.cells) - _down_reach(mop, omega))
         if missing:
             out.append(make("NoGreatestElement", missing, "greatest element", "cells not below the maximal cell"))
@@ -480,82 +460,3 @@ def trusted_dfc(mop: ManyToOnePoset) -> Dfc:
     omega_k = {k: frozenset(c for c in mop.grade(k) if c in loops) for k in range(n + 1)}
     null_k = {k: frozenset(c for c in mop.grade(k) if c in nulls) for k in range(n + 1)}
     return Dfc(mop, omega, tuple(targets), lam_k, omega_k, null_k)
-
-
-# -- path orders -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathOrder:
-    """Transitive closure of a one-step path relation on a grade, plus strictness."""
-
-    pairs: frozenset[tuple[str, str]]
-    strict: bool
-    cycle: tuple[str, ...] | None
-
-
-def path_order(dfc, k: int, sign: str) -> PathOrder:
-    """Closure of the lower (minus) or upper (plus) one-step order on the k-cells."""
-    mop = dfc.mop if isinstance(dfc, Dfc) else dfc
-    grade = mop.grade(k)
-    succ = {x: set() for x in grade}
-    if sign == MINUS:
-        # for k = 0 the targets are the bottom cell, which is nobody's
-        # source, so the relation comes out empty as required
-        for x in grade:
-            t = mop.gamma_cell(x)
-            for x2 in mop.minus_cofaces(t):
-                if mop.dim[x2] == k:
-                    succ[x].add(x2)
-    elif sign == PLUS:
-        for w in mop.grade(k + 1):
-            for x in sorted(mop.delta_minus(w)):
-                for x2 in sorted(mop.gamma_plus(w)):
-                    succ[x].add(x2)
-    else:
-        raise ValueError(f"path_order sign must be {MINUS!r} or {PLUS!r}")
-
-    closure: set[tuple[str, str]] = set()
-    for x in grade:
-        seen: set[str] = set()
-        stack = sorted(succ[x])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(sorted(succ[v]))
-        closure.update((x, v) for v in seen)
-    strict = all((x, x) not in closure for x in grade)
-    cycle = None
-    if not strict:
-        cycle = tuple(_find_cycle(list(grade), {v: sorted(succ[v]) for v in grade}) or ())
-    return PathOrder(frozenset(closure), strict, cycle)
-
-
-# -- source trees ------------------------------------------------------
-
-
-def delta_tree(dfc: Dfc, a: str) -> RootedTree:
-    """The tree of non-loop sources of a, rooted at the second target."""
-    mop = dfc.mop
-    if mop.dim[a] < 1:
-        raise ValueError(f"delta_tree needs a cell of dimension >= 1, got {a!r}")
-    nodes = sorted(b for b in mop.delta[a] if not mop.is_loop(b))
-    root = mop.gamma_cell(mop.gamma_cell(a))
-    edges = sorted({root} | {z for b in nodes for z in mop.facets(b)})
-    node_target = {b: mop.gamma_cell(b) for b in nodes}
-    owners: dict[str, list[str]] = {}
-    for b in nodes:
-        for z in mop.delta_minus(b):
-            owners.setdefault(z, []).append(b)
-    edge_target = {}
-    for z in edges:
-        if len(owners.get(z, ())) > 1:
-            raise ValidationError([make("TreeInvalid", [a, z, *owners[z]], "source tree", f"edge {z!r} has several target nodes in the source tree of {a!r}")])
-        if z in owners:
-            edge_target[z] = owners[z][0]
-    diags = tree_diagnostics(nodes, edges, node_target, edge_target, root)
-    if diags:
-        raise ValidationError([make("TreeInvalid", [a], "source tree", f"source tree of {a!r} is not a rooted tree")] + diags)
-    return RootedTree(nodes, edges, node_target, edge_target, root)

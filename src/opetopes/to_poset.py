@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import InternalError, NotAnIsomorphism, ValidationError, make
-from .isos import DfcIso, OpetopeIso, make_dfc_iso, opetope_iso_failures
+from .diagnostics import InternalError
 from .poset import Dfc, trusted_dfc, trusted_mop
 from .trees import Expansion, Opetope, RootedTree, SubdividedTree
 
@@ -87,12 +86,6 @@ class NestingSubtree:
     dots: frozenset[str]
     tree: RootedTree
     v: dict
-    root_name: str
-    leaf_names: tuple[str, ...]
-
-    @property
-    def is_unit(self) -> bool:
-        return self.tree.is_unit
 
 
 def nesting_subtrees(ez: ExtendedZoom, k: int) -> dict[str, NestingSubtree]:
@@ -172,7 +165,7 @@ def _cut(exp: Expansion, blackdots: frozenset[str], x: str, dots: frozenset[str]
     nodes = sorted(dots & blackdots)
     names = [info["name"] for info in kept]
     if len(set(names)) != len(names):
-        raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} reuses an edge name; upstream constellation invalid")])
+        raise InternalError(f"cut of {x!r} reuses an edge name; the opetope breaks the kernel rule")
     edges = sorted(names)
     node_target, edge_target, v = {}, {}, {}
     roots = []
@@ -186,9 +179,8 @@ def _cut(exp: Expansion, blackdots: frozenset[str], x: str, dots: frozenset[str]
         if info["whitedots"]:
             v[info["name"]] = info["whitedots"]
     if len(roots) != 1:
-        raise ValidationError([make("DisconnectedNesting", [x, *sorted(roots)], "kernel rule", f"cut of {x!r} has {len(roots)} root candidates")])
-    tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
-    return NestingSubtree(x, dots, tree, v, tree.root, tree.leaves)
+        raise InternalError(f"cut of {x!r} has {len(roots)} root candidates {sorted(roots)}; the opetope breaks the kernel rule")
+    return NestingSubtree(x, dots, RootedTree(nodes, edges, node_target, edge_target, roots[0]), v)
 
 
 # -- the complex of an opetope ------------------------------------------
@@ -212,7 +204,7 @@ def p_image(ope: Opetope) -> PImage:
         cuts = nesting_subtrees(ez, k)
         subtree.update(cuts)
         for x, st in cuts.items():
-            records.append({"id": x, "dim": k, "delta": sorted(set(st.leaf_names)), "gamma": [st.root_name]})
+            records.append({"id": x, "dim": k, "delta": sorted(set(st.tree.leaves)), "gamma": [st.tree.root]})
 
     by_id = {rec["id"]: rec for rec in records}
     local_orders = []
@@ -239,47 +231,3 @@ def p_image(ope: Opetope) -> PImage:
 def p_of(ope: Opetope) -> Dfc:
     """The face complex of a valid opetope; valid by construction and not re-checked."""
     return p_image(ope).dfc
-
-
-def sigma_tree(pz: PImage, x: str) -> RootedTree:
-    """Source tree of a cell assembled from the nesting subtrees of its sources."""
-    dfc, ez = pz.dfc, pz.ez
-    mop = dfc.mop
-    k = mop.dim[x]
-    if k < 2:
-        raise ValueError(f"source trees need dimension >= 2, got {x!r}")
-    if mop.is_loop(x):
-        raise ValueError(f"{x!r} is a loop cell")
-    level = nesting_subtrees(ez, k - 1)
-    cuts = {y: level[y] for y in sorted(mop.delta[x])}
-    nodes = sorted(y for y, st in cuts.items() if not st.is_unit)
-    root = mop.gamma_cell(mop.gamma_cell(x))
-    edges = sorted({root} | {z for y in nodes for z in (set(cuts[y].leaf_names) | {cuts[y].root_name})})
-    node_target = {y: cuts[y].root_name for y in nodes}
-    edge_target = {}
-    for y in nodes:
-        for z in cuts[y].leaf_names:
-            if z in edge_target:
-                raise InternalError(f"edge {z!r} is a leaf of two source cuts under {x!r}")
-            edge_target[z] = y
-    return RootedTree(nodes, edges, node_target, edge_target, root)
-
-
-def p_map(f: OpetopeIso) -> DfcIso:
-    """The cell map induced by a level-wise opetope isomorphism."""
-    failures = opetope_iso_failures(f.source, f.target, f.levels)
-    if failures:
-        raise NotAnIsomorphism(failures)
-    src, tgt = p_image(f.source), p_image(f.target)
-    n = src.ez.base_dim
-    fwd = {src.ez.bottom: tgt.ez.bottom, src.ez.top: tgt.ez.top, src.ez.ext_root: tgt.ez.ext_root}
-    for k in range(n + 1):
-        for x in src.ez.trees[k + 2].edges:
-            if k == n:
-                continue  # the top element, already mapped
-            if k == n - 1:
-                if x != src.ez.ext_root:
-                    fwd[x] = f.levels[n].nodes[x]  # nodes of the top original tree
-            else:
-                fwd[x] = f.levels[k + 2].edges[x]
-    return make_dfc_iso(src.dfc, tgt.dfc, fwd)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism
-from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_opetope_iso
+from .diagnostics import IncomparableLoops, InternalError
 from .poset import LOOP, MINUS, PLUS, Dfc
 from .to_poset import _fresh
 from .trees import Opetope, RootedTree
@@ -295,26 +294,3 @@ def z_of(dfc: Dfc) -> Opetope:
                     sub[y] = w
         subdivisions.append(sub)
     return Opetope(tuple(ordered), tuple(subdivisions))
-
-
-def z_map(f: DfcIso) -> OpetopeIso:
-    """The level-wise tree isomorphism induced by a complex isomorphism."""
-    failures = dfc_iso_failures(f.source, f.target, f.fwd)
-    if failures:
-        raise NotAnIsomorphism(failures)
-    src, tgt = z_of(f.source), z_of(f.target)
-    n = src.dim
-    levels = []
-    for i in range(n + 1):
-        s, t = src.trees[i], tgt.trees[i]
-        if i >= 2:
-            levels.append(LevelMap({a: f.fwd[a] for a in s.nodes}, {b: f.fwd[b] for b in s.edges}))
-        else:
-            (node_s,), (node_t,) = s.nodes, t.nodes
-            levels.append(LevelMap({node_s: node_t}, {s.root: t.root, _arrow_leaf(s): _arrow_leaf(t)}))
-    return make_opetope_iso(src, tgt, levels)
-
-
-def _arrow_leaf(t: RootedTree) -> str:
-    (leaf,) = [b for b in t.edges if b != t.root]
-    return leaf

@@ -70,10 +70,6 @@ class RootedTree:
         return not self.nodes and len(self.edges) == 1
 
     @property
-    def is_corolla(self) -> bool:
-        return len(self.nodes) == 1
-
-    @property
     def is_linear(self) -> bool:
         return all(len(self._sources[a]) == 1 for a in self.nodes) and len(self.edges) == len(self.nodes) + 1
 
@@ -130,18 +126,6 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
     return []
 
 
-def tree_validate(doc) -> RootedTree:
-    """RootedTree from a document dict or from an existing tree's fields."""
-    if isinstance(doc, RootedTree):
-        fields_ = (doc.nodes, doc.edges, doc.node_target, doc.edge_target, doc.root)
-    else:
-        fields_ = (doc.get("nodes", []), doc.get("edges", []), doc.get("node_target", {}), doc.get("edge_target", {}), doc.get("root"))
-    diags = tree_diagnostics(*fields_)
-    if diags:
-        raise ValidationError(diags)
-    return RootedTree(*fields_)
-
-
 # -- subdivisions and expansions ---------------------------------------
 
 
@@ -161,9 +145,10 @@ class SubdividedTree:
 
 def subdivided_diagnostics(st: SubdividedTree) -> list[Diagnostic]:
     out = []
-    used = set(st.base.nodes) | set(st.base.edges)
+    edges = set(st.base.edges)
+    used = set(st.base.nodes) | edges
     for b in sorted(st.w):
-        if b not in set(st.base.edges):
+        if b not in edges:
             out.append(make("DanglingId", [b], "subdivision", f"subdivision names unknown edge {b!r}"))
     seen = set()
     for d in st.whitedots():
@@ -233,14 +218,6 @@ class Expansion:
         return {d: tuple(sorted(s)) for d, s in adj.items()}
 
 
-def subdivided_as_tree(st: SubdividedTree) -> RootedTree:
-    """The expansion as a plain rooted tree; fails loudly if not a tree."""
-    diags = subdivided_diagnostics(st)
-    if diags:
-        raise ValidationError(diags)
-    return tree_validate(Expansion(st).tree)
-
-
 # -- constellations ----------------------------------------------------
 #
 # An opetope's constellations are exact: the blackdots of subdivided tree i
@@ -248,25 +225,10 @@ def subdivided_as_tree(st: SubdividedTree) -> RootedTree:
 # So a constellation is just the subdivision of tree i.
 
 
-def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
-    """Leaves and nulldots of u whose descending path passes through x."""
-    out = set()
-    for d in list(u.leaves) + list(u.nulldots):
-        if x in u.descending_chain(d):
-            out.add(d)
-    return frozenset(out)
-
-
-def _same_dots(name: str, dots, expected) -> list[Diagnostic]:
-    """No diagnostic when dots are exactly the expected dots of the next tree.
-
-    name is the structure map that exactness makes the identity; the
-    diagnostic is reported under it.
-    """
+def _same_dots(code: str, dots, expected, message: str) -> list[Diagnostic]:
+    """No diagnostic when dots are exactly the expected dots of the next tree, else one on the difference."""
     diff = sorted(set(dots) ^ set(expected))
-    if not diff:
-        return []
-    return [make("SigmaNotBijective", diff, name, f"{name} is not a bijection onto its expected codomain")]
+    return [make(code, diff, "exact constellation", message)] if diff else []
 
 
 def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -> list[Diagnostic]:
@@ -276,8 +238,8 @@ def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
     if out:
         return out
     whitedots = st.whitedots()
-    out.extend(_same_dots("sigma_black", t.nodes, u.leaves))
-    out.extend(_same_dots("sigma_white", whitedots, u.nulldots))
+    out.extend(_same_dots("BlackdotsNotNextLeaves", t.nodes, u.leaves, "the blackdots are not the leaves of the next tree"))
+    out.extend(_same_dots("WhitedotsNotNextNulldots", whitedots, u.nulldots, "the whitedots are not the nulldots of the next tree"))
     if out:
         return sorted(set(out), key=sort_key)
 

@@ -23,7 +23,9 @@ from opetopes.oracle import (
     oracle_kernel,
     oracle_lozenge,
     oracle_strictness,
+    path_order,
     run_fact_suite,
+    thinness_completions,
 )
 from opetopes.poset import (
     LOOP,
@@ -32,8 +34,6 @@ from opetopes.poset import (
     dfc_diagnostics,
     mop_diagnostics,
     mop_validate,
-    path_order,
-    thinness_completions,
 )
 from opetopes.to_poset import p_of
 from opetopes.to_zoom import compare_loops, whitedot_order, z_of
@@ -153,7 +153,7 @@ def test_criterion_6_oracle_equivalence(corpus):
             fast = [d for d in constellation_diagnostics(*c) if d.code == "KernelRuleViolated"]
             assert (oracle_kernel(*c) is None) == (not fast)
 
-    small = [d for d in dfcs if all(len(d.grade(k)) <= 8 for k in range(-1, d.dimension + 1))]
+    small = [d for d in dfcs if all(len(d.mop.grade(k)) <= 8 for k in range(-1, d.dimension + 1))]
     pairs_checked = 0
     for a in small[:6]:
         for b in small[:6]:

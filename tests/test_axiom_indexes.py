@@ -14,7 +14,8 @@ import pytest
 from opetopes import poset
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import dfc_to_doc, parse_dfc
-from opetopes.poset import LOOP, MINUS, ManyToOnePoset, make, sign_negate, sign_product, thinness_completions
+from opetopes.oracle import thinness_completions
+from opetopes.poset import LOOP, MINUS, ManyToOnePoset, make, sign_negate, sign_product
 from opetopes.to_poset import p_of
 
 from conftest import FIXTURES

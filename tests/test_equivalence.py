@@ -16,9 +16,9 @@ from opetopes.equivalence import (
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc
 from opetopes.isos import LevelMap, dfc_iso_failures, opetope_iso_failures
+from opetopes.oracle import make_opetope_iso, p_map, z_map
 from opetopes.poset import dfc_validate, mop_validate
-from opetopes.to_poset import p_map, p_of
-from opetopes.to_zoom import z_map, z_of
+from opetopes.to_poset import p_of
 
 from conftest import linear_opetope_doc, load_dfc_doc, load_ope_doc, relabel_doc
 from test_poset import ARROW
@@ -152,8 +152,6 @@ def test_naturality_square(omega_ope):
     for c in doc["constellations"]:
         c["subdivision"] = {r(k): [r(w) for w in ws] for k, ws in c["subdivision"].items()}
     other = opetope_from_doc(doc)
-    from opetopes.isos import make_opetope_iso
-
     f = make_opetope_iso(
         omega_ope,
         other,

@@ -19,12 +19,11 @@ from opetopes.io import (
     parse_dfc,
     parse_opetope,
     serialize_doc,
-    serialize_dfc,
-    serialize_opetope,
 )
-from opetopes.poset import dfc_diagnostics, mop_validate
+from opetopes.poset import dfc_diagnostics, dfc_validate, mop_validate
 from opetopes.to_poset import p_of
 from opetopes.to_zoom import level_tree
+from opetopes.trees import opetope_diagnostics
 
 from conftest import FIXTURES, fixture_text, linear_opetope_doc, load_dfc, relabel_doc
 
@@ -73,12 +72,11 @@ def test_structured_roundtrip_through_objects(rho_dfc, rho_ope):
     doc = dfc_to_doc(rho_dfc)
     mop = mop_validate(doc)
     assert not dfc_diagnostics(mop)
-    assert serialize_dfc(rho_dfc) == serialize_doc(doc)
+    assert serialize_doc(dfc_to_doc(dfc_validate(mop))) == serialize_doc(doc)
     doc = opetope_to_doc(rho_ope)
-    assert not __import__("opetopes.trees", fromlist=["opetope_diagnostics"]).opetope_diagnostics(
-        opetope_from_doc(doc)
-    )
-    assert serialize_opetope(rho_ope) == serialize_doc(doc)
+    ope = opetope_from_doc(doc)
+    assert not opetope_diagnostics(ope)
+    assert serialize_doc(opetope_to_doc(ope)) == serialize_doc(doc)
 
 
 def test_dot_export_dfc_has_all_cells(rho_dfc):
@@ -162,8 +160,6 @@ def test_cli_gen_output_validates(tmp_path, capsys):
     assert main(["gen", "--dim", "4", "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     ope = opetope_from_doc(doc)
-    from opetopes.trees import opetope_diagnostics
-
     assert not opetope_diagnostics(ope)
 
 

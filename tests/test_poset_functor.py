@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from opetopes import to_poset, trees
-from opetopes.diagnostics import NotAnIsomorphism
+from opetopes import oracle, to_poset
+from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.isos import LevelMap, OpetopeIso, make_opetope_iso
-from opetopes.poset import LOOP, MINUS, PLUS, delta_tree, dfc_diagnostics, thinness_completions
-from opetopes.to_poset import extend, nesting_subtrees, p_image, p_map, p_of, sigma_tree
+from opetopes.isos import LevelMap, OpetopeIso
+from opetopes.oracle import delta_tree, make_opetope_iso, p_map, sigma_tree, thinness_completions
+from opetopes.poset import LOOP, MINUS, dfc_diagnostics
+from opetopes.to_poset import extend, nesting_subtrees, p_image, p_of
 from opetopes.trees import RootedTree
 
 from conftest import load_ope, load_ope_doc
@@ -19,7 +20,7 @@ from opetopes.io import opetope_from_doc
 def test_extend_omega(omega_ope):
     ez = extend(omega_ope)
     s5, s6 = ez.trees[5], ez.trees[6]
-    assert s5.is_corolla and s5.nodes == (ez.top,)
+    assert s5.nodes == (ez.top,)
     assert set(s5.leaves) == {"a1", "a2", "a3"}
     assert s5.root == ez.ext_root
     assert s6.is_unit and s6.edges == (ez.top,)
@@ -30,7 +31,7 @@ def test_extend_omega(omega_ope):
 def test_extend_zero_opetope():
     ope = gen_opetope(0, GenParams(dim=0))
     ez = extend(ope)
-    assert ez.trees[1].is_corolla and len(ez.trees[1].leaves) == 1
+    assert len(ez.trees[1].nodes) == 1 and len(ez.trees[1].leaves) == 1
     assert ez.trees[2].is_unit
     assert ez.bottom == ez.ext_root
 
@@ -47,12 +48,12 @@ def test_extend_unit_top_tree_gets_the_top_whitedot():
 def test_nesting_subtree_examples(rho_ope):
     ez = extend(rho_ope)
     st = nesting_subtrees(ez, 1)["b4"]
-    assert st.is_unit and st.tree.edges == ("c1",) and st.dots == frozenset({"a3"})
+    assert st.tree.is_unit and st.tree.edges == ("c1",) and st.dots == frozenset({"a3"})
     st = nesting_subtrees(ez, 2)["a2"]
-    assert st.tree.is_corolla and st.root_name == "b3" and set(st.leaf_names) == {"b4", "b5"}
+    assert len(st.tree.nodes) == 1 and st.tree.root == "b3" and set(st.tree.leaves) == {"b4", "b5"}
     # a leaf edge of the extension corolla cuts out the corolla around its node
     st = nesting_subtrees(ez, 2)["a1"]
-    assert st.root_name == "b0" and set(st.leaf_names) == {"b2", "b3", "b6", "b7"}
+    assert st.tree.root == "b0" and set(st.tree.leaves) == {"b2", "b3", "b6", "b7"}
     assert st.tree.nodes == ("a1",)
 
 
@@ -60,22 +61,22 @@ def test_nesting_subtree_whitedot_runs(rho_ope):
     ez = extend(rho_ope)
     # the subtree under b3 contains the whitedot interval (a4, a3) on c1
     st = nesting_subtrees(ez, 1)["b3"]
-    assert st.is_unit and st.v == {"c1": ("a4", "a3")}
+    assert st.tree.is_unit and st.v == {"c1": ("a4", "a3")}
     assert st.dots == frozenset({"a3", "a4"})
 
 
 def test_p_of_counts(rho_ope, omega_ope):
     pd = p_of(rho_ope)
-    assert [len(pd.grade(k)) for k in range(-1, 4)] == [1, 3, 9, 8, 1]
+    assert [len(pd.mop.grade(k)) for k in range(-1, 4)] == [1, 3, 9, 8, 1]
     assert len(pd.omega_k[1]) == 5
     pd = p_of(omega_ope)
-    assert [len(pd.grade(k)) for k in range(-1, 5)] == [1, 3, 6, 7, 4, 1]
+    assert [len(pd.mop.grade(k)) for k in range(-1, 5)] == [1, 3, 6, 7, 4, 1]
 
 
 def test_p_of_arrow():
     pd = p_of(gen_opetope(0, GenParams(dim=1)))
-    assert [len(pd.grade(k)) for k in range(-1, 2)] == [1, 2, 1]
-    (f,) = pd.grade(1)
+    assert [len(pd.mop.grade(k)) for k in range(-1, 2)] == [1, 2, 1]
+    (f,) = pd.mop.grade(1)
     assert len(pd.mop.delta[f]) == 1 and len(pd.mop.gamma[f]) == 1
     assert pd.mop.delta[f] != pd.mop.gamma[f]
 
@@ -100,7 +101,7 @@ def test_loop_iff_unit_subtree(rho_ope, omega_ope):
         mop = img.dfc.mop
         for k in range(1, mop.dimension + 1):
             for x, st in nesting_subtrees(img.ez, k).items():
-                assert st.is_unit == mop.is_loop(x)
+                assert st.tree.is_unit == mop.is_loop(x)
 
 
 def test_sigma_tree_equals_delta_tree(rho_ope, omega_ope):
@@ -138,7 +139,7 @@ def test_sigma_tree_single_covering_corolla():
 def test_p_image_builds_one_expansion_per_level_and_walks_no_chains(monkeypatch):
     ope = gen_opetope(random.Random(5), GenParams(dim=5))
     expanded, chain_walks = [], []
-    real_expansion, real_descendant_dots = to_poset.Expansion, trees.descendant_dots
+    real_expansion, real_descendant_dots = to_poset.Expansion, oracle.descendant_dots
 
     def counting_expansion(st):
         expanded.append(st.base)
@@ -150,10 +151,17 @@ def test_p_image_builds_one_expansion_per_level_and_walks_no_chains(monkeypatch)
 
     monkeypatch.setattr(to_poset, "Expansion", counting_expansion)
     monkeypatch.setattr(to_poset, "descendant_dots", counting_descendant_dots, raising=False)
-    monkeypatch.setattr(trees, "descendant_dots", counting_descendant_dots)
+    monkeypatch.setattr(oracle, "descendant_dots", counting_descendant_dots)
     img = to_poset.p_image(ope)
     assert [id(t) for t in expanded] == [id(img.ez.trees[k + 1]) for k in range(1, 6)]
     assert chain_walks == []
+
+
+def test_p_of_reports_a_broken_kernel_rule_as_a_bug():
+    # p_of takes a validated opetope; the guards of its cuts trip only on one that is not
+    ope = opetope_from_doc(load_ope_doc("mutations/o02_whitedot_reorder.ope.json"))
+    with pytest.raises(InternalError):
+        p_of(ope)
 
 
 # -- the lozenge completion facts, checked verbatim on p_of output --------
@@ -237,7 +245,7 @@ def test_distinct_leaves_distinct_names(rho_ope, omega_ope):
         mop = img.dfc.mop
         for k in range(1, mop.dimension + 1):
             for st in nesting_subtrees(img.ez, k).values():
-                assert len(set(st.leaf_names)) == len(st.leaf_names)
+                assert len(set(st.tree.leaves)) == len(st.tree.leaves)
 
 
 # -- P on isomorphisms ----------------------------------------------------

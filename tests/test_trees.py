@@ -1,21 +1,21 @@
 """Tree layer: rooted trees, expansions, constellations, opetope shape rules."""
 
 import itertools
+import time
 
 import pytest
 
 from opetopes.diagnostics import ValidationError, make
-from opetopes.oracle import oracle_kernel, oracle_tree_paths
+from opetopes.oracle import descendant_dots, oracle_kernel, oracle_tree_paths
 from opetopes.trees import (
+    Expansion,
     Opetope,
     RootedTree,
     SubdividedTree,
     constellation_diagnostics,
-    descendant_dots,
     opetope_diagnostics,
-    subdivided_as_tree,
+    subdivided_diagnostics,
     tree_diagnostics,
-    tree_validate,
 )
 
 from conftest import constellations, load_ope, load_ope_doc
@@ -41,15 +41,29 @@ def codes(diags):
     return sorted({d.code for d in diags})
 
 
+def tree(doc) -> RootedTree:
+    """The rooted tree of a document that has no diagnostics."""
+    assert tree_diagnostics(**doc) == []
+    return RootedTree(**doc)
+
+
+def expansion_tree(st: SubdividedTree) -> RootedTree:
+    """The expansion of a subdivided tree, which must be a rooted tree."""
+    assert subdivided_diagnostics(st) == []
+    t = Expansion(st).tree
+    assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
+    return t
+
+
 def test_paper_tree_valid():
-    t = tree_validate(PAPER_TREE)
+    t = tree(PAPER_TREE)
     assert t.leaves == ("b2",)  # a3 and a4 cap the edges b4 and b5
     assert t.nulldots == ("a3", "a4")
     assert t.descending_chain("b4") == ["b4", "a2", "b3", "a1", "b1"]
 
 
 def test_unit_tree_valid():
-    t = tree_validate({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
+    t = tree({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
     assert t.is_unit and t.leaves == ("e",)
 
 
@@ -75,7 +89,7 @@ def test_tree_diagnostics_makes_no_descending_chain_call(monkeypatch, rho_ope, o
     assert calls == []
 
 
-def test_tree_validate_matches_naive_path_oracle():
+def test_tree_diagnostics_match_naive_path_oracle():
     # all small structures on <= 2 nodes and <= 3 edges, compared to the
     # oracle that just chases every root-directed path
     nodes = ["a", "b"]
@@ -94,9 +108,9 @@ def test_tree_validate_matches_naive_path_oracle():
 
 
 def test_expansion_matches_worked_subdivision():
-    t = tree_validate(PAPER_TREE)
+    t = tree(PAPER_TREE)
     st = SubdividedTree(t, {"b2": ("w1", "w2", "w3"), "b3": ("w4", "w5")})
-    exp = subdivided_as_tree(st)
+    exp = expansion_tree(st)
     assert len(exp.nodes) == 4 + 5
     assert len(exp.edges) == 5 + 5
     assert set(st.whitedots()) < set(exp.nodes)
@@ -105,23 +119,33 @@ def test_expansion_matches_worked_subdivision():
 
 
 def test_expansion_trivial_and_unit_cases():
-    t = tree_validate(PAPER_TREE)
-    empty = subdivided_as_tree(SubdividedTree(t, {}))
+    t = tree(PAPER_TREE)
+    empty = expansion_tree(SubdividedTree(t, {}))
     assert len(empty.nodes) == 4 and len(empty.edges) == 5
-    unit = tree_validate({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
-    two = subdivided_as_tree(SubdividedTree(unit, {"e": ("u", "v")}))
+    unit = tree({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
+    two = expansion_tree(SubdividedTree(unit, {"e": ("u", "v")}))
     assert len(two.nodes) == 2 and two.is_linear
 
 
 def test_expansions_differ_when_whitedot_counts_differ():
-    t = tree_validate(PAPER_TREE)
+    t = tree(PAPER_TREE)
     seen = {}
     for w in [{}, {"b2": ("u",)}, {"b2": ("u", "v")}, {"b3": ("u",)}]:
-        exp = subdivided_as_tree(SubdividedTree(t, w))
+        exp = expansion_tree(SubdividedTree(t, w))
         shape = (len(exp.nodes), len(exp.edges), tuple(sorted(len(exp.sources_of(a)) for a in exp.nodes)))
         key = tuple(sorted((b, len(ws)) for b, ws in w.items()))
         seen[key] = shape
     assert len(set(seen.values())) >= 3  # distinct per-edge counts change the shape
+
+
+def test_subdivision_check_is_linear():
+    # a corolla of 10,000 edges, each carrying one whitedot
+    leaves = [f"b{i}" for i in range(1, 10_000)]
+    corolla = RootedTree(["n"], ["b0", *leaves], {"n": "b0"}, {b: "n" for b in leaves}, "b0")
+    st = SubdividedTree(corolla, {b: (f"w{b}",) for b in corolla.edges})
+    start = time.perf_counter()
+    assert subdivided_diagnostics(st) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_descendant_dots(rho_ope):
@@ -143,13 +167,13 @@ def _chain_tree(blackdots):
     edges = [f"e{i}" for i in range(len(blackdots) + 1)]
     node_target = {x: edges[i] for i, x in enumerate(blackdots)}
     edge_target = {edges[i + 1]: x for i, x in enumerate(blackdots)}
-    return tree_validate(dict(nodes=blackdots, edges=edges, node_target=node_target,
-                              edge_target=edge_target, root="e0"))
+    return tree(dict(nodes=blackdots, edges=edges, node_target=node_target,
+                     edge_target=edge_target, root="e0"))
 
 
 def _two_corollas(first, second):
     """Tree r - n1 - t2 - n2 whose leaves are first at n1 and second at n2."""
-    return tree_validate(dict(
+    return tree(dict(
         nodes=["n1", "n2"],
         edges=["r", "t2", *first, *second],
         node_target={"n1": "r", "n2": "t2"},
@@ -173,21 +197,21 @@ def test_kernel_rule_split_detected_by_both_routes():
 
 def test_blackdots_must_be_the_next_leaves():
     t = _chain_tree(["x1"])
-    u = tree_validate(dict(nodes=["n"], edges=["r", "y1"], node_target={"n": "r"},
-                           edge_target={"y1": "n"}, root="r"))
+    u = tree(dict(nodes=["n"], edges=["r", "y1"], node_target={"n": "r"},
+                  edge_target={"y1": "n"}, root="r"))
     diags = constellation_diagnostics(t, {}, u)
-    assert [(d.code, d.cells) for d in diags] == [("SigmaNotBijective", ("x1", "y1"))]
+    assert [(d.code, d.cells, d.axiom) for d in diags] == [("BlackdotsNotNextLeaves", ("x1", "y1"), "exact constellation")]
 
 
-def test_unit_to_unit_constellation_has_no_sigma_black():
+def test_unit_to_unit_constellation_is_not_exact():
     # a dotless domain cannot hit the single leaf of a unit codomain; the
     # only constellations out of a unit tree carry at least one whitedot
-    unit = tree_validate({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
-    unit2 = tree_validate({"nodes": [], "edges": ["f"], "node_target": {}, "edge_target": {}, "root": "f"})
-    assert "SigmaNotBijective" in codes(constellation_diagnostics(unit, {}, unit2))
+    unit = tree({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
+    unit2 = tree({"nodes": [], "edges": ["f"], "node_target": {}, "edge_target": {}, "root": "f"})
+    assert codes(constellation_diagnostics(unit, {}, unit2)) == ["BlackdotsNotNextLeaves"]
     # with a whitedot standing for the codomain's nulldot-free shape it
     # still fails: a unit codomain has a leaf but no nulldot
-    assert "SigmaNotBijective" in codes(constellation_diagnostics(unit, {"e": ("w",)}, unit2))
+    assert codes(constellation_diagnostics(unit, {"e": ("w",)}, unit2)) == ["BlackdotsNotNextLeaves", "WhitedotsNotNextNulldots"]
 
 
 def test_opetope_fixtures_validate(rho_ope, omega_ope):
