@@ -7,30 +7,24 @@ points.
 
 from __future__ import annotations
 
-from .poset import ManyToOnePoset
-from .trees import Opetope, RootedTree, SubdividedTree
+from .poset import Dfc
+from .trees import Opetope
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def export_dot(obj) -> str:
-    if isinstance(obj, ManyToOnePoset):
+def export_dot(obj: Dfc | Opetope) -> str:
+    if isinstance(obj, Dfc):
         return _dot_hasse(obj)
-    if isinstance(obj, RootedTree):
-        return _dot_trees([("", SubdividedTree(obj, {}))])
-    if isinstance(obj, SubdividedTree):
-        return _dot_trees([("", obj)])
     if isinstance(obj, Opetope):
-        subdivisions = obj.subdivisions + ({},)  # the top tree carries none
-        return _dot_trees([(f"T{i}", SubdividedTree(t, sub)) for i, (t, sub) in enumerate(zip(obj.trees, subdivisions))])
-    if hasattr(obj, "mop"):
-        return _dot_hasse(obj.mop)
+        return _dot_trees(obj)
     raise TypeError(f"cannot export {type(obj).__name__} to DOT")
 
 
-def _dot_hasse(mop: ManyToOnePoset) -> str:
+def _dot_hasse(dfc: Dfc) -> str:
+    mop = dfc.mop
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
     for k in range(-1, mop.dimension + 1):
         grade = mop.grade(k)
@@ -39,28 +33,27 @@ def _dot_hasse(mop: ManyToOnePoset) -> str:
         members = " ".join(_quote(c) + ";" for c in grade)
         lines.append(f"  {{ rank=same; {members} }}")
     for x in sorted(mop.cells):
-        for y in mop.facets(x):
-            lines.append(f"  {_quote(y)} -> {_quote(x)} [label={_quote(mop.sign(y, x))}];")
+        for y, sign in zip(*mop.signed_facets[x]):
+            lines.append(f"  {_quote(y)} -> {_quote(x)} [label={_quote(sign)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_trees(pairs) -> str:
+def _dot_trees(ope: Opetope) -> str:
+    """One cluster per tree, T0 up to the top tree, which carries no whitedots."""
     lines = ["digraph trees {", "  rankdir=BT;"]
-    for prefix, st in pairs:
-        t = st.base
-        pre = (prefix + "/") if prefix else ""
-        if prefix:
-            lines.append(f"  subgraph {_quote('cluster_' + prefix)} {{")
-            lines.append(f"    label={_quote(prefix)};")
-        indent = "    " if prefix else "  "
+    for i, (t, subdivision) in enumerate(zip(ope.trees, ope.subdivisions + ({},))):
+        prefix = f"T{i}"
+        pre = prefix + "/"
+        lines.append(f"  subgraph {_quote('cluster_' + prefix)} {{")
+        lines.append(f"    label={_quote(prefix)};")
         for a in sorted(t.nodes):
-            lines.append(f"{indent}{_quote(pre + a)} [shape=circle, style=filled, fillcolor=black, fontcolor=white, label={_quote(a)}];")
+            lines.append(f"    {_quote(pre + a)} [shape=circle, style=filled, fillcolor=black, fontcolor=white, label={_quote(a)}];")
         ends: list[str] = []
 
         def port(edge: str, kind: str) -> str:
             name = f"{pre}{kind}:{edge}"
-            ends.append(f"{indent}{_quote(name)} [shape=point, label=\"\"];")
+            ends.append(f"    {_quote(name)} [shape=point, label=\"\"];")
             return name
 
         for b in sorted(t.edges):
@@ -68,14 +61,13 @@ def _dot_trees(pairs) -> str:
             upper = t.source_node_of(b)
             tail = pre + lower if lower is not None else port(b, "root")
             stops = [tail]
-            for w in st.w.get(b, ()):
-                lines.append(f"{indent}{_quote(pre + w)} [shape=circle, style=solid, label={_quote(w)}];")
+            for w in subdivision.get(b, ()):
+                lines.append(f"    {_quote(pre + w)} [shape=circle, style=solid, label={_quote(w)}];")
                 stops.append(pre + w)
             stops.append(pre + upper if upper is not None else port(b, "leaf"))
             for lo, hi in zip(stops, stops[1:]):
-                lines.append(f"{indent}{_quote(lo)} -> {_quote(hi)} [label={_quote(b)}, arrowhead=none];")
+                lines.append(f"    {_quote(lo)} -> {_quote(hi)} [label={_quote(b)}, arrowhead=none];")
         lines.extend(ends)
-        if prefix:
-            lines.append("  }")
+        lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .trees import Expansion, Opetope, RootedTree, SubdividedTree
+from .trees import Opetope, RootedTree, SubdividedTree, dot_adjacency
 
 CHILD_STOP = 0.45  # chance to stop opening further child circles
 GROW_STOP = 0.5    # chance to stop growing a child circle
@@ -78,10 +78,9 @@ def _grow_connected(rng: random.Random, pool: set[str], adj: dict, size: int) ->
 def gen_nesting(rng: random.Random, t_prime: SubdividedTree, namer: _Namer | None = None) -> RootedTree:
     """A random laminar nesting of the dots, read back as the next tree."""
     namer = namer or _Namer(level=99)
-    exp = Expansion(t_prime)
-    whitedots = set(exp.whitedots)
+    whitedots = set(t_prime.whitedots())
     dots = set(t_prime.dots())
-    adj = {d: set(v) for d, v in exp.dot_adjacency().items()}
+    adj = dot_adjacency(t_prime.base, t_prime.w)
 
     nodes: list[str] = []
     edges: list[str] = []

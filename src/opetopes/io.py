@@ -35,19 +35,28 @@ def serialize_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _check_id(value, path: str, strict: bool = False) -> None:
+def _path(where: tuple, *keys) -> str:
+    """The JSON path of field where = (array, index, field) and keys below it; built only for an error."""
+    array, i, field = where
+    return f"{array}[{i}].{field}" + "".join(f"[{json.dumps(k)}]" for k in keys)
+
+
+def _check_id(value, where: tuple, *keys, strict: bool = False) -> None:
     """Non-string scalars pass unless strict: the face-complex validators report them as bad ids."""
+    if type(value) is str:
+        return
     if isinstance(value, (list, dict)):
-        raise ParseError(f"{path} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
-    if strict and not isinstance(value, str):
-        raise ParseError(f"{path} must be a string id, not {json.dumps(value)}")
+        raise ParseError(f"{_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
+    if strict:
+        raise ParseError(f"{_path(where, *keys)} must be a string id, not {json.dumps(value)}")
 
 
-def _check_ids(value, path: str, container=list, strict: bool = False) -> None:
+def _check_ids(value, where: tuple, *keys, container=list, strict: bool = False) -> None:
     if not isinstance(value, container):
-        raise ParseError(f"{path} must be an {'array' if container is list else 'object'} of ids")
+        raise ParseError(f"{_path(where, *keys)} must be an {'array' if container is list else 'object'} of ids")
     for key, v in value.items() if container is dict else enumerate(value):
-        _check_id(v, f"{path}[{json.dumps(key)}]", strict)
+        if type(v) is not str:
+            _check_id(v, where, *keys, key, strict=strict)
 
 
 def detect_kind(doc) -> str:
@@ -77,20 +86,21 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
         rec.setdefault("dim", -1)
         rec.setdefault("delta", [])
         rec.setdefault("gamma", [])
-        _check_id(rec["id"], f"cells[{i}].id")
-        _check_ids(rec["delta"], f"cells[{i}].delta")
-        _check_ids(rec["gamma"], f"cells[{i}].gamma")
-        for key in sorted(set(rec) - DFC_CELL_KEYS):
-            warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
+        _check_id(rec["id"], ("cells", i, "id"))
+        _check_ids(rec["delta"], ("cells", i, "delta"))
+        _check_ids(rec["gamma"], ("cells", i, "gamma"))
+        if len(rec) > len(DFC_CELL_KEYS):  # rec holds every known field by now
+            for key in sorted(set(rec) - DFC_CELL_KEYS):
+                warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
     doc.setdefault("local_orders", [])
     if not isinstance(doc["local_orders"], list):
         raise ParseError("local_orders must be an array")
     for i, rec in enumerate(doc["local_orders"]):
         if not isinstance(rec, dict) or not {"x", "z", "order"} <= set(rec):
             raise ParseError("each local order is an object with 'x', 'z' and 'order'")
-        _check_id(rec["x"], f"local_orders[{i}].x")
-        _check_id(rec["z"], f"local_orders[{i}].z")
-        _check_ids(rec["order"], f"local_orders[{i}].order")
+        _check_id(rec["x"], ("local_orders", i, "x"))
+        _check_id(rec["z"], ("local_orders", i, "z"))
+        _check_ids(rec["order"], ("local_orders", i, "order"))
     for key in sorted(set(doc) - {"cells", "local_orders"}):
         warnings.append(f"document: unknown field {key!r} preserved")
     return doc, warnings
@@ -126,11 +136,11 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         rec.setdefault("edges", [])
         rec.setdefault("node_target", {})
         rec.setdefault("edge_target", {})
-        _check_id(rec["root"], f"trees[{i}].root", strict=True)
-        _check_ids(rec["nodes"], f"trees[{i}].nodes", strict=True)
-        _check_ids(rec["edges"], f"trees[{i}].edges", strict=True)
-        _check_ids(rec["node_target"], f"trees[{i}].node_target", dict, strict=True)
-        _check_ids(rec["edge_target"], f"trees[{i}].edge_target", dict, strict=True)
+        _check_id(rec["root"], ("trees", i, "root"), strict=True)
+        _check_ids(rec["nodes"], ("trees", i, "nodes"), strict=True)
+        _check_ids(rec["edges"], ("trees", i, "edges"), strict=True)
+        _check_ids(rec["node_target"], ("trees", i, "node_target"), container=dict, strict=True)
+        _check_ids(rec["edge_target"], ("trees", i, "edge_target"), container=dict, strict=True)
         for key in sorted(set(rec) - TREE_KEYS):
             warnings.append(f"tree {i}: unknown field {key!r} preserved")
     doc.setdefault("constellations", [])
@@ -143,10 +153,10 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         if not isinstance(rec["subdivision"], dict):
             raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
         for b, ws in rec["subdivision"].items():
-            _check_ids(ws, f"constellations[{i}].subdivision[{json.dumps(b)}]", strict=True)
+            _check_ids(ws, ("constellations", i, "subdivision"), b, strict=True)
         for key in ("sigma_black", "sigma_white"):
             if rec.get(key) is not None:
-                _check_ids(rec[key], f"constellations[{i}].{key}", dict, strict=True)
+                _check_ids(rec[key], ("constellations", i, key), container=dict, strict=True)
         for key in sorted(set(rec) - CONSTELLATION_KEYS):
             warnings.append(f"constellation {i}: unknown field {key!r} preserved")
     if len(doc["constellations"]) != len(doc["trees"]) - 1:

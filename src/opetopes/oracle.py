@@ -2,9 +2,10 @@
 
 The paper proves the two encodings equivalent through constructions the
 command line never runs: thinness completions, path orders, the source
-tree of a cell on each side (delta_tree, sigma_tree), the dots descending
-through an element, and the actions p_map and z_map of the two functors
-on isomorphisms (the zoom-side objects follow Kock, Joyal, Batanin and
+tree of a cell on each side (delta_tree, sigma_tree), descending chains
+and the dots descending through an element, the kernel rule by listing
+those dots, and the actions p_map and z_map of the two functors on
+isomorphisms (the zoom-side objects follow Kock, Joyal, Batanin and
 Mascari 2010).  They live here as references for the fast routes.
 
 The checkers favour exhaustive scans and matrix closures over the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .diagnostics import InternalError, NotAnIsomorphism, ValidationError, make
+from .diagnostics import Diagnostic, InternalError, NotAnIsomorphism, ValidationError, make, sort_key
 from .equivalence import _arrow_parts
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
@@ -116,11 +117,25 @@ def delta_tree(dfc: Dfc, a: str) -> RootedTree:
     return RootedTree(nodes, edges, node_target, edge_target, root)
 
 
+def descending_chain(tree: RootedTree, x: str) -> list[str]:
+    """Alternating element chain from x down to the root; x may be a node or an edge."""
+    chain = [x]
+    cur, is_edge = x, x in tree.edges
+    bound = len(tree.edges) + len(tree.nodes) + 1
+    for _ in range(bound):
+        nxt = tree.edge_target.get(cur) if is_edge else tree.node_target.get(cur)
+        if nxt is None:
+            return chain
+        chain.append(nxt)
+        cur, is_edge = nxt, not is_edge
+    raise ValidationError([make("Cycle", [x], "rooted tree", f"no finite descending path from {x!r}")])
+
+
 def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
     """Leaves and nulldots of u whose descending path passes through x."""
     out = set()
     for d in list(u.leaves) + list(u.nulldots):
-        if x in u.descending_chain(d):
+        if x in descending_chain(u, d):
             out.add(d)
     return frozenset(out)
 
@@ -302,6 +317,58 @@ def oracle_kernel(t: RootedTree, subdivision: dict, u: RootedTree):
     return None
 
 
+def oracle_kernel_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -> list[Diagnostic]:
+    """The KernelRuleViolated diagnostics of an exact constellation, by listing.
+
+    Every dot walks its descending chain in u, the dots over each element
+    are listed, and their components are searched in the adjacency of the
+    expansion; the reference for the counting route of
+    trees.constellation_diagnostics.
+    """
+    st = SubdividedTree(t, subdivision)
+    exp = Expansion(st)
+    adj: dict[str, set[str]] = {d: set() for d in exp.tree.nodes}
+    for seg in exp.tree.edges:
+        lo, hi = exp.segment_ends(seg)
+        if lo is not None and hi is not None:
+            adj[lo].add(hi)
+            adj[hi].add(lo)
+    pulled_at: dict[str, list[str]] = {}
+    for d in (*t.nodes, *st.whitedots()):
+        for x in descending_chain(u, d):
+            pulled_at.setdefault(x, []).append(d)
+    out = []
+    for x in [*sorted(u.nodes), *sorted(u.edges)]:
+        pulled = sorted(pulled_at.get(x, ()))
+        if len(pulled) <= 1:
+            continue
+        components = _components(pulled, adj)
+        if len(components) > 1:
+            out.append(make("KernelRuleViolated", [x] + pulled, "kernel rule", f"dots over {x!r} split into {len(components)} components"))
+    return sorted(out, key=sort_key)
+
+
+def _components(members, adj) -> list[list[str]]:
+    member_set = set(members)
+    seen: set[str] = set()
+    comps = []
+    for m in members:
+        if m in seen:
+            continue
+        comp = []
+        stack = [m]
+        seen.add(m)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w in member_set and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
 def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     """The nesting subtree under the edge x of tree k+2, computed for x alone.
 
@@ -461,7 +528,7 @@ def oracle_hexagon(dfc: Dfc) -> list[tuple]:
 
 def _tree_geodesic(tree, c, c2) -> list[str]:
     """Alternating node/edge path between two nodes of a tree."""
-    chain, chain2 = tree.descending_chain(c), tree.descending_chain(c2)
+    chain, chain2 = descending_chain(tree, c), descending_chain(tree, c2)
     members2 = {v: i for i, v in enumerate(chain2)}
     meet_i = next(i for i, v in enumerate(chain) if v in members2)
     return chain[: meet_i + 1] + chain2[: members2[chain[meet_i]]][::-1]

@@ -8,11 +8,14 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
 
-The face-complex checks index each cell x once instead of rescanning per
-chain: thinness maps every facet z of a facet to its completions over
-facets(x), acyclicity maps every cell to the facets of x it is a proper
-source of, and the local orders count the loop sources of x by the cell
-they loop on.
+A poset keeps one signed-facet table, built with it: each cell's facets in
+sorted order, each with its sign.  facets() returns the stored tuple, and
+the checks read the table instead of sorting and signing again.  They
+index each cell x once instead of rescanning per chain: thinness maps
+every facet z of a facet to its completions over the facets of x,
+acyclicity maps every cell to the facets of x it is a proper source of,
+and the local orders count the loop sources of x by the cell they loop
+on.
 """
 
 from __future__ import annotations
@@ -60,17 +63,17 @@ class ManyToOnePoset:
         self._minus_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
         self._plus_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
         self._loop_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
+        cofaces = {MINUS: self._minus_cofaces, PLUS: self._plus_cofaces, LOOP: self._loop_cofaces}
+        # x -> (its facets y in sorted order, the sign of each y < x: one character per facet)
+        self.signed_facets: dict[str, tuple[tuple[str, ...], str]] = {}
         for x in sorted(self.cells):
-            for y in sorted(self.delta[x] | self.gamma[x]):
-                if y not in self._minus_cofaces:
-                    continue  # dangling id; only during validation
-                s = self.sign(y, x)
-                if s == MINUS:
-                    self._minus_cofaces[y].append(x)
-                elif s == PLUS:
-                    self._plus_cofaces[y].append(x)
-                else:
-                    self._loop_cofaces[y].append(x)
+            dx, gx = self.delta[x], self.gamma[x]
+            facets = tuple(sorted(dx | gx))
+            signs = "".join((LOOP if y in gx else MINUS) if y in dx else PLUS for y in facets)
+            self.signed_facets[x] = (facets, signs)
+            for y, s in zip(facets, signs):
+                if y in self._minus_cofaces:  # else a dangling id; only during validation
+                    cofaces[s][y].append(x)
 
     # -- basic queries -------------------------------------------------
 
@@ -98,7 +101,7 @@ class ManyToOnePoset:
         return None
 
     def facets(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(self.delta[x] | self.gamma[x]))
+        return self.signed_facets[x][0]
 
     def delta_minus(self, x: str) -> frozenset[str]:
         return self.delta[x] - self.gamma[x]
@@ -122,9 +125,6 @@ class ManyToOnePoset:
 
     def loop_cofaces(self, y: str) -> tuple[str, ...]:
         return tuple(self._loop_cofaces[y])
-
-    def cofaces(self, y: str) -> tuple[str, ...]:
-        return tuple(sorted(self._minus_cofaces[y] + self._plus_cofaces[y] + self._loop_cofaces[y]))
 
     def lam(self) -> frozenset[str]:
         """Cells that are never the proper target of another cell; computed once."""
@@ -333,6 +333,7 @@ def _down_reach(mop: ManyToOnePoset, start: str) -> set[str]:
 
 def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     out = []
+    table = mop.signed_facets
     for x in sorted(mop.cells):
         if mop.dim[x] < 1:
             continue
@@ -340,18 +341,14 @@ def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         # in facet order, and how many y' are not loops on z below a source
         signed: dict[str, list[tuple[str, str, str]]] = {}
         other: dict[str, int] = {}
-        for y2 in mop.facets(x):
-            alpha2 = mop.sign(y2, x)
-            for z in mop.facets(y2):
-                beta2 = mop.sign(z, y2)
+        for y2, alpha2 in zip(*table[x]):
+            for z, beta2 in zip(*table[y2]):
                 if alpha2 != LOOP and beta2 != LOOP:
                     signed.setdefault(z, []).append((y2, alpha2, beta2))
                 if not (alpha2 == MINUS and beta2 == LOOP):
                     other[z] = other.get(z, 0) + 1
-        for y in mop.facets(x):
-            alpha = mop.sign(y, x)
-            for z in mop.facets(y):
-                beta = mop.sign(z, y)
+        for y, alpha in zip(*table[x]):
+            for z, beta in zip(*table[y]):
                 if alpha != LOOP and beta != LOOP:
                     comps = [c for c in signed[z] if c[0] != y]
                     if not comps:
@@ -377,8 +374,9 @@ def _acyclicity_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         fac = mop.facets(x)
         sources_on: dict[str, list[str]] = {}  # t -> facets a with t a proper source of a
         for a in fac:
-            for t in mop.delta_minus(a):
-                sources_on.setdefault(t, []).append(a)
+            for t, s in zip(*mop.signed_facets[a]):
+                if s == MINUS:
+                    sources_on.setdefault(t, []).append(a)
         succ = {b: [] for b in fac}
         for b in fac:
             if mop.dim[b] < 0 or not mop.gamma[b]:
@@ -417,7 +415,8 @@ def _find_cycle(vertices, succ) -> list[str] | None:
 def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     """Every DFC axiom violation; assumes mop already passed mop_diagnostics (local orders included)."""
     out: list[Diagnostic] = []
-    maximal = [c for c in sorted(mop.cells) if not mop.cofaces(c)]
+    faces = {y for x in mop.cells for y in mop.facets(x)}
+    maximal = [c for c in sorted(mop.cells) if c not in faces]
     if len(maximal) != 1:
         out.append(make("NoGreatestElement", maximal, "greatest element", f"{len(maximal)} maximal cells"))
     else:

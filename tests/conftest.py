@@ -121,3 +121,20 @@ def linear_opetope_doc(nodes: int) -> dict:
         chain,
     ]
     return {"dim": 2, "trees": trees, "constellations": [{"subdivision": {}}, {"subdivision": {}}]}
+
+
+def comb_opetope_doc(leaves: int) -> dict:
+    """The 3-opetope whose tree 2 is a chain of the given number of nodes and tree 3 a comb on them.
+
+    Comb node c{i} holds chain node n{i} as a leaf and carries the rest of
+    the comb on its spine edge f{i}; the last one holds the top two.
+    """
+    doc = linear_opetope_doc(leaves)
+    spine = [f"c{i}" for i in range(1, leaves)]
+    edges = [f"f{i}" for i in range(leaves - 1)] + [f"n{i}" for i in range(1, leaves + 1)]
+    node_target = {c: f"f{i}" for i, c in enumerate(spine)}
+    edge_target = {f"n{i}": f"c{i}" for i in range(1, leaves)}
+    edge_target.update({f"f{i}": f"c{i}" for i in range(1, leaves - 1)})
+    edge_target[f"n{leaves}"] = f"c{leaves - 1}"
+    comb = {"nodes": spine, "edges": edges, "node_target": node_target, "edge_target": edge_target, "root": "f0"}
+    return {"dim": 3, "trees": doc["trees"] + [comb], "constellations": doc["constellations"] + [{"subdivision": {}}]}

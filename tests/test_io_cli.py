@@ -9,11 +9,15 @@ import sys
 
 import pytest
 
+import opetopes.io
 from opetopes.cli import main
 from opetopes.diagnostics import ParseError
 from opetopes.dot import export_dot
+from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import (
     dfc_to_doc,
+    normalize_dfc,
+    normalize_opetope,
     opetope_from_doc,
     opetope_to_doc,
     parse_dfc,
@@ -22,7 +26,7 @@ from opetopes.io import (
 )
 from opetopes.poset import dfc_diagnostics, dfc_validate, mop_validate
 from opetopes.to_poset import p_of
-from opetopes.to_zoom import level_tree
+from opetopes.to_zoom import z_of
 from opetopes.trees import opetope_diagnostics
 
 from conftest import FIXTURES, fixture_text, linear_opetope_doc, load_dfc, relabel_doc
@@ -87,14 +91,23 @@ def test_dot_export_dfc_has_all_cells(rho_dfc):
     assert out.count("label=\"o\"") == 5  # one loop-signed edge per loop cell
 
 
+def _cluster(dot: str, name: str) -> str:
+    return dot.split(f'subgraph "cluster_{name}" {{')[1].split("\n  }")[0]
+
+
 def test_dot_export_trees(omega_dfc):
-    t3 = level_tree(omega_dfc, 3)
-    out = export_dot(t3)
-    assert out.count("fillcolor=black") == 4
-    assert out.count("arrowhead=none") == 6
-    unit = level_tree(omega_dfc, 6)
-    out = export_dot(unit)
-    assert out.count("arrowhead=none") == 1
+    out = export_dot(z_of(omega_dfc))
+    assert out.count("subgraph") == 5
+    # tree 3: four blackdots, six edges, one whitedot splitting an edge in two
+    t3 = _cluster(out, "T3")
+    assert t3.count("fillcolor=black") == 4
+    assert t3.count("style=solid") == 1
+    assert t3.count("arrowhead=none") == 7
+    # the top tree carries no whitedots
+    top = _cluster(out, "T4")
+    assert top.count("fillcolor=black") == 3
+    assert top.count("style=solid") == 0
+    assert top.count("arrowhead=none") == 7
 
 
 def path(name):
@@ -304,6 +317,21 @@ WRONG_TYPES = [
     ("rho3.ope.json", ("trees", 1, "nodes"), 3),
     ("rho3.ope.json", ("trees", 1, "edges", 0), {"id": "*"}),
 ]
+# the error of each WRONG_TYPES edit, in the same order
+WRONG_TYPE_ERRORS = [
+    "cells[1].id must be an id, not an array",
+    "cells[1].id must be an id, not an object",
+    "cells[21].delta[0] must be an id, not an array",
+    "cells[21].gamma[0] must be an id, not an array",
+    "cells[21].delta must be an array of ids",
+    "local_orders[0].x must be an id, not an array",
+    "local_orders[0].order must be an array of ids",
+    "constellations[2].subdivision must be an object mapping edges to arrays of whitedots",
+    'constellations[2].subdivision["c1"] must be an array of ids',
+    "trees[1].root must be an id, not an array",
+    "trees[1].nodes must be an array of ids",
+    "trees[1].edges[0] must be an id, not an object",
+]
 APPEND = "+"  # a last path key that appends the value to an array
 # (fixture, JSON path, value, path named in the error): ids of an opetope
 # document that are scalars but not strings
@@ -334,6 +362,30 @@ def _edited(tmp_path, name, field, value):
 @pytest.mark.parametrize("name, field, value", WRONG_TYPES + [case[:3] for case in NON_STRING_IDS])
 def test_cli_validate_rejects_wrong_json_types_without_a_traceback(tmp_path, capsys, name, field, value):
     assert main(["validate", str(_edited(tmp_path, name, field, value))]) in (1, 2)
+
+
+@pytest.mark.parametrize("case, error", list(zip(WRONG_TYPES, WRONG_TYPE_ERRORS)))
+def test_cli_names_the_json_path_of_a_wrong_type(tmp_path, capsys, case, error):
+    assert main(["validate", str(_edited(tmp_path, *case))]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_normalizing_a_valid_document_builds_no_json_path(monkeypatch):
+    texts = [fixture_text(name) for name in ("rho3.dfc.json", "omega4.dfc.json", "rho3.ope.json", "omega4.ope.json")]
+    rng = random.Random(5)
+    for dim in range(1, 6):
+        ope = gen_opetope(rng, GenParams(dim=dim))
+        texts += [serialize_doc(opetope_to_doc(ope)), serialize_doc(dfc_to_doc(p_of(ope)))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON path was built for a valid document")
+
+    monkeypatch.setattr(opetopes.io.json, "dumps", refuse)
+    monkeypatch.setattr(opetopes.io, "_path", refuse)
+    for text in texts:
+        doc = json.loads(text)
+        _, warnings = normalize_dfc(doc) if "cells" in doc else normalize_opetope(doc)
+        assert warnings == []
 
 
 @pytest.mark.parametrize("name, field, value, path", NON_STRING_IDS)

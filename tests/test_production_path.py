@@ -2,10 +2,10 @@
 
 Every command but oracle runs under a profile hook over the fixtures, the
 mutations, generated documents of dims 3 to 5 in both encodings, a
-malformed document and one of no kind.  Every def in the package outside
-oracle.py must be entered, bar the allowlist below with its reasons, and
-no function of oracle.py may be: the reference constructions live there
-and only there.
+malformed document, one with a field of the wrong JSON type and one of
+no kind.  Every def in the package outside oracle.py must be entered, bar
+the allowlist below with its reasons, and no function of oracle.py may
+be: the reference constructions live there and only there.
 """
 
 import ast
@@ -70,11 +70,12 @@ def _session(tmp: Path) -> None:
         assert _run(["convert", "--to", "dfc", ope, "-o", dfc]) == 0
         docs += [ope, dfc]
     assert _run(["gen", "--dim", 2, "--count", 2]) == 0
-    malformed, kindless = tmp / "malformed.json", tmp / "kindless.json"
+    malformed, wrong_type, kindless = tmp / "malformed.json", tmp / "wrong_type.json", tmp / "kindless.json"
     malformed.write_text('{"cells": [')
+    wrong_type.write_text('{"cells": [{"id": "a", "delta": [[]]}]}')
     kindless.write_text("{}")
     assert _run(["validate", *docs]) == 1
-    for doc in [*docs, malformed, kindless]:
+    for doc in [*docs, malformed, wrong_type, kindless]:
         for argv in (["info", doc], ["convert", "--to", "ope", doc], ["convert", "--to", "dfc", doc],
                      ["roundtrip", doc], ["export-dot", doc]):
             _run(argv)

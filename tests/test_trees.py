@@ -1,12 +1,17 @@
 """Tree layer: rooted trees, expansions, constellations, opetope shape rules."""
 
 import itertools
+import json
+import random
 import time
 
 import pytest
 
+from opetopes import oracle
+from opetopes.cli import main
 from opetopes.diagnostics import ValidationError, make
-from opetopes.oracle import descendant_dots, oracle_kernel, oracle_tree_paths
+from opetopes.generator import GenParams, gen_opetope
+from opetopes.oracle import descendant_dots, descending_chain, oracle_kernel, oracle_kernel_diagnostics, oracle_tree_paths
 from opetopes.trees import (
     Expansion,
     Opetope,
@@ -18,8 +23,8 @@ from opetopes.trees import (
     tree_diagnostics,
 )
 
-from conftest import constellations, load_ope, load_ope_doc
-from opetopes.io import opetope_from_doc
+from conftest import comb_opetope_doc, constellations, load_ope, load_ope_doc
+from opetopes.io import normalize_opetope, opetope_from_doc
 
 
 # the worked example tree: nodes a1..a4, edges b1..b5, root b1
@@ -55,11 +60,15 @@ def expansion_tree(st: SubdividedTree) -> RootedTree:
     return t
 
 
+def comb(leaves: int) -> Opetope:
+    return opetope_from_doc(normalize_opetope(comb_opetope_doc(leaves))[0])
+
+
 def test_paper_tree_valid():
     t = tree(PAPER_TREE)
     assert t.leaves == ("b2",)  # a3 and a4 cap the edges b4 and b5
     assert t.nulldots == ("a3", "a4")
-    assert t.descending_chain("b4") == ["b4", "a2", "b3", "a1", "b1"]
+    assert descending_chain(t, "b4") == ["b4", "a2", "b3", "a1", "b1"]
 
 
 def test_unit_tree_valid():
@@ -81,10 +90,10 @@ def test_node_without_target_and_cycle():
 
 def test_tree_diagnostics_makes_no_descending_chain_call(monkeypatch, rho_ope, omega_ope):
     calls = []
-    chain = RootedTree.descending_chain
-    monkeypatch.setattr(RootedTree, "descending_chain", lambda self, x: calls.append(x) or chain(self, x))
+    monkeypatch.setattr(oracle, "descending_chain", lambda tree, x: calls.append(x) or descending_chain(tree, x))
     for t in rho_ope.trees + omega_ope.trees:
         assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
+    assert opetope_diagnostics(rho_ope) == [] and opetope_diagnostics(omega_ope) == []
     assert codes(tree_diagnostics(**PAPER_TREE)) == [] and codes(tree_diagnostics(**CYCLE)) == ["Cycle"]
     assert calls == []
 
@@ -115,7 +124,7 @@ def test_expansion_matches_worked_subdivision():
     assert len(exp.edges) == 5 + 5
     assert set(st.whitedots()) < set(exp.nodes)
     # whitedots ascend from the target end: w1 sits below w2 on b2
-    assert "w1" in exp.descending_chain("w2")
+    assert "w1" in descending_chain(exp, "w2")
 
 
 def test_expansion_trivial_and_unit_cases():
@@ -156,10 +165,11 @@ def test_descendant_dots(rho_ope):
 
 
 def test_constellations_of_fixtures_ok(rho_ope, omega_ope):
-    for ope in (rho_ope, omega_ope):
+    for ope in (rho_ope, omega_ope, comb(2), comb(40)):
         for c in constellations(ope):
             assert not constellation_diagnostics(*c)
             assert oracle_kernel(*c) is None
+            assert oracle_kernel_diagnostics(*c) == []
 
 
 def _chain_tree(blackdots):
@@ -247,3 +257,47 @@ def test_kernel_rule_for_edges_follows_from_nodes(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
         for c in constellations(ope):
             assert not [d for d in constellation_diagnostics(*c) if d.code == "KernelRuleViolated"]
+
+
+def _swap_dots(u: RootedTree, rng) -> RootedTree | None:
+    """u with two leaves, or two nulldots, trading places below; None when u has no such pair."""
+    pairs = [(u.edge_target, [b for b in u.leaves if b in u.edge_target]), (u.node_target, list(u.nulldots))]
+    rng.shuffle(pairs)
+    for targets, dots in pairs:
+        movable = [(a, b) for a, b in itertools.combinations(dots, 2) if targets[a] != targets[b]]
+        if movable:
+            a, b = rng.choice(movable)
+            swapped = {**targets, a: targets[b], b: targets[a]}
+            node_target = swapped if targets is u.node_target else u.node_target
+            edge_target = swapped if targets is u.edge_target else u.edge_target
+            return RootedTree(u.nodes, u.edges, node_target, edge_target, u.root)
+    return None
+
+
+def test_kernel_rule_by_counting_matches_the_listing_route_on_dot_swaps():
+    rng = random.Random(7)
+    opetopes = [gen_opetope(rng, GenParams(dim=dim)) for dim in (3, 4, 5) for _ in range(20)]
+    opetopes += [comb(n) for n in (3, 4, 12, 40)]
+    checked = violated = 0
+    for ope in opetopes:
+        for t, sub, u in constellations(ope):
+            for _ in range(6):
+                swapped = _swap_dots(u, rng)
+                if swapped is None:
+                    break
+                diags = constellation_diagnostics(t, sub, swapped)
+                assert diags == oracle_kernel_diagnostics(t, sub, swapped)
+                assert (oracle_kernel(t, sub, swapped) is None) == (not diags)
+                checked += 1
+                violated += bool(diags)
+    assert checked >= 500 and violated >= 80, (checked, violated)
+
+
+def test_validate_of_a_4000_leaf_comb_is_fast(tmp_path, capsys):
+    # a walk to the root from every dot would take seconds on this comb
+    path = tmp_path / "comb.ope.json"
+    path.write_text(json.dumps(comb_opetope_doc(4000)))
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert '"valid": true' in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from opetopes.diagnostics import NotAnIsomorphism
 from opetopes.equivalence import opetope_iso_search
 from opetopes.isos import DfcIso, make_dfc_iso
-from opetopes.oracle import z_map
+from opetopes.oracle import descending_chain, z_map
 from opetopes.poset import LOOP, MINUS, PLUS, dfc_validate, mop_validate
 from opetopes.to_poset import p_of
 from opetopes.to_zoom import (
@@ -27,7 +27,7 @@ from test_poset import ARROW
 def test_level_tree_rho_base(rho_dfc):
     t2 = level_tree(rho_dfc, 2)
     assert t2.is_linear and t2.root == "c0"
-    assert t2.descending_chain("c2") == ["c2", "b2", "c1", "b1", "c0"]
+    assert descending_chain(t2, "c2") == ["c2", "b2", "c1", "b1", "c0"]
 
 
 def test_level_tree_top_levels(rho_dfc):
