@@ -33,8 +33,8 @@ def _dot_hasse(dfc: Dfc) -> str:
         members = " ".join(_quote(c) + ";" for c in grade)
         lines.append(f"  {{ rank=same; {members} }}")
     for x in sorted(mop.cells):
-        for y, sign in zip(*mop.signed_facets[x]):
-            lines.append(f"  {_quote(y)} -> {_quote(x)} [label={_quote(sign)}];")
+        for y in mop.facets(x):
+            lines.append(f"  {_quote(y)} -> {_quote(x)} [label={_quote(mop.sign(y, x))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -42,21 +42,24 @@ def _path(where: tuple, *keys) -> str:
 
 
 def _check_id(value, where: tuple, *keys, strict: bool = False) -> None:
-    """Non-string scalars pass unless strict: the face-complex validators report them as bad ids."""
-    if type(value) is str:
-        return
-    if isinstance(value, (list, dict)):
-        raise ParseError(f"{_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
-    if strict:
-        raise ParseError(f"{_path(where, *keys)} must be a string id, not {json.dumps(value)}")
+    if type(value) is not str:
+        _check_non_string_id(value, where, *keys, strict=strict)
 
 
 def _check_ids(value, where: tuple, *keys, container=list, strict: bool = False) -> None:
     if not isinstance(value, container):
         raise ParseError(f"{_path(where, *keys)} must be an {'array' if container is list else 'object'} of ids")
     for key, v in value.items() if container is dict else enumerate(value):
-        if type(v) is not str:
-            _check_id(v, where, *keys, key, strict=strict)
+        if type(v) is not str:  # inline: a call per id costs more than the rest of normalizing
+            _check_non_string_id(v, where, *keys, key, strict=strict)
+
+
+def _check_non_string_id(value, where: tuple, *keys, strict: bool) -> None:
+    """Non-string scalars pass unless strict: the face-complex validators report them as bad ids."""
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
+    if strict:
+        raise ParseError(f"{_path(where, *keys)} must be a string id, not {json.dumps(value)}")
 
 
 def detect_kind(doc) -> str:
@@ -89,9 +92,8 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
         _check_id(rec["id"], ("cells", i, "id"))
         _check_ids(rec["delta"], ("cells", i, "delta"))
         _check_ids(rec["gamma"], ("cells", i, "gamma"))
-        if len(rec) > len(DFC_CELL_KEYS):  # rec holds every known field by now
-            for key in sorted(set(rec) - DFC_CELL_KEYS):
-                warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
+        for key in sorted(set(rec) - DFC_CELL_KEYS):
+            warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
     doc.setdefault("local_orders", [])
     if not isinstance(doc["local_orders"], list):
         raise ParseError("local_orders must be an array")

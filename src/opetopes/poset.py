@@ -67,9 +67,8 @@ class ManyToOnePoset:
         # x -> (its facets y in sorted order, the sign of each y < x: one character per facet)
         self.signed_facets: dict[str, tuple[tuple[str, ...], str]] = {}
         for x in sorted(self.cells):
-            dx, gx = self.delta[x], self.gamma[x]
-            facets = tuple(sorted(dx | gx))
-            signs = "".join((LOOP if y in gx else MINUS) if y in dx else PLUS for y in facets)
+            facets = tuple(sorted(self.delta[x] | self.gamma[x]))
+            signs = "".join(self.sign(y, x) for y in facets)
             self.signed_facets[x] = (facets, signs)
             for y, s in zip(facets, signs):
                 if y in self._minus_cofaces:  # else a dangling id; only during validation

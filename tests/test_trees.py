@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from opetopes import oracle
 from opetopes.cli import main
 from opetopes.diagnostics import ValidationError, make
 from opetopes.generator import GenParams, gen_opetope
@@ -86,16 +85,6 @@ def test_node_without_target_and_cycle():
     bad = dict(nodes=["a"], edges=["e"], node_target={}, edge_target={"e": "a"}, root="e")
     assert "NodeWithoutTarget" in codes(tree_diagnostics(**bad))
     assert tree_diagnostics(**CYCLE) == [make("Cycle", ["e"], "rooted tree", "no finite descending path from 'e'")]
-
-
-def test_tree_diagnostics_makes_no_descending_chain_call(monkeypatch, rho_ope, omega_ope):
-    calls = []
-    monkeypatch.setattr(oracle, "descending_chain", lambda tree, x: calls.append(x) or descending_chain(tree, x))
-    for t in rho_ope.trees + omega_ope.trees:
-        assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
-    assert opetope_diagnostics(rho_ope) == [] and opetope_diagnostics(omega_ope) == []
-    assert codes(tree_diagnostics(**PAPER_TREE)) == [] and codes(tree_diagnostics(**CYCLE)) == ["Cycle"]
-    assert calls == []
 
 
 def test_tree_diagnostics_match_naive_path_oracle():

@@ -1,13 +1,13 @@
 """Time the command line on large generated opetopes, one table row per dimension.
 
-    PYTHONPATH=src python tools/scale_table.py 11 12 13 [--comb LEAVES]
+    PYTHONPATH=src python tools/scale_table.py 11 12 13
 
 For each dimension given, draws one opetope with
 GenParams(dim, max_tree_dots=100000, max_whitedots_per_edge=3) from
 random.Random(1), and times in this process, through opetopes.cli.main:
 convert --to dfc, validate of both encodings, and iso of each document
 against a relabelled copy of it, in both encodings.  The last row does the
-same for the 3-opetope whose tree 3 is a comb on LEAVES leaves
+same for the 3-opetope whose tree 3 is a comb on COMB_LEAVES leaves
 (tests/conftest.py, comb_opetope_doc).  Peak RSS is the peak of this
 process so far.  Documents go to a temporary directory, removed at the
 end.  Times are single runs; a row is printed as soon as it is measured.
@@ -33,6 +33,7 @@ from opetopes.io import opetope_to_doc, serialize_doc
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import comb_opetope_doc, relabel_doc  # noqa: E402
 
+COMB_LEAVES = 1000
 COLUMNS = ("cells", "`convert --to dfc`", "`validate` .ope", "`validate` .dfc", "`iso` .ope", "`iso` .dfc", "peak RSS")
 
 
@@ -63,7 +64,6 @@ def _row(name: str, ope_doc: dict, tmp: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the command line on large generated opetopes.")
     parser.add_argument("dims", type=int, nargs="+", help="dimensions to draw, one row each")
-    parser.add_argument("--comb", type=int, default=1000, help="leaves of the comb row (0 leaves it out)")
     args = parser.parse_args(argv)
     print("| dim | " + " | ".join(COLUMNS) + " |")
     print("| --- " * (len(COLUMNS) + 1) + "|")
@@ -71,8 +71,7 @@ def main(argv=None) -> int:
         for dim in args.dims:
             ope = gen_opetope(random.Random(1), GenParams(dim, max_tree_dots=100000, max_whitedots_per_edge=3))
             print(_row(str(dim), opetope_to_doc(ope), Path(tmp)), flush=True)
-        if args.comb:
-            print(_row(f"comb {args.comb}", comb_opetope_doc(args.comb), Path(tmp)), flush=True)
+        print(_row(f"comb {COMB_LEAVES}", comb_opetope_doc(COMB_LEAVES), Path(tmp)), flush=True)
     return 0
 
 
