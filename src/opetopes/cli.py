@@ -113,6 +113,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag, value in (("--dim", args.dim), ("--max-nodes", args.max_nodes), ("--max-whitedots", args.max_whitedots)):
+        if value < 0:
+            raise ParseError(f"{flag} must not be negative, got {value}")
     params = generator.GenParams(
         dim=args.dim,
         max_linear_nodes=args.max_nodes,
@@ -140,6 +143,9 @@ def cmd_oracle(args) -> int:
     if args.check == "lozenge":
         if kind != "dfc":
             raise ParseError("lozenge oracle needs a DFC document")
+        for flag, cell in (("-z", args.z), ("-y", args.y), ("-x", args.x)):
+            if cell not in obj.mop.dim:
+                raise ParseError(f"lozenge oracle needs {flag} to name a cell, got {cell!r}")
         comps = oracle.oracle_lozenge(obj.mop, args.z, args.y, args.x)
         _emit({"chain": [args.z, args.y, args.x], "completions": [list(c) for c in comps]})
         return OK
@@ -167,6 +173,8 @@ def cmd_oracle(args) -> int:
         _emit({"hexagon": "ok" if not bad else [list(map(str, b)) for b in bad]})
         return OK if not bad else INVALID
     if args.check == "iso":
+        if args.against is None:
+            raise ParseError("iso oracle needs a second document, given with --against")
         kind2, other = _load_any(args.against)
         if kind != "dfc" or kind2 != "dfc":
             raise ParseError("iso oracle needs two DFC documents")

@@ -1,12 +1,13 @@
 """The reference side: the paper's constructions and brute-force re-checks.
 
 The paper proves the two encodings equivalent through constructions the
-command line never runs: thinness completions, path orders, the source
-tree of a cell on each side (delta_tree, sigma_tree), descending chains
-and the dots descending through an element, the kernel rule by listing
-those dots, and the actions p_map and z_map of the two functors on
-isomorphisms (the zoom-side objects follow Kock, Joyal, Batanin and
-Mascari 2010).  They live here as references for the fast routes.
+command line never runs: thinness completions, path orders, expansions
+of subdivided trees and the nesting subtree each cell cuts out of one,
+the source tree of a cell on each side (delta_tree, sigma_tree),
+descending chains and the dots descending through an element, the kernel
+rule by listing those dots, and the actions p_map and z_map of the two
+functors on isomorphisms (the zoom-side objects follow Kock, Joyal,
+Batanin and Mascari 2010).  They live here as references for the fast routes.
 
 The checkers favour exhaustive scans and matrix closures over the
 traversal logic used by the validators and translators, so the two routes
@@ -23,12 +24,76 @@ from .diagnostics import Diagnostic, InternalError, NotAnIsomorphism, Validation
 from .equivalence import _arrow_parts
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
-from .to_poset import ExtendedZoom, NestingSubtree, PImage, nesting_subtrees, p_image
+from .to_poset import ExtendedZoom, PImage, p_image
 from .to_zoom import level_tree, whitedot_order, z_of
-from .trees import Expansion, Opetope, RootedTree, SubdividedTree, tree_diagnostics
+from .trees import Opetope, RootedTree, SubdividedTree, tree_diagnostics
 
 
 # -- the paper's reference constructions ---------------------------------
+
+
+class Expansion:
+    """The expansion of a subdivided tree: whitedots promoted to nodes.
+
+    Edges of the expansion are segments; origin maps a segment back to
+    (original edge, index from the target end).
+    """
+
+    def __init__(self, st: SubdividedTree):
+        base = st.base
+        used = set(base.nodes) | set(base.edges) | set(st.whitedots())
+        nodes = list(base.nodes)
+        edges: list[str] = []
+        node_target = dict(base.node_target)
+        edge_target = dict(base.edge_target)
+        origin: dict[str, tuple[str, int]] = {}
+        segments_of: dict[str, list[str]] = {}
+        for b in sorted(base.edges):
+            dots = list(st.w.get(b, ()))
+            segs = []
+            for i in range(len(dots) + 1):
+                s = f"{b}#{i}"
+                while s in used:
+                    s += "'"
+                used.add(s)
+                segs.append(s)
+                origin[s] = (b, i)
+            segments_of[b] = segs
+            edges.extend(segs)
+            nodes.extend(dots)
+            # lowest segment inherits b's target node, topmost its source node
+            tgt = base.edge_target.get(b)
+            edge_target.pop(b, None)
+            if tgt is not None:
+                edge_target[segs[0]] = tgt
+            src = base.source_node_of(b)
+            if src is not None:
+                node_target[src] = segs[-1]
+            for i, d in enumerate(dots):
+                node_target[d] = segs[i]
+                edge_target[segs[i + 1]] = d
+        root_seg = segments_of[base.root][0]
+        self.tree = RootedTree(nodes, edges, node_target, edge_target, root_seg)
+        self.origin = origin
+        self.whitedots = frozenset(st.whitedots())
+
+    def segment_ends(self, seg: str) -> tuple[str | None, str | None]:
+        """(dot below, dot above) of a segment; None at the boundary."""
+        return self.tree.edge_target.get(seg), self.tree.source_node_of(seg)
+
+
+@dataclass(frozen=True)
+class NestingSubtree:
+    """The subtree of tree k+1 cut out by the dots descending to a cell.
+
+    The tree's edges are renamed to the original edges their segments came
+    from; whitedots inside the cut are recorded per edge in v.
+    """
+
+    owner: str
+    dots: frozenset[str]
+    tree: RootedTree
+    v: dict
 
 
 def thinness_completions(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
@@ -149,8 +214,7 @@ def sigma_tree(pz: PImage, x: str) -> RootedTree:
         raise ValueError(f"source trees need dimension >= 2, got {x!r}")
     if mop.is_loop(x):
         raise ValueError(f"{x!r} is a loop cell")
-    level = nesting_subtrees(ez, k - 1)
-    cuts = {y: level[y].tree for y in sorted(mop.delta[x])}
+    cuts = {y: oracle_nesting_subtree(ez, k - 1, y).tree for y in sorted(mop.delta[x])}
     nodes = sorted(y for y, t in cuts.items() if not t.is_unit)
     root = mop.gamma_cell(mop.gamma_cell(x))
     edges = sorted({root} | {z for y in nodes for z in (set(cuts[y].leaves) | {cuts[y].root})})
@@ -372,10 +436,11 @@ def _components(members, adj) -> list[list[str]]:
 def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     """The nesting subtree under the edge x of tree k+2, computed for x alone.
 
-    The per-cell reference for to_poset.nesting_subtrees: it rebuilds the
-    expansion of tree k+1, collects the dots above x by walking the
-    descending chain of every leaf and nulldot, and groups every segment of
-    the expansion, so one cell costs as much as the whole level.
+    It builds the expansion of tree k+1, collects the dots above x by
+    walking the descending chain of every leaf and nulldot, and groups
+    every segment of the expansion, so one cell costs as much as the whole
+    level.  Its leaves and root are the sources and target that
+    to_poset reads off the signed segment counts.
     """
     s_hi = ez.trees[k + 2]
     s_lo = ez.trees[k + 1]

@@ -2,14 +2,20 @@
 
 The opetope is first extended by a corolla and a unit tree on a fresh top
 element; the cells of the complex are then the edges of the trees of
-degree >= 2, with sources and target read off the nesting subtree each
-cell cuts out of the tree one degree down.
+degree >= 2.  A cell x of tree k+2 has as sources the leaves, and as target
+the root, of the nesting subtree it cuts out of tree k+1; both are read off
+a signed count instead of building that subtree.
 
-The cuts are made one level at a time: one expansion of tree k+1, one
-bottom-up sweep of tree k+2 for the dots above each of its edges, and per
-cell a union-find over the segments next to that cell's dots only.
-oracle.oracle_nesting_subtree cuts a single cell from scratch and is the
-reference this route is tested against.
+A segment (b, i) is the stretch of edge b of tree k+1 above its i-th
+whitedot, counted from the target end.  Each dot counts +1 on the segments
+just above it and -1 on the one just below it.  Over the dots above x the
+segments between two of them cancel; those dots are connected (the kernel
+rule), so one -1 is left, on the target of x, and the +1 segments lie on
+its sources.  A loop's -1 segment places it in its local order.  One sweep
+of tree k+2 from the top adds each count into the one below it; a count
+holds one entry per source plus one, so a level costs its input plus its
+output.  oracle.oracle_nesting_subtree builds the subtree of a single cell
+and is the reference this route is tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 from .diagnostics import InternalError
 from .poset import Dfc, trusted_dfc, trusted_mop
-from .trees import Expansion, Opetope, RootedTree, SubdividedTree
+from .trees import Opetope, RootedTree
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -71,116 +77,52 @@ def extend(ope: Opetope) -> ExtendedZoom:
     return ExtendedZoom(ope, ope.trees + (corolla, unit), ope.subdivisions + (v_n, {}), top, ext_root)
 
 
-# -- nesting subtrees ---------------------------------------------------
+# -- signed segment counts ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class NestingSubtree:
-    """The subtree of tree k+1 cut out by the dots descending to a cell.
-
-    The tree's edges are renamed to the original edges their segments came
-    from; whitedots inside the cut are recorded per edge in v.
-    """
-
-    owner: str
-    dots: frozenset[str]
-    tree: RootedTree
-    v: dict
-
-
-def nesting_subtrees(ez: ExtendedZoom, k: int) -> dict[str, NestingSubtree]:
-    """The nesting subtree of the degree-(k+1) tree under every edge of tree k+2.
-
-    One expansion of tree k+1 and one bottom-up sweep of tree k+2 serve
-    the whole level; each cut then only looks at the segments next to its
-    own dots.
-    """
-    s_lo = ez.trees[k + 1]
-    exp = Expansion(SubdividedTree(s_lo, ez.subdivisions[k + 1]))
-    blackdots = frozenset(s_lo.nodes)
-    above = _dots_above(ez.trees[k + 2], blackdots | exp.whitedots)
-    return {x: _cut(exp, blackdots, x, above[x]) for x in sorted(ez.trees[k + 2].edges)}
+def _dot_counts(t: RootedTree, w: dict) -> dict[str, dict]:
+    """The count of every dot of subdivided tree t: +1 on each segment just above it, -1 on the one just below."""
+    counts: dict[str, dict] = {}
+    for a in t.nodes:
+        b = t.node_target[a]
+        counts[a] = {(s, 0): 1 for s in t.sources_of(a)}
+        counts[a][(b, len(w.get(b, ())))] = -1
+    for b, whitedots in w.items():
+        for i, d in enumerate(whitedots):
+            counts[d] = {(b, i + 1): 1, (b, i): -1}
+    return counts
 
 
-def _dots_above(u: RootedTree, keep: frozenset[str]) -> dict[str, frozenset[str]]:
-    """For every element of u, the leaves and nulldots in keep whose descending path meets it."""
-    order, stack = [], [u.root]  # each element after the one below it
+def _signed_counts(ez: ExtendedZoom, k: int) -> dict[str, tuple[list[str], tuple[str, int]]]:
+    """The sources and the target segment of every edge of tree k+2, in one sweep from its top."""
+    u = ez.trees[k + 2]
+    counts = _dot_counts(ez.trees[k + 1], ez.subdivisions[k + 1])
+    order, stack = [], [u.root]  # each edge of u before the edges above it
     while stack:
-        b = stack.pop()
-        order.append((b, False))
-        a = u.source_node_of(b)
+        order.append(stack.pop())
+        a = u.source_node_of(order[-1])
         if a is not None:
-            order.append((a, True))
             stack.extend(u.sources_of(a))
-    above: dict[str, frozenset[str]] = {}
-    for x, is_node in reversed(order):
-        if is_node:
-            srcs = u.sources_of(x)
-            above[x] = frozenset().union(*(above[b] for b in srcs)) if srcs else frozenset({x}) & keep
-        else:
-            a = u.source_node_of(x)
-            above[x] = above[a] if a is not None else frozenset({x}) & keep
-    return above
-
-
-def _cut(exp: Expansion, blackdots: frozenset[str], x: str, dots: frozenset[str]) -> NestingSubtree:
-    """The subtree cut out by dots: the segments next to them, grouped through their whitedots."""
-    seg_tree = exp.tree
-    parent: dict[str, str] = {}
-    for d in sorted(dots):
-        for s in (seg_tree.node_target[d], *seg_tree.sources_of(d)):
-            parent[s] = s
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for w in sorted(dots & exp.whitedots):
-        below = find(seg_tree.node_target[w])
-        for s in seg_tree.sources_of(w):
-            parent[find(s)] = below
-
-    # each group is one edge of the subtree and stays inside a single
-    # original edge; only segments next to a dot of the cut were taken in
-    groups: dict[str, list[str]] = {}
-    for s in parent:
-        groups.setdefault(find(s), []).append(s)
-    kept = []
-    for segs in groups.values():
-        segs.sort(key=lambda s: exp.origin[s][1])
-        lo_end, _ = exp.segment_ends(segs[0])
-        _, hi_end = exp.segment_ends(segs[-1])
-        names = {exp.origin[s][0] for s in segs}
-        if len(names) != 1:
-            raise InternalError(f"segment group of {x!r} crosses original edges {sorted(names)}")
-        kept.append({
-            "name": names.pop(),
-            "target": lo_end if lo_end in dots and lo_end in blackdots else None,
-            "source": hi_end if hi_end in dots and hi_end in blackdots else None,
-            "whitedots": tuple(seg_tree.edge_target[s] for s in segs[1:]),
-        })
-
-    nodes = sorted(dots & blackdots)
-    names = [info["name"] for info in kept]
-    if len(set(names)) != len(names):
-        raise InternalError(f"cut of {x!r} reuses an edge name; the opetope breaks the kernel rule")
-    edges = sorted(names)
-    node_target, edge_target, v = {}, {}, {}
-    roots = []
-    for info in kept:
-        if info["target"] is not None:
-            edge_target[info["name"]] = info["target"]
-        else:
-            roots.append(info["name"])
-        if info["source"] is not None:
-            node_target[info["source"]] = info["name"]
-        if info["whitedots"]:
-            v[info["name"]] = info["whitedots"]
-    if len(roots) != 1:
-        raise InternalError(f"cut of {x!r} has {len(roots)} root candidates {sorted(roots)}; the opetope breaks the kernel rule")
-    return NestingSubtree(x, dots, RootedTree(nodes, edges, node_target, edge_target, roots[0]), v)
+    summed, cells = {}, {}
+    for x in reversed(order):
+        a = u.source_node_of(x)
+        srcs = () if a is None else u.sources_of(a)
+        if srcs:
+            count = summed.pop(srcs[0])
+        else:  # a leaf of u is a blackdot of tree k+1, a nulldot of u a whitedot
+            count = counts[x if a is None else a]
+        for s in srcs[1:]:
+            # the dots above two sibling edges are disjoint, so a segment
+            # they share is +1 in one count and -1 in the other
+            for seg, c in summed.pop(s).items():
+                if count.pop(seg, None) is None:
+                    count[seg] = c
+        targets = [seg for seg, c in count.items() if c < 0]
+        if len(targets) != 1:
+            raise InternalError(f"the dots above {x!r} leave {len(targets)} target segments; the opetope breaks the kernel rule")
+        cells[x] = (sorted({b for (b, _), c in count.items() if c > 0}), targets[0])
+        summed[x] = count
+    return cells
 
 
 # -- the complex of an opetope ------------------------------------------
@@ -199,19 +141,16 @@ def p_image(ope: Opetope) -> PImage:
     n = ez.base_dim
     records = [{"id": ez.bottom, "dim": -1, "delta": [], "gamma": []}]
     records += [{"id": x, "dim": 0, "delta": [], "gamma": [ez.bottom]} for x in sorted(ez.trees[2].edges)]
-    subtree: dict[str, NestingSubtree] = {}
+    target_segment: dict[str, tuple[str, int]] = {}
     for k in range(1, n + 1):
-        cuts = nesting_subtrees(ez, k)
-        subtree.update(cuts)
-        for x, st in cuts.items():
-            records.append({"id": x, "dim": k, "delta": sorted(set(st.tree.leaves)), "gamma": [st.tree.root]})
+        cells = _signed_counts(ez, k)
+        for x in sorted(cells):
+            delta, target_segment[x] = cells[x]
+            records.append({"id": x, "dim": k, "delta": delta, "gamma": [target_segment[x][0]]})
 
     by_id = {rec["id"]: rec for rec in records}
     local_orders = []
     for k in range(2, n + 1):
-        # the loops' cuts are disjoint whitedot runs on the edge z of the
-        # tree one degree down; leftmost position decides
-        position = {w: i for ws in ez.subdivisions[k].values() for i, w in enumerate(ws)}
         for x in sorted(ez.trees[k + 2].edges):
             loops_by_base: dict[str, list[str]] = {}
             for y in by_id[x]["delta"]:
@@ -221,7 +160,9 @@ def p_image(ope: Opetope) -> PImage:
             for z, ys in sorted(loops_by_base.items()):
                 if len(ys) < 2:
                     continue
-                ys.sort(key=lambda y: min(position[w] for w in subtree[y].dots))
+                # a loop's dots are a run of whitedots on z; its target
+                # segment lies just below the lowest of them
+                ys.sort(key=lambda y: target_segment[y][1])
                 local_orders.append({"x": x, "z": z, "order": ys})
 
     doc = {"cells": records, "local_orders": local_orders}

@@ -120,7 +120,7 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
     return []
 
 
-# -- subdivisions and expansions ---------------------------------------
+# -- subdivisions -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -150,57 +150,6 @@ def subdivided_diagnostics(st: SubdividedTree) -> list[Diagnostic]:
             out.append(make("IdClash", [d], "subdivision", f"whitedot id {d!r} collides with another id"))
         seen.add(d)
     return sorted(set(out), key=sort_key)
-
-
-class Expansion:
-    """The expansion of a subdivided tree: whitedots promoted to nodes.
-
-    Edges of the expansion are segments; origin maps a segment back to
-    (original edge, index from the target end).
-    """
-
-    def __init__(self, st: SubdividedTree):
-        base = st.base
-        used = set(base.nodes) | set(base.edges) | set(st.whitedots())
-        nodes = list(base.nodes)
-        edges: list[str] = []
-        node_target = dict(base.node_target)
-        edge_target = dict(base.edge_target)
-        origin: dict[str, tuple[str, int]] = {}
-        segments_of: dict[str, list[str]] = {}
-        for b in sorted(base.edges):
-            dots = list(st.w.get(b, ()))
-            segs = []
-            for i in range(len(dots) + 1):
-                s = f"{b}#{i}"
-                while s in used:
-                    s += "'"
-                used.add(s)
-                segs.append(s)
-                origin[s] = (b, i)
-            segments_of[b] = segs
-            edges.extend(segs)
-            nodes.extend(dots)
-            # lowest segment inherits b's target node, topmost its source node
-            tgt = base.edge_target.get(b)
-            edge_target.pop(b, None)
-            if tgt is not None:
-                edge_target[segs[0]] = tgt
-            src = base.source_node_of(b)
-            if src is not None:
-                node_target[src] = segs[-1]
-            for i, d in enumerate(dots):
-                node_target[d] = segs[i]
-                edge_target[segs[i + 1]] = d
-        root_seg = segments_of[base.root][0]
-        self.tree = RootedTree(nodes, edges, node_target, edge_target, root_seg)
-        self.origin = origin
-        self.segments_of = {b: tuple(s) for b, s in segments_of.items()}
-        self.whitedots = frozenset(st.whitedots())
-
-    def segment_ends(self, seg: str) -> tuple[str | None, str | None]:
-        """(dot below, dot above) of a segment; None at the boundary."""
-        return self.tree.edge_target.get(seg), self.tree.source_node_of(seg)
 
 
 # -- constellations ----------------------------------------------------

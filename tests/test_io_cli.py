@@ -208,6 +208,22 @@ def test_cli_oracle_iso(capsys):
     assert out["witnesses"] == [{"*": "*", "f": "f", "s": "s", "t": "t"}]
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "lozenge", path("rho3.dfc.json")],
+    ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "c1", "-y", "b7"],
+    ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "c1", "-y", "nope", "-x", "a1"],
+    ["oracle", "iso", path("rho3.dfc.json")],
+    ["gen", "--max-nodes", "-1"],
+    ["gen", "--max-whitedots", "-2"],
+    ["gen", "--dim", "-1"],
+])
+def test_cli_reports_bad_arguments_without_a_traceback(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cli_export_dot_and_info(capsys):
     assert main(["export-dot", path("rho3.dfc.json")]) == 0
     assert main(["info", path("rho3.dfc.json")]) == 0

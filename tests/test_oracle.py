@@ -6,6 +6,7 @@ import pytest
 
 from opetopes.equivalence import dfc_iso_search
 from opetopes.generator import GenParams, gen_opetope
+from opetopes.io import opetope_from_doc
 from opetopes.oracle import (
     all_chains,
     oracle_hexagon,
@@ -25,10 +26,10 @@ from opetopes.poset import (
     dfc_validate,
     mop_validate,
 )
-from opetopes.to_poset import extend, nesting_subtrees, p_of
-from opetopes.trees import constellation_diagnostics
+from opetopes.to_poset import p_image, p_of
+from opetopes.trees import constellation_diagnostics, opetope_validate
 
-from conftest import constellations, generated_corpus, load_dfc_doc
+from conftest import comb_opetope_doc, constellations, generated_corpus, load_dfc_doc
 from test_poset import ARROW, cell
 
 
@@ -160,26 +161,33 @@ def test_oracle_iso_identity_and_empty(rho_dfc):
     assert oracle_iso(arrow, point) == []
 
 
-# -- nesting subtrees: the per-level route against the per-cell reference --
-
-
-def _cut_fields(st):
-    t = st.tree
-    return (st.owner, st.dots, t.nodes, t.edges, t.node_target, t.edge_target, t.root, st.v)
+# -- nesting subtrees: the signed counts against the per-cell reference --
 
 
 def _assert_cuts_agree(ope):
-    ez = extend(ope)
+    img = p_image(ope)
+    ez, mop = img.ez, img.dfc.mop
+    cuts = {}
     for k in range(1, ez.base_dim + 1):
-        level = nesting_subtrees(ez, k)
-        assert sorted(level) == sorted(ez.trees[k + 2].edges)
+        level = {x: oracle_nesting_subtree(ez, k, x) for x in ez.trees[k + 2].edges}
+        assert sorted(level) == sorted(mop.grade(k))
         for x, st in level.items():
-            assert _cut_fields(st) == _cut_fields(oracle_nesting_subtree(ez, k, x)), (k, x)
+            assert mop.delta[x] == set(st.tree.leaves), (k, x)
+            assert mop.gamma[x] == {st.tree.root}, (k, x)
+        cuts.update(level)
+    # the loops on z under x, by the leftmost whitedot of their cuts on z
+    position = {w: i for sub in ez.subdivisions for ws in sub.values() for i, w in enumerate(ws)}
+    for (x, z), order in mop.local_orders.items():
+        assert list(order) == sorted(order, key=lambda y: min(position[w] for w in cuts[y].dots)), (x, z)
 
 
 def test_nesting_subtrees_agree_with_the_oracle_on_the_fixtures(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
         _assert_cuts_agree(ope)
+
+
+def test_nesting_subtrees_agree_with_the_oracle_on_a_comb():
+    _assert_cuts_agree(opetope_validate(opetope_from_doc(comb_opetope_doc(50))))
 
 
 def test_nesting_subtrees_agree_with_the_oracle_on_the_corpus():

@@ -1,19 +1,20 @@
 """The zoom-to-poset translation: extension, nesting subtrees, cell extraction."""
 
-import random
+import json
+import time
 
 import pytest
 
-from opetopes import oracle, to_poset
+from opetopes.cli import main
 from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso
-from opetopes.oracle import delta_tree, make_opetope_iso, p_map, sigma_tree, thinness_completions
+from opetopes.oracle import delta_tree, make_opetope_iso, oracle_nesting_subtree, p_map, sigma_tree, thinness_completions
 from opetopes.poset import LOOP, MINUS, dfc_diagnostics
-from opetopes.to_poset import extend, nesting_subtrees, p_image, p_of
+from opetopes.to_poset import extend, p_image, p_of
 from opetopes.trees import RootedTree
 
-from conftest import load_ope, load_ope_doc
+from conftest import comb_opetope_doc, load_ope_doc
 from opetopes.io import opetope_from_doc
 
 
@@ -47,12 +48,12 @@ def test_extend_unit_top_tree_gets_the_top_whitedot():
 
 def test_nesting_subtree_examples(rho_ope):
     ez = extend(rho_ope)
-    st = nesting_subtrees(ez, 1)["b4"]
+    st = oracle_nesting_subtree(ez, 1, "b4")
     assert st.tree.is_unit and st.tree.edges == ("c1",) and st.dots == frozenset({"a3"})
-    st = nesting_subtrees(ez, 2)["a2"]
+    st = oracle_nesting_subtree(ez, 2, "a2")
     assert len(st.tree.nodes) == 1 and st.tree.root == "b3" and set(st.tree.leaves) == {"b4", "b5"}
     # a leaf edge of the extension corolla cuts out the corolla around its node
-    st = nesting_subtrees(ez, 2)["a1"]
+    st = oracle_nesting_subtree(ez, 2, "a1")
     assert st.tree.root == "b0" and set(st.tree.leaves) == {"b2", "b3", "b6", "b7"}
     assert st.tree.nodes == ("a1",)
 
@@ -60,7 +61,7 @@ def test_nesting_subtree_examples(rho_ope):
 def test_nesting_subtree_whitedot_runs(rho_ope):
     ez = extend(rho_ope)
     # the subtree under b3 contains the whitedot interval (a4, a3) on c1
-    st = nesting_subtrees(ez, 1)["b3"]
+    st = oracle_nesting_subtree(ez, 1, "b3")
     assert st.tree.is_unit and st.v == {"c1": ("a4", "a3")}
     assert st.dots == frozenset({"a3", "a4"})
 
@@ -100,8 +101,8 @@ def test_loop_iff_unit_subtree(rho_ope, omega_ope):
         img = p_image(ope)
         mop = img.dfc.mop
         for k in range(1, mop.dimension + 1):
-            for x, st in nesting_subtrees(img.ez, k).items():
-                assert st.tree.is_unit == mop.is_loop(x)
+            for x in mop.grade(k):
+                assert oracle_nesting_subtree(img.ez, k, x).tree.is_unit == mop.is_loop(x)
 
 
 def test_sigma_tree_equals_delta_tree(rho_ope, omega_ope):
@@ -136,25 +137,16 @@ def test_sigma_tree_single_covering_corolla():
     assert len(tree.nodes) == 1
 
 
-def test_p_image_builds_one_expansion_per_level_and_walks_no_chains(monkeypatch):
-    ope = gen_opetope(random.Random(5), GenParams(dim=5))
-    expanded, chain_walks = [], []
-    real_expansion, real_descendant_dots = to_poset.Expansion, oracle.descendant_dots
-
-    def counting_expansion(st):
-        expanded.append(st.base)
-        return real_expansion(st)
-
-    def counting_descendant_dots(*args):
-        chain_walks.append(args)
-        return real_descendant_dots(*args)
-
-    monkeypatch.setattr(to_poset, "Expansion", counting_expansion)
-    monkeypatch.setattr(to_poset, "descendant_dots", counting_descendant_dots, raising=False)
-    monkeypatch.setattr(oracle, "descendant_dots", counting_descendant_dots)
-    img = to_poset.p_image(ope)
-    assert [id(t) for t in expanded] == [id(img.ez.trees[k + 1]) for k in range(1, 6)]
-    assert chain_walks == []
+def test_convert_and_roundtrip_of_a_2000_leaf_comb_are_fast(tmp_path, capsys):
+    # a cut per cell holding the dots above it is quadratic on this comb
+    ope, dfc = tmp_path / "comb.ope.json", tmp_path / "comb.dfc.json"
+    ope.write_text(json.dumps(comb_opetope_doc(2000)))
+    for argv in (["convert", "--to", "dfc", ope, "-o", dfc], ["roundtrip", ope]):
+        start = time.perf_counter()
+        assert main([str(a) for a in argv]) == 0
+        assert time.perf_counter() - start < 3.0, argv
+    assert '"result": "verified"' in capsys.readouterr().out
+    assert len(json.loads(dfc.read_text())["cells"]) == 8002
 
 
 def test_p_of_reports_a_broken_kernel_rule_as_a_bug():
@@ -244,8 +236,9 @@ def test_distinct_leaves_distinct_names(rho_ope, omega_ope):
         img = p_image(ope)
         mop = img.dfc.mop
         for k in range(1, mop.dimension + 1):
-            for st in nesting_subtrees(img.ez, k).values():
-                assert len(set(st.tree.leaves)) == len(st.tree.leaves)
+            for x in mop.grade(k):
+                leaves = oracle_nesting_subtree(img.ez, k, x).tree.leaves
+                assert len(set(leaves)) == len(leaves)
 
 
 # -- P on isomorphisms ----------------------------------------------------

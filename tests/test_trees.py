@@ -10,9 +10,15 @@ import pytest
 from opetopes.cli import main
 from opetopes.diagnostics import ValidationError, make
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.oracle import descendant_dots, descending_chain, oracle_kernel, oracle_kernel_diagnostics, oracle_tree_paths
-from opetopes.trees import (
+from opetopes.oracle import (
     Expansion,
+    descendant_dots,
+    descending_chain,
+    oracle_kernel,
+    oracle_kernel_diagnostics,
+    oracle_tree_paths,
+)
+from opetopes.trees import (
     Opetope,
     RootedTree,
     SubdividedTree,
