@@ -6,9 +6,9 @@ constellations.  The translations between the two are implemented in
 to_zoom and to_poset, round-trip witnesses and isomorphism search in
 equivalence, and a seeded random generator of valid instances in
 generator.  oracle is the reference side: the paper's constructions
-that the command line never runs (path orders, source trees, the
-functors' actions on isomorphisms) and brute-force re-checks of the
-structural facts.
+that the command line never runs (path orders, source trees, whitedot
+orders through loop paths, the functors' actions on isomorphisms) and
+brute-force re-checks of the structural facts.
 """
 
 from .diagnostics import (

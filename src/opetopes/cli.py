@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import generator, oracle
-from .diagnostics import IncomparableLoops, ParseError, RoundTripBroken, ValidationError
+from .diagnostics import ParseError, RoundTripBroken, ValidationError
 from .dot import export_dot
 from .equivalence import dfc_iso_search, opetope_iso_search, tau, theta
 from .io import (
@@ -113,7 +113,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    for flag, value in (("--dim", args.dim), ("--max-nodes", args.max_nodes), ("--max-whitedots", args.max_whitedots)):
+    for flag, value in (("--dim", args.dim), ("--max-nodes", args.max_nodes), ("--max-whitedots", args.max_whitedots),
+                        ("--count", args.count)):
         if value < 0:
             raise ParseError(f"{flag} must not be negative, got {value}")
     params = generator.GenParams(
@@ -146,6 +147,8 @@ def cmd_oracle(args) -> int:
         for flag, cell in (("-z", args.z), ("-y", args.y), ("-x", args.x)):
             if cell not in obj.mop.dim:
                 raise ParseError(f"lozenge oracle needs {flag} to name a cell, got {cell!r}")
+        if obj.mop.sign(args.z, args.y) is None or obj.mop.sign(args.y, args.x) is None:
+            raise ParseError(f"lozenge oracle: {args.z!r}, {args.y!r}, {args.x!r} is not a chain z < y < x")
         comps = oracle.oracle_lozenge(obj.mop, args.z, args.y, args.x)
         _emit({"chain": [args.z, args.y, args.x], "completions": [list(c) for c in comps]})
         return OK
@@ -283,7 +286,7 @@ def main(argv=None) -> int:
             _emit(d.to_json())
         _emit({"valid": False})
         return INVALID
-    except (ParseError, FileNotFoundError, IncomparableLoops) as err:
+    except (ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except RoundTripBroken as err:

@@ -5,7 +5,10 @@ command line never runs: thinness completions, path orders, expansions
 of subdivided trees and the nesting subtree each cell cuts out of one,
 the source tree of a cell on each side (delta_tree, sigma_tree),
 descending chains and the dots descending through an element, the kernel
-rule by listing those dots, and the actions p_map and z_map of the two
+rule by listing those dots, the order of the whitedots on an edge through
+zig-zags, loop paths and a comparison sort (ZigZag, zigzag, LoopPath,
+loop_path, compare_loops, whitedot_order, over a coface index built here
+from the signed-facet table), and the actions p_map and z_map of the two
 functors on isomorphisms (the zoom-side objects follow Kock, Joyal,
 Batanin and Mascari 2010).  They live here as references for the fast routes.
 
@@ -18,18 +21,35 @@ counterexamples, empty when the fact holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import permutations
+from weakref import WeakKeyDictionary
 
-from .diagnostics import Diagnostic, InternalError, NotAnIsomorphism, ValidationError, make, sort_key
+from .diagnostics import Diagnostic, IncomparableLoops, InternalError, NotAnIsomorphism, ValidationError, make, sort_key
 from .equivalence import _arrow_parts
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
 from .to_poset import ExtendedZoom, PImage, p_image
-from .to_zoom import level_tree, whitedot_order, z_of
+from .to_zoom import level_tree, z_of
 from .trees import Opetope, RootedTree, SubdividedTree, tree_diagnostics
 
 
 # -- the paper's reference constructions ---------------------------------
+
+
+_COFACES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def cofaces(mop: ManyToOnePoset, sign: str, y: str) -> tuple[str, ...]:
+    """The cells x with y < x of the given sign, in id order; indexed once per poset from its signed-facet table."""
+    index = _COFACES.get(mop)
+    if index is None:
+        index = {}
+        for x in sorted(mop.cells):
+            for f, s in zip(*mop.signed_facets[x]):
+                index.setdefault((s, f), []).append(x)
+        _COFACES[mop] = index
+    return tuple(index.get((sign, y), ()))
 
 
 class Expansion:
@@ -128,7 +148,7 @@ def path_order(dfc, k: int, sign: str) -> PathOrder:
         # source, so the relation comes out empty as required
         for x in grade:
             t = mop.gamma_cell(x)
-            for x2 in mop.minus_cofaces(t):
+            for x2 in cofaces(mop, MINUS, t):
                 if mop.dim[x2] == k:
                     succ[x].add(x2)
     elif sign == PLUS:
@@ -273,6 +293,214 @@ def z_map(f: DfcIso) -> OpetopeIso:
             t_root, t_node, t_leaf = _arrow_parts(t)
             levels.append(LevelMap({s_node: t_node}, {s_root: t_root, s_leaf: t_leaf}))
     return make_opetope_iso(src, tgt, levels)
+
+
+# -- zig-zags, loop paths and the whitedot order --------------------------
+
+
+@dataclass(frozen=True)
+class ZigZag:
+    """All two-step chains over a base cell, listed in display order.
+
+    chains holds (b, a, beta, alpha) with base < b carrying beta and
+    b < a carrying alpha; members is the induced ordered run of top cells.
+    """
+
+    base: str
+    chains: tuple[tuple[str, str, str, str], ...]
+    members: tuple[str, ...]
+
+    def position(self, a: str) -> int:
+        return self.members.index(a)
+
+
+def _chain_sort_key(chain):
+    _, _, beta, alpha = chain
+    if beta == MINUS:
+        return (0, 0 if alpha == MINUS else 1)
+    return (1, 0 if alpha == PLUS else 1)
+
+
+def zigzag(dfc: Dfc, c: str) -> ZigZag:
+    """The maximal zig-zag of chains c < b < a with a never a proper target."""
+    mop = dfc.mop
+    lam = mop.lam()
+    chains = []
+    for b in sorted(set(cofaces(mop, MINUS, c)) | set(cofaces(mop, PLUS, c))):
+        beta = mop.sign(c, b)
+        for a in sorted(set(cofaces(mop, MINUS, b)) | set(cofaces(mop, PLUS, b))):
+            if a in lam:
+                chains.append((b, a, beta, mop.sign(b, a)))
+    if not chains:
+        return ZigZag(c, (), ())
+
+    by_a: dict[str, list] = {}
+    by_b: dict[str, list] = {}
+    for ch in chains:
+        by_b.setdefault(ch[0], []).append(ch)
+        by_a.setdefault(ch[1], []).append(ch)
+    if any(len(v) > 2 for v in by_b.values()) or any(len(v) > 2 for v in by_a.values()):
+        raise InternalError(f"chains over {c!r} do not form a zig-zag")
+
+    members = sorted(by_a)
+    if len(members) == 1:
+        ordered = sorted(chains, key=_chain_sort_key)
+        return ZigZag(c, tuple(ordered), tuple(members))
+
+    # link two members when they share the middle cell of their chains
+    neighbours: dict[str, list[str]] = {a: [] for a in members}
+    link_b: dict[tuple[str, str], str] = {}
+    for b, pair in sorted(by_b.items()):
+        if len(pair) == 2:
+            a1, a2 = sorted({pair[0][1], pair[1][1]})
+            if a1 == a2:
+                raise InternalError(f"duplicate chain through {b!r} over {c!r}")
+            neighbours[a1].append(a2)
+            neighbours[a2].append(a1)
+            link_b[(a1, a2)] = link_b[(a2, a1)] = b
+    ends = sorted(a for a in members if len(neighbours[a]) == 1)
+    if len(ends) != 2 or any(len(v) > 2 for v in neighbours.values()):
+        raise InternalError(f"chains over {c!r} do not form a simple path")
+    path = [ends[0]]
+    while True:
+        nxt = [a for a in neighbours[path[-1]] if len(path) < 2 or a != path[-2]]
+        if not nxt:
+            break
+        path.append(nxt[0])
+    if len(path) != len(members):
+        raise InternalError(f"chains over {c!r} split into several zig-zags")
+
+    # orient each link: a minus link points away from its gamma side,
+    # a plus link towards it; all links must agree on one direction
+    votes = []
+    for a1, a2 in zip(path, path[1:]):
+        b = link_b[(a1, a2)]
+        first, second = sorted(by_b[b], key=lambda ch: ch[1] != a1)
+        gamma_side_first = first[3] == PLUS
+        beta = first[2]
+        votes.append(gamma_side_first if beta == MINUS else not gamma_side_first)
+    if all(votes):
+        pass
+    elif not any(votes):
+        path.reverse()
+    else:
+        raise InternalError(f"zig-zag over {c!r} has inconsistent orientation")
+
+    ordered = []
+    for i, a in enumerate(path):
+        own = list(by_a[a])
+        prev_b = link_b.get((path[i - 1], a)) if i > 0 else None
+        own.sort(key=lambda ch: (ch[0] != prev_b, _chain_sort_key(ch)))
+        ordered.extend(own)
+    return ZigZag(c, tuple(ordered), tuple(path))
+
+
+# -- loop paths and the whitedot order ----------------------------------
+
+
+@dataclass(frozen=True)
+class LoopPath:
+    """The ascent of a loop through nested loops to its first free coface.
+
+    members lists the traversed non-target cofaces bottom-up; entering[i]
+    is the loop through which members[i] was entered.  root_loop is set
+    when the ascent ends on the iterated target instead of a zig-zag
+    member; completion carries the final chain signs otherwise.
+    """
+
+    base: str
+    start: str
+    members: tuple[str, ...]
+    entering: tuple[str, ...]
+    root_loop: str | None
+    completion: tuple[str, str] | None
+
+
+def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
+    mop = dfc.mop
+    if mop.sign(c, b) != LOOP:
+        raise ValueError(f"{b!r} is not a loop on {c!r}")
+    lam = mop.lam()
+    members: list[str] = []
+    entering: list[str] = []
+    current = b
+    for _ in range(len(mop.cells) + 1):
+        if not cofaces(mop, MINUS, current):
+            if current != dfc.iterated_targets[mop.dim[current]]:
+                raise InternalError(f"{current!r} is sourceless-above yet not the iterated target")
+            return LoopPath(c, b, tuple(members), tuple(entering), current, None)
+        lam_up = [x for x in cofaces(mop, MINUS, current) if x in lam]
+        if len(lam_up) != 1:
+            raise InternalError(f"{current!r} has {len(lam_up)} non-target minus-cofaces")
+        a = lam_up[0]
+        members.append(a)
+        entering.append(current)
+        g = mop.gamma_cell(a)
+        if mop.sign(c, g) == LOOP:
+            # confinement: every source of a must then be a loop on c
+            for y in sorted(mop.delta[a]):
+                if mop.sign(c, y) != LOOP:
+                    raise InternalError(f"confinement fails at {a!r}: source {y!r} is not a loop on {c!r}")
+            current = g
+            continue
+        # the first sign completion in facet order, sought among the cofaces of c
+        y2 = min(
+            (y2 for y2 in cofaces(mop, MINUS, c) + cofaces(mop, PLUS, c) if y2 != current and mop.sign(y2, a) in (MINUS, PLUS)),
+            default=None,
+        )
+        if y2 is None:
+            raise InternalError(f"chain {c!r} <o {current!r} <- {a!r} has no sign completion")
+        return LoopPath(c, b, tuple(members), tuple(entering), None, (mop.sign(y2, a), mop.sign(c, y2)))
+    raise InternalError(f"loop path from {b!r} over {c!r} exceeded the step bound")
+
+
+def compare_loops(dfc: Dfc, c: str, b1: str, b2: str) -> str:
+    """Order two loops on c: 'below' when b1 comes before b2."""
+    if b1 == b2:
+        raise ValueError("comparing a loop with itself")
+    p1, p2 = loop_path(dfc, c, b1), loop_path(dfc, c, b2)
+    in_p2 = set(p2.members)
+    meet = next((i for i, a in enumerate(p1.members) if a in in_p2), None)
+    if meet is not None:
+        a = p1.members[meet]
+        e1 = p1.entering[meet]
+        e2 = p2.entering[p2.members.index(a)]
+        if e1 == e2:
+            raise IncomparableLoops(f"{b1!r} and {b2!r} enter {a!r} through the same loop")
+        order = dfc.mop.local_orders.get((a, c))
+        if order is None or e1 not in order or e2 not in order:
+            raise IncomparableLoops(f"no stored local order at ({a!r}, {c!r})")
+        return "below" if order.index(e1) < order.index(e2) else "above"
+    if p1.root_loop is not None or p2.root_loop is not None:
+        raise IncomparableLoops(f"disjoint loop paths from {b1!r} and {b2!r} reach the root")
+    zz = zigzag(dfc, c)
+    try:
+        i1, i2 = zz.position(p1.members[-1]), zz.position(p2.members[-1])
+    except ValueError as err:
+        raise IncomparableLoops(f"loop path terminal missing from the zig-zag over {c!r}") from err
+    if i1 == i2:
+        raise IncomparableLoops(f"{b1!r} and {b2!r} end on the same zig-zag member")
+    return "below" if i1 < i2 else "above"
+
+
+def whitedot_order(dfc: Dfc, k: int, y: str) -> tuple[str, ...]:
+    """The sourceless non-target k-cells with second target y, in ascending order."""
+    mop = dfc.mop
+    lam = dfc.lam_k.get(k, frozenset())
+    # a sourceless cell is a plus-coface of its target, which has y as target
+    members = sorted(
+        w
+        for g in cofaces(mop, PLUS, y) + cofaces(mop, LOOP, y)
+        for w in cofaces(mop, PLUS, g)
+        if w in lam and not mop.delta[w]
+    )
+    if len(members) < 2:
+        return tuple(members)
+
+    def cmp(w1, w2):
+        return -1 if compare_loops(dfc, y, mop.gamma_cell(w1), mop.gamma_cell(w2)) == "below" else 1
+
+    return tuple(sorted(members, key=cmp_to_key(cmp)))
 
 
 # -- brute-force re-checks ------------------------------------------------
@@ -710,7 +938,7 @@ def check_nulldot_targets(dfc: Dfc) -> list[str]:
     mop = dfc.mop
     return [
         x
-        for x in sorted(mop.sourceless())
+        for x in sorted(c for c in mop.cells if mop.dim[c] >= 0 and not mop.delta[c])
         if mop.dim[x] >= 2 and not mop.is_loop(mop.gamma_cell(x))
     ]
 
@@ -740,7 +968,7 @@ def check_pencil_linearity(dfc: Dfc) -> list[tuple]:
     for k in range(0, dfc.dimension + 1):
         upper = path_order(dfc, k, PLUS).pairs
         for e in mop.grade(k - 1):
-            for beta, pencil in ((MINUS, mop.minus_cofaces(e)), (PLUS, mop.plus_cofaces(e))):
+            for beta, pencil in ((MINUS, cofaces(mop, MINUS, e)), (PLUS, cofaces(mop, PLUS, e))):
                 for i, d in enumerate(pencil):
                     for d2 in pencil[i + 1:]:
                         if ((d, d2) in upper) == ((d2, d) in upper):

@@ -60,19 +60,11 @@ class ManyToOnePoset:
         self._by_dim: dict[int, list[str]] = {}
         for c in sorted(self.cells):
             self._by_dim.setdefault(self.dim[c], []).append(c)
-        self._minus_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
-        self._plus_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
-        self._loop_cofaces: dict[str, list[str]] = {c: [] for c in self.cells}
-        cofaces = {MINUS: self._minus_cofaces, PLUS: self._plus_cofaces, LOOP: self._loop_cofaces}
         # x -> (its facets y in sorted order, the sign of each y < x: one character per facet)
         self.signed_facets: dict[str, tuple[tuple[str, ...], str]] = {}
         for x in sorted(self.cells):
             facets = tuple(sorted(self.delta[x] | self.gamma[x]))
-            signs = "".join(self.sign(y, x) for y in facets)
-            self.signed_facets[x] = (facets, signs)
-            for y, s in zip(facets, signs):
-                if y in self._minus_cofaces:  # else a dangling id; only during validation
-                    cofaces[s][y].append(x)
+            self.signed_facets[x] = (facets, "".join(self.sign(y, x) for y in facets))
 
     # -- basic queries -------------------------------------------------
 
@@ -116,15 +108,6 @@ class ManyToOnePoset:
     def is_loop(self, x: str) -> bool:
         return bool(self.delta[x]) and self.delta[x] == self.gamma[x]
 
-    def minus_cofaces(self, y: str) -> tuple[str, ...]:
-        return tuple(self._minus_cofaces[y])
-
-    def plus_cofaces(self, y: str) -> tuple[str, ...]:
-        return tuple(self._plus_cofaces[y])
-
-    def loop_cofaces(self, y: str) -> tuple[str, ...]:
-        return tuple(self._loop_cofaces[y])
-
     def lam(self) -> frozenset[str]:
         """Cells that are never the proper target of another cell; computed once."""
         if self._lam is None:
@@ -134,9 +117,6 @@ class ManyToOnePoset:
 
     def loop_cells(self) -> frozenset[str]:
         return frozenset(c for c in self.cells if self.is_loop(c))
-
-    def sourceless(self) -> frozenset[str]:
-        return frozenset(c for c in self.cells if self.dim[c] >= 0 and not self.delta[c])
 
 
 # -- MOP validation ----------------------------------------------------
@@ -292,8 +272,7 @@ class Dfc:
 
     iterated_targets[j] is the j-dimensional cell reached from the greatest
     element by iterating gamma; the strata record, per dimension, the cells
-    that are never proper targets (lam), the loops (omega_loops) and the
-    sourceless cells (nulls).
+    that are never proper targets (lam) and the loops (omega_loops).
     """
 
     mop: ManyToOnePoset
@@ -301,7 +280,6 @@ class Dfc:
     iterated_targets: tuple[str, ...]
     lam_k: dict[int, frozenset[str]]
     omega_k: dict[int, frozenset[str]]
-    null_k: dict[int, frozenset[str]]
 
     @property
     def dimension(self) -> int:
@@ -427,9 +405,9 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if missing:
             out.append(make("NoGreatestElement", missing, "greatest element", "cells not below the maximal cell"))
 
-    for y in sorted(mop.loop_cells()):
-        if not mop.plus_cofaces(y):
-            out.append(make("LoopWithoutPlusCoface", [y], "loops", f"loop {y!r} has no cell with {y!r} as proper target"))
+    # a loop has a plus-coface exactly when it is a proper target
+    for y in sorted(mop.loop_cells() & mop.lam()):
+        out.append(make("LoopWithoutPlusCoface", [y], "loops", f"loop {y!r} has no cell with {y!r} as proper target"))
 
     out.extend(_thinness_diagnostics(mop))
     out.extend(_acyclicity_diagnostics(mop))
@@ -453,8 +431,6 @@ def trusted_dfc(mop: ManyToOnePoset) -> Dfc:
     targets.reverse()  # index j = the j-dimensional iterated target
     lam = mop.lam()
     loops = mop.loop_cells()
-    nulls = mop.sourceless()
     lam_k = {k: frozenset(c for c in mop.grade(k) if c in lam) for k in range(n + 1)}
     omega_k = {k: frozenset(c for c in mop.grade(k) if c in loops) for k in range(n + 1)}
-    null_k = {k: frozenset(c for c in mop.grade(k) if c in nulls) for k in range(n + 1)}
-    return Dfc(mop, omega, tuple(targets), lam_k, omega_k, null_k)
+    return Dfc(mop, omega, tuple(targets), lam_k, omega_k)

@@ -19,6 +19,7 @@ from opetopes.io import (
 )
 from opetopes.oracle import (
     all_chains,
+    compare_loops,
     oracle_iso,
     oracle_kernel,
     oracle_lozenge,
@@ -26,6 +27,7 @@ from opetopes.oracle import (
     path_order,
     run_fact_suite,
     thinness_completions,
+    whitedot_order,
 )
 from opetopes.poset import (
     LOOP,
@@ -36,7 +38,7 @@ from opetopes.poset import (
     mop_validate,
 )
 from opetopes.to_poset import p_of
-from opetopes.to_zoom import compare_loops, whitedot_order, z_of
+from opetopes.to_zoom import z_of
 from opetopes.trees import constellation_diagnostics, opetope_diagnostics
 
 from conftest import (
@@ -80,7 +82,9 @@ def test_criterion_1_fixture_validity():
 def test_criterion_2_whitedot_order():
     rho = load_dfc("rho3.dfc.json")
     got = whitedot_order(rho, 2, "c1")
-    _report(2, got == ("a7", "a5", "a4", "a3"), f"whitedot order on c1 is {got}")
+    swept = z_of(rho).subdivisions[2]["c1"]
+    expected = ("a7", "a5", "a4", "a3")
+    _report(2, got == expected and swept == expected, f"whitedot order on c1 is {got}; z_of subdivides c1 as {swept}")
 
 
 def test_criterion_3_local_order_consistency():

@@ -212,10 +212,12 @@ def test_cli_oracle_iso(capsys):
     ["oracle", "lozenge", path("rho3.dfc.json")],
     ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "c1", "-y", "b7"],
     ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "c1", "-y", "nope", "-x", "a1"],
+    ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "a1", "-y", "a1", "-x", "a1"],
     ["oracle", "iso", path("rho3.dfc.json")],
     ["gen", "--max-nodes", "-1"],
     ["gen", "--max-whitedots", "-2"],
     ["gen", "--dim", "-1"],
+    ["gen", "--count", "-1"],
 ])
 def test_cli_reports_bad_arguments_without_a_traceback(argv, capsys):
     assert main(argv) == 2

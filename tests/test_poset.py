@@ -182,7 +182,8 @@ def test_iterated_targets(rho_dfc, omega_dfc):
 
 
 def test_strata(rho_dfc):
-    lam, loops, nulls = rho_dfc.lam_k, rho_dfc.omega_k, rho_dfc.null_k
+    lam, loops = rho_dfc.lam_k, rho_dfc.omega_k
+    nulls = {2: frozenset(c for c in rho_dfc.mop.grade(2) if not rho_dfc.mop.delta[c])}
     assert loops[1] == frozenset({"b3", "b4", "b5", "b6", "b8"})
     assert nulls[2] & lam[2] == frozenset({"a3", "a4", "a5", "a7"})
     assert "rho" in lam[3]

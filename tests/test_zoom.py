@@ -1,26 +1,22 @@
 """The poset-to-zoom translation: level trees, zig-zags, loop orders, assembly."""
 
 import itertools
+import random
 
 import pytest
 
 from opetopes.diagnostics import NotAnIsomorphism
 from opetopes.equivalence import opetope_iso_search
+from opetopes.generator import GenParams, gen_opetope
+from opetopes.io import dfc_to_doc
 from opetopes.isos import DfcIso, make_dfc_iso
-from opetopes.oracle import descending_chain, z_map
+from opetopes.oracle import compare_loops, descending_chain, loop_path, whitedot_order, z_map, zigzag
 from opetopes.poset import LOOP, MINUS, PLUS, dfc_validate, mop_validate
 from opetopes.to_poset import p_of
-from opetopes.to_zoom import (
-    compare_loops,
-    level_tree,
-    loop_path,
-    whitedot_order,
-    z_of,
-    zigzag,
-)
+from opetopes.to_zoom import level_tree, z_of
 from opetopes.trees import opetope_diagnostics, tree_diagnostics
 
-from conftest import constellations, generated_corpus, load_dfc_doc
+from conftest import constellations, generated_corpus, load_dfc_doc, relabel_doc
 from test_poset import ARROW
 
 
@@ -202,6 +198,22 @@ def test_z_of_arrow():
     assert ope.dim == 1
     assert all(len(t.nodes) == 1 and len(t.edges) == 2 for t in ope.trees)
     assert ope.trees[1].nodes == ("s",) and ope.trees[1].root == "*"
+
+
+def test_z_of_subdivisions_agree_with_the_reference(rho_dfc, omega_dfc):
+    # relabelled copies put the ids of each edge's whitedots out of their order there
+    rng = random.Random(9)
+    dfcs = [rho_dfc, omega_dfc, dfc_validate(mop_validate(ARROW))]
+    for ope in generated_corpus(200):
+        doc = dfc_to_doc(p_of(ope))
+        dfcs += [dfc_validate(mop_validate(relabel_doc(doc, rng)[0])) for _ in range(3)]
+    for seed, (dim, whitedots) in enumerate(itertools.product(range(3, 9), range(4, 7))):
+        dfcs.append(p_of(gen_opetope(random.Random(seed), GenParams(dim=dim, max_whitedots_per_edge=whitedots))))
+    for dfc in dfcs:
+        ope = z_of(dfc)
+        for i in range(2, dfc.dimension):
+            for y in ope.trees[i].edges:
+                assert ope.subdivisions[i].get(y, ()) == whitedot_order(dfc, i, y), (dfc.omega, i, y)
 
 
 def test_z_of_output_validates(rho_dfc, omega_dfc, rho_ope, omega_ope):

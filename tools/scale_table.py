@@ -4,29 +4,28 @@
 
 For each dimension given, draws one opetope with
 GenParams(dim, max_tree_dots=100000, max_whitedots_per_edge=3) from
-random.Random(1), and times in this process, through opetopes.cli.main:
-convert --to dfc, validate of both encodings, and iso of each document
-against a relabelled copy of it, in both encodings.  The last row does the
-same for the 3-opetope whose tree 3 is a comb on COMB_LEAVES leaves
-(tests/conftest.py, comb_opetope_doc).  Peak RSS is the peak of this
-process so far.  Documents go to a temporary directory, removed at the
-end.  Times are single runs; a row is printed as soon as it is measured.
+random.Random(1), and times through opetopes.cli.main: convert --to dfc,
+convert --to ope of the face complex that wrote, validate of both
+encodings, and iso of each document against a relabelled copy of it, in
+both encodings.  The last row does the same for the 3-opetope whose tree 3
+is a comb on COMB_LEAVES leaves (tests/conftest.py, comb_opetope_doc).
+Each command runs in a fresh process, which times cli.main alone, so no
+column reads the heap an earlier command left; peak RSS is the largest
+peak of the row's processes, read from /proc/self/status (Linux).  Documents go to a temporary directory,
+removed at the end.  Times are single runs; a row is printed as soon as
+it is measured.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import random
-import resource
+import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from opetopes.cli import main as cli_main
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import opetope_to_doc, serialize_doc
 
@@ -34,31 +33,45 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import comb_opetope_doc, relabel_doc  # noqa: E402
 
 COMB_LEAVES = 1000
-COLUMNS = ("cells", "`convert --to dfc`", "`validate` .ope", "`validate` .dfc", "`iso` .ope", "`iso` .dfc", "peak RSS")
+COLUMNS = ("cells", "`convert --to dfc`", "`convert --to ope`", "`validate` .ope", "`validate` .dfc", "`iso` .ope",
+           "`iso` .dfc", "peak RSS")
+# Run in a fresh process: the command's time, exit code and the process's peak RSS in KB.  The
+# peak is VmHWM, not ru_maxrss, which on Linux also counts the memory of the forking process.
+CHILD = """
+import contextlib, io, sys, time
+from opetopes.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    start = time.perf_counter()
+    code = main(sys.argv[1:])
+    elapsed = time.perf_counter() - start
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(elapsed, code, status["VmHWM"].split()[0])
+"""
 
 
-def _timed(argv) -> str:
-    """Seconds taken by one command, with its exit code when that is not 0."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        start = time.perf_counter()
-        code = cli_main([str(a) for a in argv])
-        elapsed = time.perf_counter() - start
-    return f"{elapsed:.2f} s" + (f" (exit {code})" if code else "")
+def _timed(argv, rss: list) -> str:
+    """Seconds one command takes in a fresh process, with its exit code when that is not 0; appends its peak RSS to rss."""
+    out = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)], capture_output=True, text=True, check=True)
+    elapsed, code, peak = out.stdout.split()
+    rss.append(int(peak))
+    return f"{float(elapsed):.2f} s" + (f" (exit {code})" if code != "0" else "")
 
 
 def _row(name: str, ope_doc: dict, tmp: Path) -> str:
     ope, ope2 = tmp / f"{name}.ope.json", tmp / f"{name}.relabelled.ope.json"
     dfc, dfc2 = tmp / f"{name}.dfc.json", tmp / f"{name}.relabelled.dfc.json"
-    rng = random.Random(1)
+    back = tmp / f"{name}.back.ope.json"
+    rng, rss = random.Random(1), []
     ope.write_text(serialize_doc(ope_doc))
     ope2.write_text(serialize_doc(relabel_doc(ope_doc, rng)[0]))
-    convert = _timed(["convert", "--to", "dfc", ope, "-o", dfc])
+    times = [_timed(["convert", "--to", "dfc", ope, "-o", dfc], rss)]
     dfc_doc = json.loads(dfc.read_text())
     dfc2.write_text(serialize_doc(relabel_doc(dfc_doc, rng)[0]))
     cells = f"{len(dfc_doc['cells']):,}"
-    times = [_timed(["validate", ope]), _timed(["validate", dfc]), _timed(["iso", ope, ope2]), _timed(["iso", dfc, dfc2])]
-    rss = f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
-    return "| " + " | ".join([name, cells, convert, *times, rss]) + " |"
+    for argv in (["convert", "--to", "ope", dfc, "-o", back], ["validate", ope], ["validate", dfc],
+                 ["iso", ope, ope2], ["iso", dfc, dfc2]):
+        times.append(_timed(argv, rss))
+    return "| " + " | ".join([name, cells, *times, f"{max(rss) / 1024:.0f} MB"]) + " |"
 
 
 def main(argv=None) -> int:
