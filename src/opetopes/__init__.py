@@ -35,7 +35,6 @@ from .poset import (
 from .trees import (
     Opetope,
     RootedTree,
-    SubdividedTree,
     constellation_diagnostics,
     opetope_diagnostics,
     opetope_validate,

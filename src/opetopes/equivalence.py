@@ -106,13 +106,8 @@ def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
             for r, b in enumerate(edges_below):
                 for p, w in enumerate(sub.get(b, ())):
                     key[w] = (1, r, p)
-        down = [t.root]  # parents before children
-        for b in down:
-            a = t.source_node_of(b)
-            if a is not None:
-                down.extend(t.sources_of(a))
         least: dict = {}  # edge -> least key pinned above it; level 0 has one leaf
-        for b in reversed(down):
+        for b in reversed(t.edge_order):
             a = t.source_node_of(b)
             if a is None:
                 least[b] = key.get(b, ())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .trees import Opetope, RootedTree, SubdividedTree, dot_adjacency
+from .trees import Opetope, RootedTree
 
 CHILD_STOP = 0.45  # chance to stop opening further child circles
 GROW_STOP = 0.5    # chance to stop growing a child circle
@@ -53,14 +53,31 @@ def gen_base(rng: random.Random, max_linear_nodes: int) -> tuple[list[RootedTree
     return [t0, t1, t2], [{}, {}]
 
 
-def gen_subdivision(rng: random.Random, t: RootedTree, max_whitedots_per_edge: int, namer: _Namer) -> SubdividedTree:
-    """Independent uniform whitedot count per edge, fresh ascending ids."""
+def gen_subdivision(rng: random.Random, t: RootedTree, max_whitedots_per_edge: int, namer: _Namer) -> dict:
+    """Independent uniform whitedot count per edge, fresh ascending ids; edges without whitedots are left out."""
     w = {}
     for b in sorted(t.edges):
         count = rng.randint(0, max_whitedots_per_edge)
         if count:
             w[b] = tuple(namer.fresh("w") for _ in range(count))
-    return SubdividedTree(t, w)
+    return w
+
+
+def dot_adjacency(t: RootedTree, w: dict) -> dict[str, set[str]]:
+    """The dots of tree t subdivided by w, each with the dots one segment away.
+
+    Along each edge the run of dots is its target node, then its whitedots
+    from the target end, then its source node.
+    """
+    adj: dict[str, set[str]] = {a: set() for a in t.nodes}
+    for b in t.edges:
+        whitedots = w.get(b, ())
+        adj.update((d, set()) for d in whitedots)
+        run = [d for d in (t.edge_target.get(b), *whitedots, t.source_node_of(b)) if d is not None]
+        for d, e in zip(run, run[1:]):
+            adj[d].add(e)
+            adj[e].add(d)
+    return adj
 
 
 def _grow_connected(rng: random.Random, pool: set[str], adj: dict, size: int) -> set[str]:
@@ -75,12 +92,11 @@ def _grow_connected(rng: random.Random, pool: set[str], adj: dict, size: int) ->
     return grown
 
 
-def gen_nesting(rng: random.Random, t_prime: SubdividedTree, namer: _Namer | None = None) -> RootedTree:
-    """A random laminar nesting of the dots, read back as the next tree."""
-    namer = namer or _Namer(level=99)
-    whitedots = set(t_prime.whitedots())
-    dots = set(t_prime.dots())
-    adj = dot_adjacency(t_prime.base, t_prime.w)
+def gen_nesting(rng: random.Random, t: RootedTree, w: dict, namer: _Namer) -> RootedTree:
+    """A random laminar nesting of the dots of tree t subdivided by w, read back as the next tree."""
+    whitedots = {d for ws in w.values() for d in ws}
+    dots = set(t.nodes) | whitedots
+    adj = dot_adjacency(t, w)
 
     nodes: list[str] = []
     edges: list[str] = []
@@ -144,11 +160,11 @@ def gen_opetope(rng_or_seed, params: GenParams | None = None) -> Opetope:
         top = trees[-1]
         headroom = max(0, params.max_tree_dots - len(top.nodes))
         per_edge = min(params.max_whitedots_per_edge, headroom)
-        t_prime = gen_subdivision(rng, top, per_edge, namer)
-        if not t_prime.dots():
+        w = gen_subdivision(rng, top, per_edge, namer)
+        if not top.nodes and not w:
             # a dotless tree admits no exact constellation into anything:
             # the next tree would need neither leaves nor nulldots
-            t_prime = SubdividedTree(top, {top.root: (namer.fresh("w"),)})
-        subdivisions.append(dict(t_prime.w))
-        trees.append(gen_nesting(rng, t_prime, namer))
+            w = {top.root: (namer.fresh("w"),)}
+        subdivisions.append(w)
+        trees.append(gen_nesting(rng, top, w, namer))
     return Opetope(tuple(trees), tuple(subdivisions))

@@ -31,7 +31,7 @@ from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, 
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
 from .to_poset import ExtendedZoom, PImage, p_image
 from .to_zoom import level_tree, z_of
-from .trees import Opetope, RootedTree, SubdividedTree, tree_diagnostics
+from .trees import Opetope, RootedTree, tree_diagnostics
 
 
 # -- the paper's reference constructions ---------------------------------
@@ -53,15 +53,15 @@ def cofaces(mop: ManyToOnePoset, sign: str, y: str) -> tuple[str, ...]:
 
 
 class Expansion:
-    """The expansion of a subdivided tree: whitedots promoted to nodes.
+    """The expansion of tree base subdivided by w: whitedots promoted to nodes.
 
     Edges of the expansion are segments; origin maps a segment back to
     (original edge, index from the target end).
     """
 
-    def __init__(self, st: SubdividedTree):
-        base = st.base
-        used = set(base.nodes) | set(base.edges) | set(st.whitedots())
+    def __init__(self, base: RootedTree, w: dict):
+        whitedots = [d for b in sorted(base.edges) for d in w.get(b, ())]
+        used = set(base.nodes) | set(base.edges) | set(whitedots)
         nodes = list(base.nodes)
         edges: list[str] = []
         node_target = dict(base.node_target)
@@ -69,7 +69,7 @@ class Expansion:
         origin: dict[str, tuple[str, int]] = {}
         segments_of: dict[str, list[str]] = {}
         for b in sorted(base.edges):
-            dots = list(st.w.get(b, ()))
+            dots = list(w.get(b, ()))
             segs = []
             for i in range(len(dots) + 1):
                 s = f"{b}#{i}"
@@ -95,7 +95,7 @@ class Expansion:
         root_seg = segments_of[base.root][0]
         self.tree = RootedTree(nodes, edges, node_target, edge_target, root_seg)
         self.origin = origin
-        self.whitedots = frozenset(st.whitedots())
+        self.whitedots = frozenset(whitedots)
 
     def segment_ends(self, seg: str) -> tuple[str | None, str | None]:
         """(dot below, dot above) of a segment; None at the boundary."""
@@ -565,9 +565,8 @@ def oracle_kernel(t: RootedTree, subdivision: dict, u: RootedTree):
     Uses union-find labelling and an iterative descent chase, sharing no
     traversal code with constellation_diagnostics.
     """
-    st = SubdividedTree(t, subdivision)
-    exp = Expansion(st)
-    dots = st.dots()
+    exp = Expansion(t, subdivision)
+    dots = (*t.nodes, *exp.whitedots)
     u_edges, u_nodes = set(u.edges), set(u.nodes)
 
     def chase(start):
@@ -617,8 +616,7 @@ def oracle_kernel_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
     expansion; the reference for the counting route of
     trees.constellation_diagnostics.
     """
-    st = SubdividedTree(t, subdivision)
-    exp = Expansion(st)
+    exp = Expansion(t, subdivision)
     adj: dict[str, set[str]] = {d: set() for d in exp.tree.nodes}
     for seg in exp.tree.edges:
         lo, hi = exp.segment_ends(seg)
@@ -626,7 +624,7 @@ def oracle_kernel_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
             adj[lo].add(hi)
             adj[hi].add(lo)
     pulled_at: dict[str, list[str]] = {}
-    for d in (*t.nodes, *st.whitedots()):
+    for d in (*t.nodes, *exp.whitedots):
         for x in descending_chain(u, d):
             pulled_at.setdefault(x, []).append(d)
     out = []
@@ -674,8 +672,7 @@ def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
     s_lo = ez.trees[k + 1]
     if x not in set(s_hi.edges):
         raise ValueError(f"{x!r} is not an edge of tree {k + 2}")
-    st = SubdividedTree(s_lo, ez.subdivisions[k + 1])
-    exp = Expansion(st)
+    exp = Expansion(s_lo, ez.subdivisions[k + 1])
     blackdots = set(s_lo.nodes)
     whitedots = set(exp.whitedots)
     dots = descendant_dots(s_hi, x) & (blackdots | whitedots)

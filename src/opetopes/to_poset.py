@@ -6,13 +6,12 @@ degree >= 2.  A cell x of tree k+2 has as sources the leaves, and as target
 the root, of the nesting subtree it cuts out of tree k+1; both are read off
 a signed count instead of building that subtree.
 
-A segment (b, i) is the stretch of edge b of tree k+1 above its i-th
-whitedot, counted from the target end.  Each dot counts +1 on the segments
-just above it and -1 on the one just below it.  Over the dots above x the
-segments between two of them cancel; those dots are connected (the kernel
-rule), so one -1 is left, on the target of x, and the +1 segments lie on
-its sources.  A loop's -1 segment places it in its local order.  One sweep
-of tree k+2 from the top adds each count into the one below it; a count
+The count is trees.segment_sweep, the sweep that also decides the kernel
+rule: from the top of tree k+2 down, it sums the signed segment counts of
+the dots of tree k+1 above each edge.  The dots above x are connected (the kernel
+rule), so one -1 segment is left, on the target of x, and the +1 segments
+lie on its sources; more than one -1 is a bug, since the opetope was
+validated.  A loop's -1 segment places it in its local order.  A count
 holds one entry per source plus one, so a level costs its input plus its
 output.  oracle.oracle_nesting_subtree builds the subtree of a single cell
 and is the reference this route is tested against.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from .diagnostics import InternalError
 from .poset import Dfc, trusted_dfc, trusted_mop
-from .trees import Opetope, RootedTree
+from .trees import Opetope, RootedTree, segment_sweep
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -77,54 +76,6 @@ def extend(ope: Opetope) -> ExtendedZoom:
     return ExtendedZoom(ope, ope.trees + (corolla, unit), ope.subdivisions + (v_n, {}), top, ext_root)
 
 
-# -- signed segment counts ---------------------------------------------
-
-
-def _dot_counts(t: RootedTree, w: dict) -> dict[str, dict]:
-    """The count of every dot of subdivided tree t: +1 on each segment just above it, -1 on the one just below."""
-    counts: dict[str, dict] = {}
-    for a in t.nodes:
-        b = t.node_target[a]
-        counts[a] = {(s, 0): 1 for s in t.sources_of(a)}
-        counts[a][(b, len(w.get(b, ())))] = -1
-    for b, whitedots in w.items():
-        for i, d in enumerate(whitedots):
-            counts[d] = {(b, i + 1): 1, (b, i): -1}
-    return counts
-
-
-def _signed_counts(ez: ExtendedZoom, k: int) -> dict[str, tuple[list[str], tuple[str, int]]]:
-    """The sources and the target segment of every edge of tree k+2, in one sweep from its top."""
-    u = ez.trees[k + 2]
-    counts = _dot_counts(ez.trees[k + 1], ez.subdivisions[k + 1])
-    order, stack = [], [u.root]  # each edge of u before the edges above it
-    while stack:
-        order.append(stack.pop())
-        a = u.source_node_of(order[-1])
-        if a is not None:
-            stack.extend(u.sources_of(a))
-    summed, cells = {}, {}
-    for x in reversed(order):
-        a = u.source_node_of(x)
-        srcs = () if a is None else u.sources_of(a)
-        if srcs:
-            count = summed.pop(srcs[0])
-        else:  # a leaf of u is a blackdot of tree k+1, a nulldot of u a whitedot
-            count = counts[x if a is None else a]
-        for s in srcs[1:]:
-            # the dots above two sibling edges are disjoint, so a segment
-            # they share is +1 in one count and -1 in the other
-            for seg, c in summed.pop(s).items():
-                if count.pop(seg, None) is None:
-                    count[seg] = c
-        targets = [seg for seg, c in count.items() if c < 0]
-        if len(targets) != 1:
-            raise InternalError(f"the dots above {x!r} leave {len(targets)} target segments; the opetope breaks the kernel rule")
-        cells[x] = (sorted({b for (b, _), c in count.items() if c > 0}), targets[0])
-        summed[x] = count
-    return cells
-
-
 # -- the complex of an opetope ------------------------------------------
 
 
@@ -143,10 +94,14 @@ def p_image(ope: Opetope) -> PImage:
     records += [{"id": x, "dim": 0, "delta": [], "gamma": [ez.bottom]} for x in sorted(ez.trees[2].edges)]
     target_segment: dict[str, tuple[str, int]] = {}
     for k in range(1, n + 1):
-        cells = _signed_counts(ez, k)
+        cells = {}
+        for x, count, minus in segment_sweep(ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]):
+            if minus != 1:
+                raise InternalError(f"the dots above {x!r} leave {minus} target segments; the opetope breaks the kernel rule")
+            target_segment[x] = next(seg for seg, c in count.items() if c < 0)
+            cells[x] = sorted({b for (b, _), c in count.items() if c > 0})
         for x in sorted(cells):
-            delta, target_segment[x] = cells[x]
-            records.append({"id": x, "dim": k, "delta": delta, "gamma": [target_segment[x][0]]})
+            records.append({"id": x, "dim": k, "delta": cells[x], "gamma": [target_segment[x][0]]})
 
     by_id = {rec["id"]: rec for rec in records}
     local_orders = []

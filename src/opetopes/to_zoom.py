@@ -39,13 +39,6 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
         raise ValueError(f"level must lie between 2 and {n + 2}, got {k}")
     if k == n + 2:
         return RootedTree((), (dfc.omega,), {}, {}, dfc.omega)
-    if k == n + 1:
-        root = mop.gamma_cell(dfc.omega)
-        edges = sorted(mop.delta[dfc.omega] | {root})
-        return RootedTree(
-            (dfc.omega,), edges, {dfc.omega: root},
-            {b: dfc.omega for b in sorted(mop.delta_minus(dfc.omega))}, root,
-        )
     nodes = sorted(dfc.lam_k[k - 1])
     edges = mop.grade(k - 2)
     node_target = {x: mop.gamma_cell(x) for x in nodes}

@@ -3,25 +3,31 @@
 Trees grow upward from a distinguished targetless root edge: each node has
 exactly one target edge below it, each edge at most one target node below
 it.  Sourceless edges are leaves, sourceless nodes are nulldots.  A
-subdivision puts an ordered run of whitedots on each edge.  An opetope is
-stored as its trees and one subdivision per tree below the top: the
-constellation from tree i into tree i+1 is exact, so the blackdots (nodes)
-of subdivided tree i are the leaves of tree i+1 and its whitedots are the
-nulldots, by name, subject to the kernel (connectivity) rule.  The trees
-of degree 0..2 have constrained shapes.
+subdivision puts an ordered run of whitedots on each edge; it is a plain
+map from edges to whitedots.  An opetope is stored as its trees and one
+subdivision per tree below the top: the constellation from tree i into
+tree i+1 is exact, so the blackdots (nodes) of subdivided tree i are the
+leaves of tree i+1 and its whitedots are the nulldots, by name, subject to
+the kernel (connectivity) rule.  The trees of degree 0..2 have constrained
+shapes.
 
-The kernel rule is checked by counting, not by listing.  The dots of a
-subdivided tree form a forest (adjacent when one segment joins them), so
-the dots above an element of the next tree form as many components as
-there are dots less adjacencies among them.  One sweep down the next tree
-merges the dot sets of its elements, smaller into larger, and counts the
-adjacencies each merged dot closes: O(n log n) for n dots.  The dots
-above an element are listed only when it breaks the rule.
+The kernel rule is computed in one place, segment_sweep, by signed
+counts.  A segment (b, i) is the stretch of edge b above its i-th
+whitedot, counted from the target end.  Each dot counts +1 on the
+segments just above it and -1 on the one just below it.  Over a set of
+dots the segments between two of them cancel, and each connected
+component keeps one -1 segment, the one below its lowest dot.  One sweep
+down the next tree adds up the counts of sibling edges, smaller into
+larger, and carries how many -1 segments each holds: O(n log n) for n
+dots.  Two readers share it: constellation_diagnostics reports an element
+whose dots leave more than one -1 segment, and lists those dots only
+then; to_poset.p_image reads each cell's sources and target off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -59,6 +65,20 @@ class RootedTree:
     def source_node_of(self, b: str) -> str | None:
         return self._source_node.get(b)
 
+    @cached_property
+    def edge_order(self) -> tuple[str, ...]:
+        """The edges from the root up, each before the edges above it.
+
+        Only for a tree that tree_diagnostics accepts: a root with a target
+        node can sit above itself, and then this walk never ends.
+        """
+        order = [self.root]
+        for b in order:
+            a = self._source_node.get(b)
+            if a is not None:
+                order.extend(self._sources[a])
+        return tuple(order)
+
     @property
     def is_unit(self) -> bool:
         return not self.nodes and len(self.edges) == 1
@@ -77,6 +97,8 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
     clash = sorted(node_set & edge_set)
     if clash:
         out.append(make("IdClash", clash, "tree ids", "ids used both as node and edge"))
+    for a in sorted(set(node_target) - node_set):
+        out.append(make("DanglingId", [str(a), str(node_target[a])], "rooted tree", f"node target entry ({a!r}, {node_target[a]!r}) references an unknown node"))
     for a in sorted(node_set):
         b = node_target.get(a)
         if b is None:
@@ -123,32 +145,20 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
 # -- subdivisions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubdividedTree:
-    """A rooted tree with an ordered run of whitedots on each edge."""
-
-    base: RootedTree
-    w: dict  # edge -> tuple of whitedot ids, ascending from the target end
-
-    def whitedots(self) -> tuple[str, ...]:
-        return tuple(d for b in sorted(self.base.edges) for d in self.w.get(b, ()))
-
-    def dots(self) -> tuple[str, ...]:
-        return tuple(sorted(self.base.nodes)) + self.whitedots()
-
-
-def subdivided_diagnostics(st: SubdividedTree) -> list[Diagnostic]:
+def subdivided_diagnostics(t: RootedTree, w: dict) -> list[Diagnostic]:
+    """Violations of the subdivision w (edge -> whitedots) of tree t."""
     out = []
-    edges = set(st.base.edges)
-    used = set(st.base.nodes) | edges
-    for b in sorted(st.w):
+    edges = set(t.edges)
+    used = set(t.nodes) | edges
+    for b in sorted(w):
         if b not in edges:
             out.append(make("DanglingId", [b], "subdivision", f"subdivision names unknown edge {b!r}"))
     seen = set()
-    for d in st.whitedots():
-        if d in used or d in seen:
-            out.append(make("IdClash", [d], "subdivision", f"whitedot id {d!r} collides with another id"))
-        seen.add(d)
+    for b in sorted(t.edges):
+        for d in w.get(b, ()):
+            if d in used or d in seen:
+                out.append(make("IdClash", [d], "subdivision", f"whitedot id {d!r} collides with another id"))
+            seen.add(d)
     return sorted(set(out), key=sort_key)
 
 
@@ -165,70 +175,76 @@ def _same_dots(code: str, dots, expected, message: str) -> list[Diagnostic]:
     return [make(code, diff, "exact constellation", message)] if diff else []
 
 
-def dot_adjacency(t: RootedTree, subdivision: dict) -> dict[str, set[str]]:
-    """The dots of subdivided tree t, each with the dots one segment away.
+def segment_sweep(t: RootedTree, w: dict, u: RootedTree):
+    """Per edge x of u, from the top down: (x, the signed count over the dots above x, its number of -1 segments).
 
-    Along each edge the run of dots is its target node, then its whitedots
-    from the target end, then its source node.
+    A count maps segments (edge of t, index from the target end) to +1 or
+    -1, as the module docstring says; u is the next tree of an exact
+    constellation from t subdivided by w.  Each count is merged into the
+    one below it as the sweep goes on, so read it before the next step.
     """
-    adj: dict[str, set[str]] = {a: set() for a in t.nodes}
-    for b in t.edges:
-        whitedots = subdivision.get(b, ())
-        adj.update((w, set()) for w in whitedots)
-        run = [d for d in (t.edge_target.get(b), *whitedots, t.source_node_of(b)) if d is not None]
-        for d, e in zip(run, run[1:]):
-            adj[d].add(e)
-            adj[e].add(d)
-    return adj
+    counts: dict[str, dict] = {}
+    for a in t.nodes:
+        b = t.node_target[a]
+        counts[a] = {(s, 0): 1 for s in t.sources_of(a)}
+        counts[a][(b, len(w.get(b, ())))] = -1
+    for b, whitedots in w.items():
+        for i, d in enumerate(whitedots):
+            counts[d] = {(b, i + 1): 1, (b, i): -1}
+    summed: dict[str, tuple[dict, int]] = {}
+    for x in reversed(u.edge_order):
+        a = u.source_node_of(x)
+        srcs = () if a is None else u.sources_of(a)
+        if not srcs:  # a leaf of u is a blackdot of t, a nulldot of u a whitedot
+            count, minus = counts[x if a is None else a], 1
+        else:
+            count, minus = summed.pop(srcs[0])
+            for s in srcs[1:]:
+                more, more_minus = summed.pop(s)
+                if len(more) > len(count):
+                    count, more = more, count
+                minus += more_minus
+                # the dots above two sibling edges are disjoint, so a segment
+                # they share is +1 in one count and -1 in the other
+                for seg, c in more.items():
+                    if count.pop(seg, None) is None:
+                        count[seg] = c
+                    else:
+                        minus -= 1
+        summed[x] = (count, minus)
+        yield x, count, minus
+
+
+def _dots_above(u: RootedTree, x: str) -> list[str]:
+    """The leaves and nulldots of u above its edge x."""
+    dots, stack = [], [x]
+    while stack:
+        b = stack.pop()
+        a = u.source_node_of(b)
+        if a is None:
+            dots.append(b)
+        elif u.sources_of(a):
+            stack.extend(u.sources_of(a))
+        else:
+            dots.append(a)
+    return sorted(dots)
 
 
 def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -> list[Diagnostic]:
     """Violations of the exact constellation from tree t, subdivided, into the next tree u."""
-    st = SubdividedTree(t, subdivision)
-    out = subdivided_diagnostics(st)
+    out = subdivided_diagnostics(t, subdivision)
     if out:
         return out
-    whitedots = st.whitedots()
+    whitedots = [d for ws in subdivision.values() for d in ws]
     out.extend(_same_dots("BlackdotsNotNextLeaves", t.nodes, u.leaves, "the blackdots are not the leaves of the next tree"))
     out.extend(_same_dots("WhitedotsNotNextNulldots", whitedots, u.nulldots, "the whitedots are not the nulldots of the next tree"))
     if out:
         return sorted(set(out), key=sort_key)
-    return _kernel_diagnostics(dot_adjacency(t, subdivision), u)
-
-
-def _just_above(u: RootedTree, x: str) -> tuple[str, ...]:
-    """The source edges of a node, or the source node of an edge if it has one."""
-    if x in u.node_target:
-        return u.sources_of(x)
-    a = u.source_node_of(x)
-    return () if a is None else (a,)
-
-
-def _kernel_diagnostics(adj: dict[str, set[str]], u: RootedTree) -> list[Diagnostic]:
-    """A KernelRuleViolated for each element of u whose dots (leaves and nulldots above it) adj splits.
-
-    Counted as the module docstring says, in one sweep from the top of u.
-    """
-    order, stack = [], [u.root]  # each element of u, before the elements just above it
-    while stack:
-        x = stack.pop()
-        order.append((x, _just_above(u, x)))
-        stack.extend(order[-1][1])
-    above: dict[str, tuple[set[str], int]] = {}  # element -> (the dots above it, their adjacencies)
-    out = []
-    for x, just_above in reversed(order):
-        dots, inner = ({x} if x in adj else set()), 0
-        for c in just_above:
-            more, more_inner = above.pop(c)
-            if len(more) > len(dots):
-                dots, more = more, dots
-            inner += more_inner
-            for d in more:
-                inner += len(adj[d] & dots)
-            dots |= more
-        above[x] = (dots, inner)
-        if len(dots) - inner > 1:
-            out.append(make("KernelRuleViolated", [x, *sorted(dots)], "kernel rule", f"dots over {x!r} split into {len(dots) - inner} components"))
+    for x, _, minus in segment_sweep(t, subdivision, u):
+        if minus > 1:  # one -1 segment per component; only an edge with sources can split
+            dots = _dots_above(u, x)
+            for y in (x, u.source_node_of(x)):  # a node has the dots of its target edge
+                out.append(make("KernelRuleViolated", [y, *dots], "kernel rule", f"dots over {y!r} split into {minus} components"))
     return sorted(out, key=sort_key)
 
 

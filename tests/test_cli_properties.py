@@ -64,7 +64,7 @@ json_values = st.recursive(
 
 @st.composite
 def edited_fixtures(draw):
-    """A fixture with one field replaced or deleted, or one array entry appended."""
+    """A fixture with one field replaced or deleted, one array entry appended, or one id key inserted into an object."""
     name = draw(st.sampled_from(sorted(FIXTURE_DOCS)))
     doc = copy.deepcopy(FIXTURE_DOCS[name])
     *parents, last = draw(st.sampled_from(PATHS[name]))
@@ -73,11 +73,13 @@ def edited_fixtures(draw):
         target = target[key]
     # most edits put an id or a small number where the fixture has one
     value = draw(st.sampled_from(IDS) | st.integers(-2, 5) | scalars | json_values)
-    action = draw(st.sampled_from(("replace", "delete", "append")))
+    action = draw(st.sampled_from(("replace", "delete", "append", "insert")))
     if action == "delete":
         del target[last]
     elif action == "append" and isinstance(target[last], list):
         target[last].append(value)
+    elif action == "insert" and isinstance(target[last], dict):
+        target[last][draw(st.sampled_from(IDS))] = value
     else:
         target[last] = value
     return doc
@@ -111,7 +113,7 @@ def test_cli_never_raises_on_arbitrary_json(tmp_path_factory, doc):
     _run_every_command(tmp_path_factory.mktemp("any"), doc)
 
 
-@_settings(150)
+@_settings(190)
 @given(doc=edited_fixtures())
 def test_cli_never_raises_on_single_field_edits_of_the_fixtures(tmp_path_factory, doc):
     _run_every_command(tmp_path_factory.mktemp("edit"), doc)

@@ -7,7 +7,7 @@ from opetopes.generator import GenParams, _Namer, gen_base, gen_nesting, gen_ope
 from opetopes.io import dfc_to_doc, opetope_to_doc, serialize_doc
 from opetopes.poset import dfc_diagnostics, mop_diagnostics
 from opetopes.to_poset import p_of
-from opetopes.trees import Opetope, SubdividedTree, constellation_diagnostics, opetope_diagnostics
+from opetopes.trees import Opetope, constellation_diagnostics, opetope_diagnostics
 
 from conftest import generated_corpus
 
@@ -26,18 +26,17 @@ def test_gen_subdivision_bounds_and_reproducibility():
     trees, _ = gen_base(random.Random(3), 3)
     one = gen_subdivision(random.Random(5), trees[2], 2, _Namer(9))
     two = gen_subdivision(random.Random(5), trees[2], 2, _Namer(9))
-    assert one.w == two.w
-    assert all(len(ws) <= 2 for ws in one.w.values())
+    assert one == two
+    assert all(len(ws) <= 2 for ws in one.values())
     zero = gen_subdivision(random.Random(5), trees[2], 0, _Namer(9))
-    assert zero.w == {}
+    assert zero == {}
 
 
 def test_500_nestings_all_validate(rho_ope):
     s2 = rho_ope.trees[2]
     sub = rho_ope.subdivisions[2]
-    t_prime = SubdividedTree(s2, sub)
     for seed in range(500):
-        u = gen_nesting(random.Random(seed), t_prime, _Namer(7))
+        u = gen_nesting(random.Random(seed), s2, sub, _Namer(7))
         assert not constellation_diagnostics(s2, sub, u), seed
 
 
@@ -45,10 +44,9 @@ def test_worked_nesting_is_reachable(rho_ope):
     # the published nesting of the subdivided linear tree (two blackdots,
     # four whitedots on the middle edge) must come up within a seed sweep
     s2 = rho_ope.trees[2]
-    t_prime = SubdividedTree(s2, rho_ope.subdivisions[2])
-    # trees 0..2 are shared, so an isomorphism fixes the dots of t_prime
+    # trees 0..2 are shared, so an isomorphism fixes the dots of s2
     for seed in range(3000):
-        u = gen_nesting(random.Random(seed), t_prime, _Namer(7))
+        u = gen_nesting(random.Random(seed), s2, rho_ope.subdivisions[2], _Namer(7))
         nested = Opetope(rho_ope.trees[:3] + (u,), rho_ope.subdivisions)
         if opetope_iso_search(nested, rho_ope) is not None:
             return

@@ -412,6 +412,17 @@ def test_cli_validate_names_a_non_string_opetope_id(tmp_path, capsys, name, fiel
     assert f"error: {path} must be a string id, not {json.dumps(value)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tree, node, edge", [(2, "c0", "c2"), (3, "zz", "b3")])
+@pytest.mark.parametrize("command", [["validate"], ["info"], ["convert", "--to", "ope"], ["convert", "--to", "dfc"],
+                                     ["roundtrip"], ["export-dot"]])
+def test_cli_reports_a_node_target_entry_for_a_non_node(tmp_path, capsys, tree, node, edge, command):
+    # an edge id (c0) or an unknown id (zz) as a key of node_target is a dangling id, not a crash or a valid tree
+    edited = _edited(tmp_path, "rho3.ope.json", ("trees", tree, "node_target", node), edge)
+    assert main([*command, str(edited)]) == 1
+    diag = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (diag["code"], diag["cells"]) == ("DanglingId", [node, edge])
+
+
 COUNTED = (
     ("poset", "_structural_diagnostics"),
     ("poset", "_thinness_diagnostics"),

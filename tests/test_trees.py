@@ -21,7 +21,6 @@ from opetopes.oracle import (
 from opetopes.trees import (
     Opetope,
     RootedTree,
-    SubdividedTree,
     constellation_diagnostics,
     opetope_diagnostics,
     subdivided_diagnostics,
@@ -57,10 +56,10 @@ def tree(doc) -> RootedTree:
     return RootedTree(**doc)
 
 
-def expansion_tree(st: SubdividedTree) -> RootedTree:
-    """The expansion of a subdivided tree, which must be a rooted tree."""
-    assert subdivided_diagnostics(st) == []
-    t = Expansion(st).tree
+def expansion_tree(base: RootedTree, w: dict) -> RootedTree:
+    """The expansion of tree base subdivided by w, which must be a rooted tree."""
+    assert subdivided_diagnostics(base, w) == []
+    t = Expansion(base, w).tree
     assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
     return t
 
@@ -81,6 +80,18 @@ def test_unit_tree_valid():
     assert t.is_unit and t.leaves == ("e",)
 
 
+def test_edge_order_lists_each_edge_once_after_the_edge_below_it(rho_ope, omega_ope):
+    opetopes = [rho_ope, omega_ope, comb(4000)]
+    opetopes += [gen_opetope(random.Random(dim), GenParams(dim=dim, max_whitedots_per_edge=3)) for dim in range(3, 8)]
+    for ope in opetopes:
+        for t in ope.trees:
+            order = t.edge_order
+            assert sorted(order) == sorted(t.edges) and order[0] == t.root
+            position = {b: i for i, b in enumerate(order)}
+            for b in order[1:]:
+                assert position[t.node_target[t.edge_target[b]]] < position[b], b
+
+
 def test_two_targetless_edges():
     doc = dict(PAPER_TREE)
     doc["edge_target"] = {k: v for k, v in PAPER_TREE["edge_target"].items() if k != "b2"}
@@ -91,6 +102,14 @@ def test_node_without_target_and_cycle():
     bad = dict(nodes=["a"], edges=["e"], node_target={}, edge_target={"e": "a"}, root="e")
     assert "NodeWithoutTarget" in codes(tree_diagnostics(**bad))
     assert tree_diagnostics(**CYCLE) == [make("Cycle", ["e"], "rooted tree", "no finite descending path from 'e'")]
+
+
+def test_node_target_entry_for_a_non_node_is_dangling():
+    for key in ("b2", "zz"):  # an edge, an unknown id
+        doc = dict(PAPER_TREE, node_target={**PAPER_TREE["node_target"], key: "b3"})
+        assert tree_diagnostics(**doc) == [
+            make("DanglingId", [key, "b3"], "rooted tree", f"node target entry ({key!r}, 'b3') references an unknown node")
+        ]
 
 
 def test_tree_diagnostics_match_naive_path_oracle():
@@ -113,21 +132,20 @@ def test_tree_diagnostics_match_naive_path_oracle():
 
 def test_expansion_matches_worked_subdivision():
     t = tree(PAPER_TREE)
-    st = SubdividedTree(t, {"b2": ("w1", "w2", "w3"), "b3": ("w4", "w5")})
-    exp = expansion_tree(st)
+    exp = expansion_tree(t, {"b2": ("w1", "w2", "w3"), "b3": ("w4", "w5")})
     assert len(exp.nodes) == 4 + 5
     assert len(exp.edges) == 5 + 5
-    assert set(st.whitedots()) < set(exp.nodes)
+    assert {"w1", "w2", "w3", "w4", "w5"} < set(exp.nodes)
     # whitedots ascend from the target end: w1 sits below w2 on b2
     assert "w1" in descending_chain(exp, "w2")
 
 
 def test_expansion_trivial_and_unit_cases():
     t = tree(PAPER_TREE)
-    empty = expansion_tree(SubdividedTree(t, {}))
+    empty = expansion_tree(t, {})
     assert len(empty.nodes) == 4 and len(empty.edges) == 5
     unit = tree({"nodes": [], "edges": ["e"], "node_target": {}, "edge_target": {}, "root": "e"})
-    two = expansion_tree(SubdividedTree(unit, {"e": ("u", "v")}))
+    two = expansion_tree(unit, {"e": ("u", "v")})
     assert len(two.nodes) == 2 and two.is_linear
 
 
@@ -135,7 +153,7 @@ def test_expansions_differ_when_whitedot_counts_differ():
     t = tree(PAPER_TREE)
     seen = {}
     for w in [{}, {"b2": ("u",)}, {"b2": ("u", "v")}, {"b3": ("u",)}]:
-        exp = expansion_tree(SubdividedTree(t, w))
+        exp = expansion_tree(t, w)
         shape = (len(exp.nodes), len(exp.edges), tuple(sorted(len(exp.sources_of(a)) for a in exp.nodes)))
         key = tuple(sorted((b, len(ws)) for b, ws in w.items()))
         seen[key] = shape
@@ -146,9 +164,9 @@ def test_subdivision_check_is_linear():
     # a corolla of 10,000 edges, each carrying one whitedot
     leaves = [f"b{i}" for i in range(1, 10_000)]
     corolla = RootedTree(["n"], ["b0", *leaves], {"n": "b0"}, {b: "n" for b in leaves}, "b0")
-    st = SubdividedTree(corolla, {b: (f"w{b}",) for b in corolla.edges})
+    w = {b: (f"w{b}",) for b in corolla.edges}
     start = time.perf_counter()
-    assert subdivided_diagnostics(st) == []
+    assert subdivided_diagnostics(corolla, w) == []
     assert time.perf_counter() - start < 1.0
 
 
