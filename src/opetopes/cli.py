@@ -167,8 +167,8 @@ def cmd_oracle(args) -> int:
             raise ParseError("kernel oracle needs an opetope document")
         bad = [oracle.oracle_kernel(t, sub, u) for t, sub, u in zip(obj.trees, obj.subdivisions, obj.trees[1:])]
         for i, b in enumerate(bad):
-            _emit({"constellation": i + 1, "kernel": "ok" if b is None else {"element": b[0], "components": b[1]}})
-        return OK if all(b is None for b in bad) else INVALID
+            _emit({"constellation": i + 1, "kernel": "ok" if not b else {"element": b[0][0], "components": b[0][1]}})
+        return INVALID if any(bad) else OK
     if args.check == "hexagon":
         if kind != "dfc":
             raise ParseError("hexagon oracle needs a DFC document")

@@ -1,11 +1,10 @@
 """The reference side: the paper's constructions and brute-force re-checks.
 
 The paper proves the two encodings equivalent through constructions the
-command line never runs: thinness completions, path orders, expansions
-of subdivided trees and the nesting subtree each cell cuts out of one,
-the source tree of a cell on each side (delta_tree, sigma_tree),
-descending chains and the dots descending through an element, the kernel
-rule by listing those dots, the order of the whitedots on an edge through
+command line never runs: expansions of subdivided trees and the nesting
+subtree each cell cuts out of one, the source tree of a cell on each side
+(delta_tree, sigma_tree), descending chains and the dots descending
+through an element, the order of the whitedots on an edge through
 zig-zags, loop paths and a comparison sort (ZigZag, zigzag, LoopPath,
 loop_path, compare_loops, whitedot_order, over a coface index built here
 from the signed-facet table), and the actions p_map and z_map of the two
@@ -14,8 +13,12 @@ Batanin and Mascari 2010).  They live here as references for the fast routes.
 
 The checkers favour exhaustive scans and matrix closures over the
 traversal logic used by the validators and translators, so the two routes
-can certify each other.  Each fact checker returns a list of
-counterexamples, empty when the fact holds.
+can certify each other.  Each fact has one reference: lozenge completions
+by a scan of the whole grade (oracle_lozenge; its loop-free entries are
+the thinness completions), the path orders and their strictness by a
+matrix closure (oracle_strictness), and the kernel rule by listing the
+dots over each element (oracle_kernel).  Each fact checker returns a list
+of counterexamples, empty when the fact holds.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from functools import cmp_to_key
 from itertools import permutations
 from weakref import WeakKeyDictionary
 
-from .diagnostics import Diagnostic, IncomparableLoops, InternalError, NotAnIsomorphism, ValidationError, make, sort_key
+from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism, ValidationError, make
 from .equivalence import _arrow_parts
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
-from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset, _find_cycle
+from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
 from .to_poset import ExtendedZoom, PImage, p_image
 from .to_zoom import level_tree, z_of
 from .trees import Opetope, RootedTree, tree_diagnostics
@@ -114,67 +117,6 @@ class NestingSubtree:
     dots: frozenset[str]
     tree: RootedTree
     v: dict
-
-
-def thinness_completions(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[str, str, str]]:
-    """Non-loop-signed completions (y', alpha', beta') of the chain z < y < x."""
-    out = []
-    for y2 in mop.facets(x):
-        if y2 == y:
-            continue
-        beta2 = mop.sign(z, y2)
-        alpha2 = mop.sign(y2, x)
-        if beta2 in (MINUS, PLUS) and alpha2 in (MINUS, PLUS):
-            out.append((y2, alpha2, beta2))
-    return out
-
-
-@dataclass(frozen=True)
-class PathOrder:
-    """Transitive closure of a one-step path relation on a grade, plus strictness."""
-
-    pairs: frozenset[tuple[str, str]]
-    strict: bool
-    cycle: tuple[str, ...] | None
-
-
-def path_order(dfc, k: int, sign: str) -> PathOrder:
-    """Closure of the lower (minus) or upper (plus) one-step order on the k-cells."""
-    mop = dfc.mop if isinstance(dfc, Dfc) else dfc
-    grade = mop.grade(k)
-    succ = {x: set() for x in grade}
-    if sign == MINUS:
-        # for k = 0 the targets are the bottom cell, which is nobody's
-        # source, so the relation comes out empty as required
-        for x in grade:
-            t = mop.gamma_cell(x)
-            for x2 in cofaces(mop, MINUS, t):
-                if mop.dim[x2] == k:
-                    succ[x].add(x2)
-    elif sign == PLUS:
-        for w in mop.grade(k + 1):
-            for x in sorted(mop.delta_minus(w)):
-                for x2 in sorted(mop.gamma_plus(w)):
-                    succ[x].add(x2)
-    else:
-        raise ValueError(f"path_order sign must be {MINUS!r} or {PLUS!r}")
-
-    closure: set[tuple[str, str]] = set()
-    for x in grade:
-        seen: set[str] = set()
-        stack = sorted(succ[x])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(sorted(succ[v]))
-        closure.update((x, v) for v in seen)
-    strict = all((x, x) not in closure for x in grade)
-    cycle = None
-    if not strict:
-        cycle = tuple(_find_cycle(list(grade), {v: sorted(succ[v]) for v in grade}) or ())
-    return PathOrder(frozenset(closure), strict, cycle)
 
 
 def delta_tree(dfc: Dfc, a: str) -> RootedTree:
@@ -559,62 +501,14 @@ def oracle_strictness(mop: ManyToOnePoset, k: int, sign: str):
     return pairs, not on_cycles, on_cycles
 
 
-def oracle_kernel(t: RootedTree, subdivision: dict, u: RootedTree):
-    """None when the kernel rule of the exact constellation from t into u holds, else (element, components).
-
-    Uses union-find labelling and an iterative descent chase, sharing no
-    traversal code with constellation_diagnostics.
-    """
-    exp = Expansion(t, subdivision)
-    dots = (*t.nodes, *exp.whitedots)
-    u_edges, u_nodes = set(u.edges), set(u.nodes)
-
-    def chase(start):
-        seen = [start]
-        cur, is_edge = start, start in u_edges
-        while True:
-            nxt = u.edge_target.get(cur) if is_edge else u.node_target.get(cur)
-            if nxt is None or nxt in seen:
-                return seen
-            seen.append(nxt)
-            cur, is_edge = nxt, not is_edge
-
-    below = {d: set(chase(d)) for d in dots}
-
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for x in sorted(u_nodes | u_edges):
-        pulled = sorted(d for d in dots if x in below[d])
-        if len(pulled) <= 1:
-            continue
-        parent.clear()
-        parent.update({d: d for d in pulled})
-        members = set(pulled)
-        for seg in exp.tree.edges:
-            lo, hi = exp.segment_ends(seg)
-            if lo in members and hi in members:
-                parent[find(lo)] = find(hi)
-        labels = {}
-        for d in pulled:
-            labels.setdefault(find(d), []).append(d)
-        if len(labels) > 1:
-            return x, sorted(sorted(v) for v in labels.values())
-    return None
-
-
-def oracle_kernel_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -> list[Diagnostic]:
-    """The KernelRuleViolated diagnostics of an exact constellation, by listing.
+def oracle_kernel(t: RootedTree, subdivision: dict, u: RootedTree) -> list[tuple[str, list[list[str]]]]:
+    """Every violation of the kernel rule of the exact constellation from t into u, by listing.
 
     Every dot walks its descending chain in u, the dots over each element
     are listed, and their components are searched in the adjacency of the
     expansion; the reference for the counting route of
-    trees.constellation_diagnostics.
+    trees.constellation_diagnostics.  Each violation is (element,
+    components), in element-id order, each component a sorted list of dots.
     """
     exp = Expansion(t, subdivision)
     adj: dict[str, set[str]] = {d: set() for d in exp.tree.nodes}
@@ -628,14 +522,14 @@ def oracle_kernel_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
         for x in descending_chain(u, d):
             pulled_at.setdefault(x, []).append(d)
     out = []
-    for x in [*sorted(u.nodes), *sorted(u.edges)]:
+    for x in sorted({*u.nodes, *u.edges}):
         pulled = sorted(pulled_at.get(x, ()))
         if len(pulled) <= 1:
             continue
         components = _components(pulled, adj)
         if len(components) > 1:
-            out.append(make("KernelRuleViolated", [x] + pulled, "kernel rule", f"dots over {x!r} split into {len(components)} components"))
-    return sorted(out, key=sort_key)
+            out.append((x, components))
+    return out
 
 
 def _components(members, adj) -> list[list[str]]:
@@ -963,7 +857,7 @@ def check_pencil_linearity(dfc: Dfc) -> list[tuple]:
     mop = dfc.mop
     bad = []
     for k in range(0, dfc.dimension + 1):
-        upper = path_order(dfc, k, PLUS).pairs
+        upper = oracle_strictness(mop, k, PLUS)[0]
         for e in mop.grade(k - 1):
             for beta, pencil in ((MINUS, cofaces(mop, MINUS, e)), (PLUS, cofaces(mop, PLUS, e))):
                 for i, d in enumerate(pencil):

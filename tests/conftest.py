@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from opetopes.diagnostics import make
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import opetope_from_doc, parse_dfc, parse_opetope
+from opetopes.oracle import oracle_kernel
 from opetopes.poset import dfc_validate, mop_validate
-from opetopes.trees import opetope_validate
+from opetopes.trees import constellation_diagnostics, opetope_validate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -58,6 +60,21 @@ def omega_ope():
 def constellations(ope):
     """(tree i, its subdivision, tree i+1) for every constellation of an opetope."""
     return list(zip(ope.trees, ope.subdivisions, ope.trees[1:]))
+
+
+def kernel_rule_by_both_routes(t, subdivision, u):
+    """The KernelRuleViolated diagnostics of a constellation by counting, and as oracle_kernel lists them.
+
+    The listing is put in the diagnostic form of the counting route, so the
+    two lists compare element by element, dot by dot and in the number of
+    components.
+    """
+    counted = [d for d in constellation_diagnostics(t, subdivision, u) if d.code == "KernelRuleViolated"]
+    listed = [
+        make("KernelRuleViolated", [x, *sorted(d for comp in comps for d in comp)], "kernel rule", f"dots over {x!r} split into {len(comps)} components")
+        for x, comps in oracle_kernel(t, subdivision, u)
+    ]
+    return counted, listed
 
 
 def generated_corpus(count: int, seed: int = 0, dims=(1, 2, 3, 4)):

@@ -1,7 +1,8 @@
 """The indexed face-complex checks against the per-chain scans they replace.
 
-The reference scans below rescan the facets of x for every chain
-z < y < x, scan every pair of facets for the facet flow, and recount the
+The reference scans below take the completions of every chain z < y < x
+from the whole-grade lozenge scan, scan every pair of facets for the facet
+flow and decide its cyclicity by a transitive closure, and recount the
 loop sources of x for every (x, z).  Each check must return the identical
 diagnostic list, on valid complexes and on single-edit corruptions.
 """
@@ -14,7 +15,7 @@ import pytest
 from opetopes import poset
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import dfc_to_doc, parse_dfc
-from opetopes.oracle import thinness_completions
+from opetopes.oracle import oracle_lozenge
 from opetopes.poset import LOOP, MINUS, ManyToOnePoset, make, sign_negate, sign_product
 from opetopes.to_poset import p_of
 
@@ -31,7 +32,7 @@ def reference_thinness(mop):
             for z in mop.facets(y):
                 beta = mop.sign(z, y)
                 if alpha != LOOP and beta != LOOP:
-                    comps = thinness_completions(mop, z, y, x)
+                    comps = [c for c in oracle_lozenge(mop, z, y, x) if LOOP not in c[1:]]
                     if not comps:
                         out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
                     elif len(comps) > 1:
@@ -65,10 +66,24 @@ def reference_acyclicity(mop):
             for a in fac:
                 if a != b and t in mop.delta_minus(a):
                     succ[b].append(a)
-        cycle = poset._find_cycle(fac, succ)
-        if cycle:
+        cyclic = _has_cycle(fac, succ)
+        cycle = poset._find_cycle(fac, succ)  # only names the cycle the closure decides on
+        assert (cycle is not None) == cyclic, x
+        if cyclic:
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+            assert all(b in succ[a] for a, b in zip(cycle, cycle[1:])), cycle
             out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
     return out
+
+
+def _has_cycle(vertices, succ) -> bool:
+    """Whether succ has a directed cycle, by Warshall's transitive closure."""
+    reach = {v: set(succ[v]) for v in vertices}
+    for m in vertices:
+        for v in vertices:
+            if m in reach[v]:
+                reach[v] |= reach[m]
+    return any(v in reach[v] for v in vertices)
 
 
 def _loop_chain_set(mop, x, z):

@@ -16,7 +16,7 @@ from opetopes.poset import (
     mop_validate,
     sign_product,
 )
-from opetopes.oracle import delta_tree, path_order
+from opetopes.oracle import delta_tree, oracle_strictness
 
 from conftest import load_dfc_doc
 
@@ -191,20 +191,20 @@ def test_strata(rho_dfc):
 
 
 def test_path_order_minus(rho_dfc):
-    po = path_order(rho_dfc, 1, MINUS)
-    assert ("b2", "b1") in po.pairs  # gamma(b2) = c1 is a source of b1
-    assert po.strict
+    pairs, strict, _ = oracle_strictness(rho_dfc.mop, 1, MINUS)
+    assert ("b2", "b1") in pairs  # gamma(b2) = c1 is a source of b1
+    assert strict
 
 
 def test_path_order_plus_strict_everywhere(rho_dfc, omega_dfc):
     for dfc in (rho_dfc, omega_dfc):
         for k in range(dfc.dimension + 1):
-            assert path_order(dfc, k, PLUS).strict
+            assert oracle_strictness(dfc.mop, k, PLUS)[1]
 
 
 def test_path_order_top_grade_empty(rho_dfc):
-    po = path_order(rho_dfc, 3, PLUS)
-    assert not po.pairs and po.strict
+    pairs, strict, _ = oracle_strictness(rho_dfc.mop, 3, PLUS)
+    assert not pairs and strict
 
 
 def test_delta_tree_loop_cases(rho_dfc, omega_dfc):

@@ -9,7 +9,7 @@ from opetopes.cli import main
 from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso
-from opetopes.oracle import delta_tree, make_opetope_iso, oracle_nesting_subtree, p_map, sigma_tree, thinness_completions
+from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
 from opetopes.poset import LOOP, MINUS, dfc_diagnostics
 from opetopes.to_poset import extend, p_image, p_of
 from opetopes.trees import RootedTree
@@ -221,7 +221,7 @@ def test_loop_lozenge_dichotomy_on_p_output(rho_ope, omega_ope):
         for z, y, x, beta, alpha in _lozenges(mop):
             if beta != LOOP or alpha != MINUS:
                 continue
-            signed = thinness_completions(mop, z, y, x)
+            signed = [c for c in oracle_lozenge(mop, z, y, x) if LOOP not in c[1:]]
             through_target = mop.sign(z, mop.gamma_cell(x)) == LOOP
             assert (len(signed) == 2) != through_target, (z, y, x)
 

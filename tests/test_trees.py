@@ -15,7 +15,6 @@ from opetopes.oracle import (
     descendant_dots,
     descending_chain,
     oracle_kernel,
-    oracle_kernel_diagnostics,
     oracle_tree_paths,
 )
 from opetopes.trees import (
@@ -27,7 +26,7 @@ from opetopes.trees import (
     tree_diagnostics,
 )
 
-from conftest import comb_opetope_doc, constellations, load_ope, load_ope_doc
+from conftest import comb_opetope_doc, constellations, kernel_rule_by_both_routes, load_ope, load_ope_doc
 from opetopes.io import normalize_opetope, opetope_from_doc
 
 
@@ -181,8 +180,7 @@ def test_constellations_of_fixtures_ok(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope, comb(2), comb(40)):
         for c in constellations(ope):
             assert not constellation_diagnostics(*c)
-            assert oracle_kernel(*c) is None
-            assert oracle_kernel_diagnostics(*c) == []
+            assert oracle_kernel(*c) == []
 
 
 def _chain_tree(blackdots):
@@ -209,13 +207,14 @@ def test_kernel_rule_split_detected_by_both_routes():
     t = _chain_tree(["x1", "x2", "x3"])
     good = _two_corollas(["x1"], ["x2", "x3"])
     assert not constellation_diagnostics(t, {}, good)
-    assert oracle_kernel(t, {}, good) is None
-    # swapping the leaves x1 and x2 pulls {x1, x3} over n2: disconnected in the chain
+    assert oracle_kernel(t, {}, good) == []
+    # swapping the leaves x1 and x2 pulls {x1, x3} over n2 and its target
+    # edge t2: disconnected in the chain
     swapped = _two_corollas(["x2"], ["x1", "x3"])
-    assert "KernelRuleViolated" in codes(constellation_diagnostics(t, {}, swapped))
-    witness = oracle_kernel(t, {}, swapped)
-    assert witness is not None and witness[0] == "n2"
-    assert witness[1] == [["x1"], ["x3"]]
+    assert codes(constellation_diagnostics(t, {}, swapped)) == ["KernelRuleViolated"]
+    assert oracle_kernel(t, {}, swapped) == [("n2", [["x1"], ["x3"]]), ("t2", [["x1"], ["x3"]])]
+    counted, listed = kernel_rule_by_both_routes(t, {}, swapped)
+    assert counted == listed
 
 
 def test_blackdots_must_be_the_next_leaves():
@@ -299,8 +298,8 @@ def test_kernel_rule_by_counting_matches_the_listing_route_on_dot_swaps():
                 if swapped is None:
                     break
                 diags = constellation_diagnostics(t, sub, swapped)
-                assert diags == oracle_kernel_diagnostics(t, sub, swapped)
-                assert (oracle_kernel(t, sub, swapped) is None) == (not diags)
+                counted, listed = kernel_rule_by_both_routes(t, sub, swapped)
+                assert diags == counted == listed
                 checked += 1
                 violated += bool(diags)
     assert checked >= 500 and violated >= 80, (checked, violated)

@@ -16,7 +16,7 @@ from opetopes.to_poset import p_of
 from opetopes.to_zoom import level_tree, z_of
 from opetopes.trees import opetope_diagnostics, tree_diagnostics
 
-from conftest import constellations, generated_corpus, load_dfc_doc, relabel_doc
+from conftest import constellations, generated_corpus, kernel_rule_by_both_routes, load_dfc_doc, relabel_doc
 from test_poset import ARROW
 
 
@@ -223,11 +223,10 @@ def test_z_of_output_validates(rho_dfc, omega_dfc, rho_ope, omega_ope):
 
 
 def test_z_of_constellations_pass_kernel_oracle(rho_dfc, omega_dfc):
-    from opetopes.oracle import oracle_kernel
-
     for dfc in (rho_dfc, omega_dfc):
         for c in constellations(z_of(dfc)):
-            assert oracle_kernel(*c) is None
+            counted, listed = kernel_rule_by_both_routes(*c)
+            assert counted == listed == []
 
 
 def test_z_map_identity_and_relabel(omega_dfc):
