@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from opetopes.diagnostics import make
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import opetope_from_doc, parse_dfc, parse_opetope
 from opetopes.oracle import oracle_kernel
-from opetopes.poset import dfc_validate, mop_validate
+from opetopes.poset import MINUS, PLUS, dfc_validate, mop_validate
 from opetopes.trees import constellation_diagnostics, opetope_validate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,18 +62,51 @@ def constellations(ope):
 
 
 def kernel_rule_by_both_routes(t, subdivision, u):
-    """The KernelRuleViolated diagnostics of a constellation by counting, and as oracle_kernel lists them.
+    """The kernel-rule violations of a constellation by counting and by oracle_kernel's listing.
 
-    The listing is put in the diagnostic form of the counting route, so the
-    two lists compare element by element, dot by dot and in the number of
-    components.
+    Each violation is (element, dots over it, number of components); the
+    counting route states that number as the last number of its message.
     """
-    counted = [d for d in constellation_diagnostics(t, subdivision, u) if d.code == "KernelRuleViolated"]
-    listed = [
-        make("KernelRuleViolated", [x, *sorted(d for comp in comps for d in comp)], "kernel rule", f"dots over {x!r} split into {len(comps)} components")
-        for x, comps in oracle_kernel(t, subdivision, u)
+    counted = [
+        (d.cells[0], d.cells[1:], int(d.message.split()[-2]))
+        for d in constellation_diagnostics(t, subdivision, u)
+        if d.code == "KernelRuleViolated"
     ]
+    listed = [(x, tuple(sorted(d for comp in comps for d in comp)), len(comps)) for x, comps in oracle_kernel(t, subdivision, u)]
     return counted, listed
+
+
+def one_step_order(mop, k, sign) -> set[tuple[str, str]]:
+    """The lower (minus) or upper (plus) one-step order on the k-cells, read off the signed-facet table."""
+    out = set()
+    for w in mop.grade(k + 1 if sign == PLUS else k):
+        facets = dict(zip(*mop.signed_facets[w]))
+        if sign == PLUS:
+            out |= {(x, x2) for x, s in facets.items() if s == MINUS for x2, s2 in facets.items() if s2 == PLUS}
+        else:
+            # w follows every k-cell whose target is a proper source of w
+            out |= {(x, w) for t, s in facets.items() if s == MINUS for x in mop.grade(k) if x != w and mop.gamma_cell(x) == t}
+    return out
+
+
+def is_strict_closure_of_one_step(mop, k, sign, pairs) -> bool:
+    """Whether pairs is exactly the transitive closure of the one-step order on the k-cells, and strict.
+
+    It holds every one-step pair, is transitive and irreflexive, and each
+    pair is a step or a step followed by a pair.
+    """
+    above = {x: set() for x in mop.grade(k)}
+    step_above = {x: set() for x in mop.grade(k)}
+    for a, c in pairs:
+        above[a].add(c)
+    for a, b in one_step_order(mop, k, sign):
+        step_above[a].add(b)
+    return (
+        all(step_above[a] <= above[a] for a in above)
+        and all(above[b] <= above[a] for a, b in pairs)
+        and all(a not in above[a] for a in above)
+        and all(c in step_above[a] or any(c in above[b] for b in step_above[a]) for a, c in pairs)
+    )
 
 
 def generated_corpus(count: int, seed: int = 0, dims=(1, 2, 3, 4)):

@@ -299,7 +299,7 @@ def test_kernel_rule_by_counting_matches_the_listing_route_on_dot_swaps():
                     break
                 diags = constellation_diagnostics(t, sub, swapped)
                 counted, listed = kernel_rule_by_both_routes(t, sub, swapped)
-                assert diags == counted == listed
+                assert counted == listed and len(counted) == len(diags)
                 checked += 1
                 violated += bool(diags)
     assert checked >= 500 and violated >= 80, (checked, violated)
