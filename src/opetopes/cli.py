@@ -140,6 +140,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    """Run one reference check on a document.
+
+    The document is loaded, and so validated, like any other: each check
+    re-checks a document the validator accepted, so a violation that one
+    prints is one the fast checks let through.
+    """
     kind, obj = _load_any(args.file)
     if args.check == "lozenge":
         if kind != "dfc":
@@ -204,7 +210,9 @@ def cmd_info(args) -> int:
                 "cells_by_dim": {str(k): len(mop.grade(k)) for k in range(-1, obj.dimension + 1)},
                 "greatest": obj.omega,
                 "iterated_targets": list(obj.iterated_targets),
-                "loops_by_dim": {str(k): sorted(obj.omega_k[k]) for k in obj.omega_k if obj.omega_k[k]},
+                "loops_by_dim": {
+                    str(k): loops for k in range(obj.dimension + 1) if (loops := [c for c in mop.grade(k) if c in mop.loops])
+                },
                 "degenerate": obj.degenerate,
             }
         )

@@ -41,7 +41,7 @@ def dfc_iso_failures(c: Dfc, d: Dfc, fwd: dict) -> list[str]:
             out.append(f"gamma of {x!r} not preserved")
     if out:
         return out
-    lam_c, lam_d = mc.lam(), md.lam()
+    lam_c, lam_d = mc.lam, md.lam
     for (x, z), seq in sorted(mc.local_orders.items()):
         if x not in lam_c or len(seq) < 2:
             continue  # optional entry; not part of the structure to preserve

@@ -124,7 +124,7 @@ def delta_tree(dfc: Dfc, a: str) -> RootedTree:
     mop = dfc.mop
     if mop.dim[a] < 1:
         raise ValueError(f"delta_tree needs a cell of dimension >= 1, got {a!r}")
-    nodes = sorted(b for b in mop.delta[a] if not mop.is_loop(b))
+    nodes = sorted(b for b in mop.delta[a] if b not in mop.loops)
     root = mop.gamma_cell(mop.gamma_cell(a))
     edges = sorted({root} | {z for b in nodes for z in mop.facets(b)})
     node_target = {b: mop.gamma_cell(b) for b in nodes}
@@ -138,10 +138,11 @@ def delta_tree(dfc: Dfc, a: str) -> RootedTree:
             raise ValidationError([make("TreeInvalid", [a, z, *owners[z]], "source tree", f"edge {z!r} has several target nodes in the source tree of {a!r}")])
         if z in owners:
             edge_target[z] = owners[z][0]
-    diags = tree_diagnostics(nodes, edges, node_target, edge_target, root)
+    tree = RootedTree(nodes, edges, node_target, edge_target, root)
+    diags = tree_diagnostics(tree)
     if diags:
         raise ValidationError([make("TreeInvalid", [a], "source tree", f"source tree of {a!r} is not a rooted tree")] + diags)
-    return RootedTree(nodes, edges, node_target, edge_target, root)
+    return tree
 
 
 def descending_chain(tree: RootedTree, x: str) -> list[str]:
@@ -174,7 +175,7 @@ def sigma_tree(pz: PImage, x: str) -> RootedTree:
     k = mop.dim[x]
     if k < 2:
         raise ValueError(f"source trees need dimension >= 2, got {x!r}")
-    if mop.is_loop(x):
+    if x in mop.loops:
         raise ValueError(f"{x!r} is a loop cell")
     cuts = {y: oracle_nesting_subtree(ez, k - 1, y).tree for y in sorted(mop.delta[x])}
     nodes = sorted(y for y, t in cuts.items() if not t.is_unit)
@@ -266,12 +267,11 @@ def _chain_sort_key(chain):
 def zigzag(dfc: Dfc, c: str) -> ZigZag:
     """The maximal zig-zag of chains c < b < a with a never a proper target."""
     mop = dfc.mop
-    lam = mop.lam()
     chains = []
     for b in sorted(set(cofaces(mop, MINUS, c)) | set(cofaces(mop, PLUS, c))):
         beta = mop.sign(c, b)
         for a in sorted(set(cofaces(mop, MINUS, b)) | set(cofaces(mop, PLUS, b))):
-            if a in lam:
+            if a in mop.lam:
                 chains.append((b, a, beta, mop.sign(b, a)))
     if not chains:
         return ZigZag(c, (), ())
@@ -362,7 +362,6 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
     mop = dfc.mop
     if mop.sign(c, b) != LOOP:
         raise ValueError(f"{b!r} is not a loop on {c!r}")
-    lam = mop.lam()
     members: list[str] = []
     entering: list[str] = []
     current = b
@@ -371,7 +370,7 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
             if current != dfc.iterated_targets[mop.dim[current]]:
                 raise InternalError(f"{current!r} is sourceless-above yet not the iterated target")
             return LoopPath(c, b, tuple(members), tuple(entering), current, None)
-        lam_up = [x for x in cofaces(mop, MINUS, current) if x in lam]
+        lam_up = [x for x in cofaces(mop, MINUS, current) if x in mop.lam]
         if len(lam_up) != 1:
             raise InternalError(f"{current!r} has {len(lam_up)} non-target minus-cofaces")
         a = lam_up[0]
@@ -428,13 +427,12 @@ def compare_loops(dfc: Dfc, c: str, b1: str, b2: str) -> str:
 def whitedot_order(dfc: Dfc, k: int, y: str) -> tuple[str, ...]:
     """The sourceless non-target k-cells with second target y, in ascending order."""
     mop = dfc.mop
-    lam = dfc.lam_k.get(k, frozenset())
     # a sourceless cell is a plus-coface of its target, which has y as target
     members = sorted(
         w
         for g in cofaces(mop, PLUS, y) + cofaces(mop, LOOP, y)
         for w in cofaces(mop, PLUS, g)
-        if w in lam and not mop.delta[w]
+        if w in mop.lam and mop.dim[w] == k and not mop.delta[w]
     )
     if len(members) < 2:
         return tuple(members)
@@ -630,10 +628,11 @@ def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
             v[info["name"]] = info["whitedots"]
     if len(roots) != 1:
         raise ValidationError([make("DisconnectedNesting", [x, *sorted(roots)], "kernel rule", f"cut of {x!r} has {len(roots)} root candidates")])
-    diags = tree_diagnostics(nodes, edges, node_target, edge_target, roots[0])
+    tree = RootedTree(nodes, edges, node_target, edge_target, roots[0])
+    diags = tree_diagnostics(tree)
     if diags:
         raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
-    return NestingSubtree(x, frozenset(dots), RootedTree(nodes, edges, node_target, edge_target, roots[0]), v)
+    return NestingSubtree(x, frozenset(dots), tree, v)
 
 
 def oracle_tree_paths(nodes, edges, node_target, edge_target, root) -> bool:
@@ -682,7 +681,7 @@ def oracle_hexagon(dfc: Dfc) -> list[tuple]:
     for b in sorted(mop.cells):
         if mop.dim[b] < 2:
             continue
-        srcs = [c for c in sorted(mop.delta_minus(b)) if not mop.is_loop(c)]
+        srcs = [c for c in sorted(mop.delta_minus(b)) if c not in mop.loops]
         if len(srcs) < 2:
             continue
         try:
@@ -809,8 +808,9 @@ def check_lambda_iterated(dfc: Dfc) -> list[tuple]:
     bad = []
     for k in range(dfc.dimension):
         expected = set(mop.delta[dfc.iterated_targets[k + 1]])
-        if set(dfc.lam_k[k]) != expected:
-            bad.append((k, tuple(sorted(dfc.lam_k[k])), tuple(sorted(expected))))
+        lam_k = [c for c in mop.grade(k) if c in mop.lam]
+        if set(lam_k) != expected:
+            bad.append((k, tuple(lam_k), tuple(sorted(expected))))
     return bad
 
 
@@ -830,7 +830,7 @@ def check_nulldot_targets(dfc: Dfc) -> list[str]:
     return [
         x
         for x in sorted(c for c in mop.cells if mop.dim[c] >= 0 and not mop.delta[c])
-        if mop.dim[x] >= 2 and not mop.is_loop(mop.gamma_cell(x))
+        if mop.dim[x] >= 2 and mop.gamma_cell(x) not in mop.loops
     ]
 
 

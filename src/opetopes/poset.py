@@ -8,14 +8,16 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
 
-A poset keeps one signed-facet table, built with it: each cell's facets in
-sorted order, each with its sign.  facets() returns the stored tuple, and
-the checks read the table instead of sorting and signing again.  They
-index each cell x once instead of rescanning per chain: thinness maps
-every facet z of a facet to its completions over the facets of x,
-acyclicity maps every cell to the facets of x it is a proper source of,
-and the local orders count the loop sources of x by the cell they loop
-on.
+A poset keeps one signed-facet table, built with it in one sorted pass
+over the cells: each cell's facets in sorted order, each with its sign.
+The same pass reads the strata off the signs: lam, the cells that are
+never a plus facet, and loops, the cells whose facets all carry the loop
+sign.  facets() returns the stored tuple, and the checks read the table
+instead of sorting and signing again.  They index each cell x once
+instead of rescanning per chain: thinness maps every facet z of a facet
+to its completions over the facets of x, acyclicity maps every cell to
+the facets of x it is a proper source of, and the local orders count the
+loop sources of x by the cell they loop on.
 """
 
 from __future__ import annotations
@@ -55,16 +57,24 @@ class ManyToOnePoset:
         self.delta = {c: frozenset(delta.get(c, ())) for c in self.cells}
         self.gamma = {c: frozenset(gamma.get(c, ())) for c in self.cells}
         self.local_orders = {k: tuple(v) for k, v in local_orders.items()}
-        self._lam: frozenset[str] | None = None
 
         self._by_dim: dict[int, list[str]] = {}
-        for c in sorted(self.cells):
-            self._by_dim.setdefault(self.dim[c], []).append(c)
         # x -> (its facets y in sorted order, the sign of each y < x: one character per facet)
         self.signed_facets: dict[str, tuple[tuple[str, ...], str]] = {}
+        proper_targets: set[str] = set()
+        loops = []
         for x in sorted(self.cells):
+            self._by_dim.setdefault(self.dim[x], []).append(x)
             facets = tuple(sorted(self.delta[x] | self.gamma[x]))
-            self.signed_facets[x] = (facets, "".join(self.sign(y, x) for y in facets))
+            signs = "".join(self.sign(y, x) for y in facets)
+            self.signed_facets[x] = (facets, signs)
+            if PLUS in signs:
+                proper_targets.update(y for y, s in zip(facets, signs) if s == PLUS)
+            elif signs and MINUS not in signs:  # every facet carries LOOP
+                loops.append(x)
+        # the strata: lam, the cells of dim >= 0 that are never a proper target, and the loops
+        self.lam = frozenset(c for c in self.cells if self.dim[c] >= 0 and c not in proper_targets)
+        self.loops = frozenset(loops)
 
     # -- basic queries -------------------------------------------------
 
@@ -97,26 +107,10 @@ class ManyToOnePoset:
     def delta_minus(self, x: str) -> frozenset[str]:
         return self.delta[x] - self.gamma[x]
 
-    def gamma_plus(self, x: str) -> frozenset[str]:
-        return self.gamma[x] - self.delta[x]
-
     def gamma_cell(self, x: str) -> str:
         """The unique target of x (dim(x) >= 0)."""
         (t,) = self.gamma[x]
         return t
-
-    def is_loop(self, x: str) -> bool:
-        return bool(self.delta[x]) and self.delta[x] == self.gamma[x]
-
-    def lam(self) -> frozenset[str]:
-        """Cells that are never the proper target of another cell; computed once."""
-        if self._lam is None:
-            strict_targets = {y for x in self.cells for y in self.gamma_plus(x)}
-            self._lam = frozenset(c for c in self.cells if c not in strict_targets and self.dim[c] >= 0)
-        return self._lam
-
-    def loop_cells(self) -> frozenset[str]:
-        return frozenset(c for c in self.cells if self.is_loop(c))
 
 
 # -- MOP validation ----------------------------------------------------
@@ -226,7 +220,7 @@ def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     out = []
     loop_sources = {}
     required: set[tuple[str, str]] = set()
-    for x in sorted(mop.lam()):
+    for x in sorted(mop.lam):
         if mop.dim[x] < 1:
             continue
         loop_sources[x] = _loop_sources(mop, x)
@@ -271,15 +265,13 @@ class Dfc:
     """A validated face complex.
 
     iterated_targets[j] is the j-dimensional cell reached from the greatest
-    element by iterating gamma; the strata record, per dimension, the cells
-    that are never proper targets (lam) and the loops (omega_loops).
+    element by iterating gamma.  The strata live on the poset: mop.lam and
+    mop.loops, read per dimension by filtering mop.grade(k).
     """
 
     mop: ManyToOnePoset
     omega: str
     iterated_targets: tuple[str, ...]
-    lam_k: dict[int, frozenset[str]]
-    omega_k: dict[int, frozenset[str]]
 
     @property
     def dimension(self) -> int:
@@ -292,20 +284,6 @@ class Dfc:
     @property
     def bottom(self) -> str:
         return self.mop.bottom
-
-
-def _down_reach(mop: ManyToOnePoset, start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if mop.dim[x] < 0:
-            continue
-        for y in mop.facets(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
@@ -392,21 +370,17 @@ def _find_cycle(vertices, succ) -> list[str] | None:
 def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     """Every DFC axiom violation; assumes mop already passed mop_diagnostics (local orders included)."""
     out: list[Diagnostic] = []
+    # every facet lies one dimension down (mop_diagnostics), so climbing
+    # cofaces from any cell ends at a maximal cell: one maximal cell is greatest
     faces = {y for x in mop.cells for y in mop.facets(x)}
     maximal = [c for c in sorted(mop.cells) if c not in faces]
     if len(maximal) != 1:
         out.append(make("NoGreatestElement", maximal, "greatest element", f"{len(maximal)} maximal cells"))
-    else:
-        omega = maximal[0]
-        # a greatest 0-cell is the point {bottom < p}, the 0-opetope
-        if mop.dim[omega] < 0:
-            out.append(make("NoGreatestElement", [omega], "greatest element", "the bottom cell is the only maximal cell"))
-        missing = sorted(set(mop.cells) - _down_reach(mop, omega))
-        if missing:
-            out.append(make("NoGreatestElement", missing, "greatest element", "cells not below the maximal cell"))
+    elif mop.dim[maximal[0]] < 0:  # a greatest 0-cell is the point {bottom < p}, the 0-opetope
+        out.append(make("NoGreatestElement", maximal, "greatest element", "the bottom cell is the only maximal cell"))
 
     # a loop has a plus-coface exactly when it is a proper target
-    for y in sorted(mop.loop_cells() & mop.lam()):
+    for y in sorted(mop.loops & mop.lam):
         out.append(make("LoopWithoutPlusCoface", [y], "loops", f"loop {y!r} has no cell with {y!r} as proper target"))
 
     out.extend(_thinness_diagnostics(mop))
@@ -429,8 +403,4 @@ def trusted_dfc(mop: ManyToOnePoset) -> Dfc:
     for _ in range(n):
         targets.append(mop.gamma_cell(targets[-1]))
     targets.reverse()  # index j = the j-dimensional iterated target
-    lam = mop.lam()
-    loops = mop.loop_cells()
-    lam_k = {k: frozenset(c for c in mop.grade(k) if c in lam) for k in range(n + 1)}
-    omega_k = {k: frozenset(c for c in mop.grade(k) if c in loops) for k in range(n + 1)}
-    return Dfc(mop, omega, tuple(targets), lam_k, omega_k)
+    return Dfc(mop, omega, tuple(targets))

@@ -39,7 +39,7 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
         raise ValueError(f"level must lie between 2 and {n + 2}, got {k}")
     if k == n + 2:
         return RootedTree((), (dfc.omega,), {}, {}, dfc.omega)
-    nodes = sorted(dfc.lam_k[k - 1])
+    nodes = [x for x in mop.grade(k - 1) if x in mop.lam]
     edges = mop.grade(k - 2)
     node_target = {x: mop.gamma_cell(x) for x in nodes}
     owners: dict[str, list[str]] = {}
@@ -63,7 +63,7 @@ def _stacked(mop: ManyToOnePoset, a: str, srcs: tuple[str, ...]) -> list[str]:
     below, above, loops = {}, {}, {}  # edge c -> the source just below c, just above c, the loops on c
     for s in srcs:
         c = mop.gamma_cell(s)
-        if mop.is_loop(s):
+        if s in mop.loops:
             loops.setdefault(c, []).append(s)
         else:
             above[c] = s

@@ -69,8 +69,10 @@ class RootedTree:
     def edge_order(self) -> tuple[str, ...]:
         """The edges from the root up, each before the edges above it.
 
-        Only for a tree that tree_diagnostics accepts: a root with a target
-        node can sit above itself, and then this walk never ends.
+        Only for a tree that passes the id and target checks of
+        tree_diagnostics: a root with a target node can sit above itself,
+        and then this walk never ends.  On a tree that passes them, the
+        edges the walk misses are those that descend into a cycle.
         """
         order = [self.root]
         for b in order:
@@ -88,9 +90,9 @@ class RootedTree:
         return all(len(self._sources[a]) == 1 for a in self.nodes) and len(self.edges) == len(self.nodes) + 1
 
 
-def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagnostic]:
+def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    nodes, edges = list(nodes), list(edges)
+    nodes, edges, node_target, edge_target, root = t.nodes, t.edges, t.node_target, t.edge_target, t.root
     node_set, edge_set = set(nodes), set(edges)
     if len(node_set) != len(nodes) or len(edge_set) != len(edges):
         out.append(make("DuplicateId", [], "tree ids", "repeated node or edge id"))
@@ -125,18 +127,11 @@ def tree_diagnostics(nodes, edges, node_target, edge_target, root) -> list[Diagn
     if out:
         return sorted(set(out), key=sort_key)
 
-    # every node has a target edge and every edge but the root a target
-    # node, so what one sweep up from the root misses descends into a cycle
-    source_node = {node_target[a]: a for a in node_set}
-    sources: dict = {}
-    for b, a in edge_target.items():
-        sources.setdefault(a, []).append(b)
-    reached, stack = set(), [root]
-    while stack:
-        b = stack.pop()
-        reached.add(b)
-        stack.extend(sources.get(source_node.get(b), ()))
-    stuck = sorted(edge_set - reached)
+    # the root has no target node and every other edge enters the walk up
+    # from it only through its one target node, whose one target edge is
+    # walked at most once: so the walk ends, and what it misses descends
+    # into a cycle
+    stuck = sorted(edge_set.difference(t.edge_order))
     if stuck:
         return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
     return []
@@ -283,7 +278,7 @@ def opetope_diagnostics(ope: Opetope) -> list[Diagnostic]:
         out.append(make("BadShape", [], "zoom complex", f"{n + 1} trees need {n} constellations, got {len(ope.subdivisions)}"))
         return out
     for t in ope.trees:
-        out.extend(tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root))
+        out.extend(tree_diagnostics(t))
     if out:
         return sorted(set(out), key=sort_key)
     for i, sub in enumerate(ope.subdivisions):

@@ -4,7 +4,10 @@ The reference scans below take the completions of every chain z < y < x
 from the whole-grade lozenge scan, scan every pair of facets for the facet
 flow and decide its cyclicity by a transitive closure, and recount the
 loop sources of x for every (x, z).  Each check must return the identical
-diagnostic list, on valid complexes and on single-edit corruptions.
+diagnostic list, on valid complexes and on single-edit corruptions.  On
+the same documents, the strata that the poset reads off its signs match
+their definitions, and a sole maximal cell of a poset that passes the
+poset axioms has every cell below it.
 """
 
 import copy
@@ -93,7 +96,7 @@ def _loop_chain_set(mop, x, z):
 def reference_local_orders(mop):
     out = []
     required = set()
-    for x in sorted(mop.lam()):
+    for x in sorted(mop.lam):
         if mop.dim[x] < 1:
             continue
         for z in sorted({z for y in mop.facets(x) for z in mop.facets(y)}):
@@ -203,7 +206,19 @@ def generated():
     return [dfc_to_doc(p_of(gen_opetope(rng, GenParams(dim=2 + i % 4, max_whitedots_per_edge=3)))) for i in range(24)]
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.dfc.json")) + sorted(FIXTURES.glob("mutations/*.dfc.json")), ids=lambda p: p.name)
+def single_edits(generated, edit):
+    """Each generated document after one edit, the same edits on every call."""
+    rng = random.Random(edit.__name__)
+    for doc in generated:
+        edited = copy.deepcopy(doc)
+        edit(edited, rng)
+        yield edited
+
+
+FIXTURE_PATHS = sorted(FIXTURES.glob("*.dfc.json")) + sorted(FIXTURES.glob("mutations/*.dfc.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.name)
 def test_indexed_checks_match_the_scans_on_fixtures(path, monkeypatch):
     doc, _ = parse_dfc(path.read_text())
     assert_same_diagnostics(doc, monkeypatch)
@@ -216,11 +231,62 @@ def test_indexed_checks_match_the_scans_on_generated_complexes(generated, monkey
 
 @pytest.mark.parametrize("edit", EDITS, ids=lambda e: e.__name__)
 def test_indexed_checks_match_the_scans_after_one_edit(edit, generated, monkeypatch):
-    rng = random.Random(edit.__name__)
     rejected = 0
-    for doc in generated:
-        edited = copy.deepcopy(doc)
-        edit(edited, rng)
+    for edited in single_edits(generated, edit):
         assert_same_diagnostics(edited, monkeypatch)
         rejected += bool(poset.mop_diagnostics(copy.deepcopy(edited)) or poset.dfc_diagnostics(_mop(edited)))
     assert rejected
+
+
+def all_documents(generated):
+    """The fixtures, the mutations, the generated complexes and each of their single edits."""
+    docs = [parse_dfc(path.read_text())[0] for path in FIXTURE_PATHS] + generated
+    return docs + [edited for edit in EDITS for edited in single_edits(generated, edit)]
+
+
+def test_strata_read_off_the_signs_match_their_definitions(generated):
+    for doc in all_documents(generated):
+        mop = _mop(doc)
+        proper_targets = {y for x in mop.cells for y in mop.gamma[x] - mop.delta[x]}
+        assert mop.lam == {c for c in mop.cells if mop.dim[c] >= 0 and c not in proper_targets}
+        assert mop.loops == {c for c in mop.cells if mop.delta[c] and mop.delta[c] == mop.gamma[c]}
+
+
+def _down_set_of_sole_maximal_cell(mop):
+    """Every cell below the one maximal cell, or None when there are several or none."""
+    facets = {x: mop.delta[x] | mop.gamma[x] for x in mop.cells}
+    maximal = set(mop.cells).difference(*facets.values())
+    if len(maximal) != 1:
+        return None
+    below, stack = set(maximal), list(maximal)
+    while stack:
+        for y in facets[stack.pop()] - below:
+            below.add(y)
+            stack.append(y)
+    return below
+
+
+def test_one_maximal_cell_is_greatest_once_the_poset_axioms_hold(generated):
+    # dfc_diagnostics takes a sole maximal cell for the greatest element
+    # without walking down from it: every facet lies one dimension down, so
+    # climbing from any cell ends at a maximal cell
+    docs = all_documents(generated)
+    checked = 0
+    for doc in docs:
+        if poset.mop_diagnostics(copy.deepcopy(doc)):
+            continue
+        mop = _mop(doc)
+        below = _down_set_of_sole_maximal_cell(mop)
+        if below is not None:
+            assert below == set(mop.cells)
+            checked += 1
+    assert len(docs) == 228 and checked >= 130
+
+    # without gradation a cycle of facets sits below no maximal cell
+    cycle = {"cells": [
+        {"id": "*", "dim": -1}, {"id": "s", "dim": 0, "gamma": ["*"]}, {"id": "t", "dim": 0, "gamma": ["*"]},
+        {"id": "f", "dim": 1, "delta": ["s"], "gamma": ["t"]},
+        {"id": "a", "dim": 1, "gamma": ["b"]}, {"id": "b", "dim": 1, "gamma": ["a"]},
+    ], "local_orders": []}
+    assert _down_set_of_sole_maximal_cell(_mop(cycle)) == {"f", "s", "t", "*"}
+    assert "GradationBroken" in {d.code for d in poset.mop_diagnostics(cycle)}

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import opetopes.io
+import opetopes.trees
 from opetopes.cli import main
 from opetopes.diagnostics import ParseError
 from opetopes.dot import export_dot
@@ -184,6 +185,18 @@ def test_cli_oracle_commands(capsys):
     out = capsys.readouterr().out.splitlines()
     comps = json.loads(out[-1])["completions"]
     assert ["b2", "-", "+"] in comps
+
+
+def test_cli_oracle_kernel_reports_what_the_validator_let_through(monkeypatch, capsys):
+    # the oracle re-checks documents the validator accepted; a counting bug
+    # that passes a broken kernel rule is what its violation output is for
+    monkeypatch.setattr(opetopes.trees, "constellation_diagnostics", lambda t, subdivision, u: [])
+    assert main(["oracle", "kernel", path("mutations/o02_whitedot_reorder.ope.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        '{"constellation": 1, "kernel": "ok"}',
+        '{"constellation": 2, "kernel": "ok"}',
+        '{"constellation": 3, "kernel": {"components": [["a7"], ["b1"]], "element": "a6"}}',
+    ]
 
 
 def test_cli_oracle_iso(capsys):

@@ -112,7 +112,7 @@ def test_hexagon_oracle_reports_planted_violation():
     # bypass dfc_validate: the corrupted structure would be rejected there
     from opetopes.poset import Dfc
 
-    dfc = Dfc(mop, "omega", ("d0", "c0", "b0", "a0", "omega"), {}, {})
+    dfc = Dfc(mop, "omega", ("d0", "c0", "b0", "a0", "omega"))
     assert oracle_hexagon(dfc)
 
 

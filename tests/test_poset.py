@@ -182,7 +182,9 @@ def test_iterated_targets(rho_dfc, omega_dfc):
 
 
 def test_strata(rho_dfc):
-    lam, loops = rho_dfc.lam_k, rho_dfc.omega_k
+    mop = rho_dfc.mop
+    lam = {k: frozenset(c for c in mop.grade(k) if c in mop.lam) for k in range(4)}
+    loops = {k: frozenset(c for c in mop.grade(k) if c in mop.loops) for k in range(4)}
     nulls = {2: frozenset(c for c in rho_dfc.mop.grade(2) if not rho_dfc.mop.delta[c])}
     assert loops[1] == frozenset({"b3", "b4", "b5", "b6", "b8"})
     assert nulls[2] & lam[2] == frozenset({"a3", "a4", "a5", "a7"})
@@ -223,7 +225,7 @@ def test_delta_tree_against_independent_reconstruction(omega_dfc):
     mop = omega_dfc.mop
     a = "a1"
     tree = delta_tree(omega_dfc, a)
-    loops = {x for x in mop.cells if mop.is_loop(x)}
+    loops = mop.loops
     nodes = set(mop.delta[a]) - loops
     assert set(tree.nodes) == nodes and len(tree.nodes) == len(mop.delta[a] - loops)
     # incidence-list reconstruction: b hangs over b' iff gamma(b) is a proper source of b'

@@ -51,15 +51,16 @@ def codes(diags):
 
 def tree(doc) -> RootedTree:
     """The rooted tree of a document that has no diagnostics."""
-    assert tree_diagnostics(**doc) == []
-    return RootedTree(**doc)
+    t = RootedTree(**doc)
+    assert tree_diagnostics(t) == []
+    return t
 
 
 def expansion_tree(base: RootedTree, w: dict) -> RootedTree:
     """The expansion of tree base subdivided by w, which must be a rooted tree."""
     assert subdivided_diagnostics(base, w) == []
     t = Expansion(base, w).tree
-    assert tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root) == []
+    assert tree_diagnostics(t) == []
     return t
 
 
@@ -94,19 +95,19 @@ def test_edge_order_lists_each_edge_once_after_the_edge_below_it(rho_ope, omega_
 def test_two_targetless_edges():
     doc = dict(PAPER_TREE)
     doc["edge_target"] = {k: v for k, v in PAPER_TREE["edge_target"].items() if k != "b2"}
-    assert "MultipleRoots" in codes(tree_diagnostics(**doc))
+    assert "MultipleRoots" in codes(tree_diagnostics(RootedTree(**doc)))
 
 
 def test_node_without_target_and_cycle():
     bad = dict(nodes=["a"], edges=["e"], node_target={}, edge_target={"e": "a"}, root="e")
-    assert "NodeWithoutTarget" in codes(tree_diagnostics(**bad))
-    assert tree_diagnostics(**CYCLE) == [make("Cycle", ["e"], "rooted tree", "no finite descending path from 'e'")]
+    assert "NodeWithoutTarget" in codes(tree_diagnostics(RootedTree(**bad)))
+    assert tree_diagnostics(RootedTree(**CYCLE)) == [make("Cycle", ["e"], "rooted tree", "no finite descending path from 'e'")]
 
 
 def test_node_target_entry_for_a_non_node_is_dangling():
     for key in ("b2", "zz"):  # an edge, an unknown id
         doc = dict(PAPER_TREE, node_target={**PAPER_TREE["node_target"], key: "b3"})
-        assert tree_diagnostics(**doc) == [
+        assert tree_diagnostics(RootedTree(**doc)) == [
             make("DanglingId", [key, "b3"], "rooted tree", f"node target entry ({key!r}, 'b3') references an unknown node")
         ]
 
@@ -122,7 +123,7 @@ def test_tree_diagnostics_match_naive_path_oracle():
             node_target = {"a": nt_a, "b": nt_b}
             edge_target = {e: t for e, t in zip(edges, et) if t is not None}
             for root in edges:
-                ok_fast = not tree_diagnostics(nodes, edges, node_target, edge_target, root)
+                ok_fast = not tree_diagnostics(RootedTree(nodes, edges, node_target, edge_target, root))
                 ok_oracle = oracle_tree_paths(nodes, edges, node_target, edge_target, root)
                 assert ok_fast == ok_oracle, (node_target, edge_target, root)
                 cases += 1

@@ -44,7 +44,7 @@ def test_level_trees_validate(rho_dfc, omega_dfc):
     for dfc in (rho_dfc, omega_dfc):
         for k in range(2, dfc.dimension + 3):
             t = level_tree(dfc, k)
-            assert not tree_diagnostics(t.nodes, t.edges, t.node_target, t.edge_target, t.root)
+            assert not tree_diagnostics(t)
         assert level_tree(dfc, 2).is_linear or level_tree(dfc, 2).is_unit
 
 
@@ -57,7 +57,7 @@ def _zigzag_oracle(dfc, c):
     next) and descends on the plus side.
     """
     mop = dfc.mop
-    lam = set(mop.lam())
+    lam = set(mop.lam)
     expected = set()
     for b in mop.cells:
         beta = mop.sign(c, b)

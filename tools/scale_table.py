@@ -9,11 +9,13 @@ convert --to ope of the face complex that wrote, validate of both
 encodings, and iso of each document against a relabelled copy of it, in
 both encodings.  The last row does the same for the 3-opetope whose tree 3
 is a comb on COMB_LEAVES leaves (tests/conftest.py, comb_opetope_doc).
-Each command runs in a fresh process, which times cli.main alone, so no
-column reads the heap an earlier command left; peak RSS is the largest
-peak of the row's processes, read from /proc/self/status (Linux).  Documents go to a temporary directory,
-removed at the end.  Times are single runs; a row is printed as soon as
-it is measured.
+Each command runs RUNS times, each in a fresh process, which times
+cli.main alone, so no column reads the heap an earlier command left.  A
+column is the median of its runs, since single runs of one command on one
+shared machine can differ by a quarter; peak RSS is the largest peak of
+the row's processes, read from /proc/self/status (Linux).  Documents go
+to a temporary directory, removed at the end.  A row is printed as soon
+as it is measured.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import comb_opetope_doc, relabel_doc  # noqa: E402
 
 COMB_LEAVES = 1000
+RUNS = 3
 COLUMNS = ("cells", "`convert --to dfc`", "`convert --to ope`", "`validate` .ope", "`validate` .dfc", "`iso` .ope",
            "`iso` .dfc", "peak RSS")
 # Run in a fresh process: the command's time, exit code and the process's peak RSS in KB.  The
@@ -50,11 +54,17 @@ print(elapsed, code, status["VmHWM"].split()[0])
 
 
 def _timed(argv, rss: list) -> str:
-    """Seconds one command takes in a fresh process, with its exit code when that is not 0; appends its peak RSS to rss."""
-    out = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)], capture_output=True, text=True, check=True)
-    elapsed, code, peak = out.stdout.split()
-    rss.append(int(peak))
-    return f"{float(elapsed):.2f} s" + (f" (exit {code})" if code != "0" else "")
+    """Median seconds of RUNS runs of one command, each in a fresh process, with its exit code when that is not 0.
+
+    Appends the peak RSS of every run to rss.
+    """
+    elapsed = []
+    for _ in range(RUNS):
+        out = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)], capture_output=True, text=True, check=True)
+        seconds, code, peak = out.stdout.split()
+        elapsed.append(float(seconds))
+        rss.append(int(peak))
+    return f"{statistics.median(elapsed):.2f} s" + (f" (exit {code})" if code != "0" else "")
 
 
 def _row(name: str, ope_doc: dict, tmp: Path) -> str:
