@@ -1,7 +1,8 @@
 """Command-line surface: validate, convert, iso, roundtrip, gen, oracle, export-dot, info.
 
 Exit codes: 0 success, 1 invalid structure / no isomorphism / broken round
-trip, 2 usage or parse errors.  Diagnostics go to stdout as JSON lines.
+trip, 2 usage or parse errors and paths that cannot be read or written.
+Diagnostics go to stdout as JSON lines.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ def _emit(obj) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from err
 
 
 def _load_any(path: str):
@@ -294,7 +298,7 @@ def main(argv=None) -> int:
             _emit(d.to_json())
         _emit({"valid": False})
         return INVALID
-    except (ParseError, FileNotFoundError) as err:
+    except (ParseError, OSError) as err:  # OSError: a path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except RoundTripBroken as err:

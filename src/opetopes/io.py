@@ -29,6 +29,8 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, (err.lineno, err.colno)) from err
+    except RecursionError as err:  # the decoder recurses once per level of nesting
+        raise ParseError("JSON nested too deeply to decode") from err
 
 
 def serialize_doc(doc: dict) -> str:

@@ -8,21 +8,23 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
 
-A poset keeps one signed-facet table, built with it in one sorted pass
-over the cells: each cell's facets in sorted order, each with its sign.
-The same pass reads the strata off the signs: lam, the cells that are
-never a plus facet, and loops, the cells whose facets all carry the loop
-sign.  facets() returns the stored tuple, and the checks read the table
-instead of sorting and signing again.  They index each cell x once
-instead of rescanning per chain: thinness maps every facet z of a facet
-to its completions over the facets of x, acyclicity maps every cell to
-the facets of x it is a proper source of, and the local orders count the
-loop sources of x by the cell they loop on.
+The signs add nothing to delta and gamma, so the constructor's one sorted
+pass grades the cells and reads the strata straight off delta/gamma: lam,
+the cells of dim >= 0 in no gamma(x) - delta(x), and loops, the cells
+with delta = gamma nonempty.  The signed-facet table (each cell's facets
+in sorted order, with their signs) is built when first read, by the
+face-complex checks, the DOT export or the oracle.
+The checks index each cell x once instead of rescanning per chain:
+thinness maps every facet z of a facet to its completions over the
+facets of x, acyclicity maps every cell to the facets of x it is a
+proper source of, and the local orders count the loop sources of x by
+the cell they loop on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -48,7 +50,8 @@ class ManyToOnePoset:
 
     Immutable by convention after construction; build through mop_validate or trusted_mop.
     local_orders maps (x, z) to the stored order of the loops on z among
-    the sources of x.
+    the sources of x.  The strata lam and loops are read off delta/gamma in
+    the constructor's pass; the signed-facet table is built when first read.
     """
 
     def __init__(self, cells, dim, delta, gamma, local_orders):
@@ -59,22 +62,28 @@ class ManyToOnePoset:
         self.local_orders = {k: tuple(v) for k, v in local_orders.items()}
 
         self._by_dim: dict[int, list[str]] = {}
-        # x -> (its facets y in sorted order, the sign of each y < x: one character per facet)
-        self.signed_facets: dict[str, tuple[tuple[str, ...], str]] = {}
         proper_targets: set[str] = set()
         loops = []
         for x in sorted(self.cells):
             self._by_dim.setdefault(self.dim[x], []).append(x)
-            facets = tuple(sorted(self.delta[x] | self.gamma[x]))
-            signs = "".join(self.sign(y, x) for y in facets)
-            self.signed_facets[x] = (facets, signs)
-            if PLUS in signs:
-                proper_targets.update(y for y, s in zip(facets, signs) if s == PLUS)
-            elif signs and MINUS not in signs:  # every facet carries LOOP
-                loops.append(x)
+            d, g = self.delta[x], self.gamma[x]
+            if d == g:
+                if d:
+                    loops.append(x)
+            else:
+                proper_targets.update(g - d)
         # the strata: lam, the cells of dim >= 0 that are never a proper target, and the loops
         self.lam = frozenset(c for c in self.cells if self.dim[c] >= 0 and c not in proper_targets)
         self.loops = frozenset(loops)
+
+    @cached_property
+    def signed_facets(self) -> dict[str, tuple[tuple[str, ...], str]]:
+        """x -> (its facets y in sorted order, the sign of each y < x: one character per facet)."""
+        table = {}
+        for x in sorted(self.cells):
+            facets = tuple(sorted(self.delta[x] | self.gamma[x]))
+            table[x] = (facets, "".join(self.sign(y, x) for y in facets))
+        return table
 
     # -- basic queries -------------------------------------------------
 
@@ -193,7 +202,7 @@ def mop_diagnostics(doc: dict) -> list[Diagnostic]:
             continue
         if len(mop.gamma[x]) != 1:
             out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
-        for y in mop.facets(x):
+        for y in mop.delta[x] | mop.gamma[x]:
             if y in mop.dim and mop.dim[y] != k - 1:
                 out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
         inter = mop.delta[x] & mop.gamma[x]

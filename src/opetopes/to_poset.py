@@ -11,10 +11,12 @@ rule: from the top of tree k+2 down, it sums the signed segment counts of
 the dots of tree k+1 above each edge.  The dots above x are connected (the kernel
 rule), so one -1 segment is left, on the target of x, and the +1 segments
 lie on its sources; more than one -1 is a bug, since the opetope was
-validated.  A loop's -1 segment places it in its local order.  A count
-holds one entry per source plus one, so a level costs its input plus its
-output.  oracle.oracle_nesting_subtree builds the subtree of a single cell
-and is the reference this route is tested against.
+validated.  A loop's -1 segment places it in its local order, read with
+the cell it is a source of, one level up.  A count holds one entry per
+source plus one, so a level costs its input plus its output.  The cell
+maps go straight to the poset, with no document in between.
+oracle.oracle_nesting_subtree builds the subtree of a single cell and is
+the reference this route is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import InternalError
-from .poset import Dfc, trusted_dfc, trusted_mop
+from .poset import Dfc, ManyToOnePoset, trusted_dfc
 from .trees import Opetope, RootedTree, segment_sweep
 
 
@@ -89,39 +91,35 @@ class PImage:
 
 def p_image(ope: Opetope) -> PImage:
     ez = extend(ope)
-    n = ez.base_dim
-    records = [{"id": ez.bottom, "dim": -1, "delta": [], "gamma": []}]
-    records += [{"id": x, "dim": 0, "delta": [], "gamma": [ez.bottom]} for x in sorted(ez.trees[2].edges)]
+    bottom = ez.bottom
+    dim, delta, gamma = {bottom: -1}, {bottom: frozenset()}, {bottom: frozenset()}
+    for x in ez.trees[2].edges:
+        dim[x], delta[x], gamma[x] = 0, frozenset(), frozenset((bottom,))
     target_segment: dict[str, tuple[str, int]] = {}
-    for k in range(1, n + 1):
-        cells = {}
+    local_orders: dict[tuple[str, str], list[str]] = {}
+    for k in range(1, ez.base_dim + 1):
         for x, count, minus in segment_sweep(ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]):
             if minus != 1:
                 raise InternalError(f"the dots above {x!r} leave {minus} target segments; the opetope breaks the kernel rule")
-            target_segment[x] = next(seg for seg, c in count.items() if c < 0)
-            cells[x] = sorted({b for (b, _), c in count.items() if c > 0})
-        for x in sorted(cells):
-            records.append({"id": x, "dim": k, "delta": cells[x], "gamma": [target_segment[x][0]]})
-
-    by_id = {rec["id"]: rec for rec in records}
-    local_orders = []
-    for k in range(2, n + 1):
-        for x in sorted(ez.trees[k + 2].edges):
+            sources = []
+            for seg, c in count.items():
+                if c > 0:
+                    sources.append(seg[0])
+                else:  # the one -1 segment, on the target
+                    target_segment[x] = seg
+            dim[x], gamma[x] = k, frozenset((target_segment[x][0],))
+            delta[x] = frozenset(sources)
             loops_by_base: dict[str, list[str]] = {}
-            for y in by_id[x]["delta"]:
-                rec = by_id[y]
-                if rec["delta"] == rec["gamma"]:
-                    loops_by_base.setdefault(rec["gamma"][0], []).append(y)
-            for z, ys in sorted(loops_by_base.items()):
-                if len(ys) < 2:
-                    continue
-                # a loop's dots are a run of whitedots on z; its target
-                # segment lies just below the lowest of them
-                ys.sort(key=lambda y: target_segment[y][1])
-                local_orders.append({"x": x, "z": z, "order": ys})
+            for y in delta[x]:
+                if delta[y] == gamma[y]:  # y is a loop on its target
+                    loops_by_base.setdefault(target_segment[y][0], []).append(y)
+            for z, ys in loops_by_base.items():
+                if len(ys) >= 2:
+                    # a loop's dots are a run of whitedots on z; its target
+                    # segment lies just below the lowest of them
+                    local_orders[(x, z)] = sorted(ys, key=lambda y: (target_segment[y][1], y))
 
-    doc = {"cells": records, "local_orders": local_orders}
-    return PImage(ez, trusted_dfc(trusted_mop(doc)))
+    return PImage(ez, trusted_dfc(ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders)))
 
 
 def p_of(ope: Opetope) -> Dfc:

@@ -22,6 +22,7 @@ from opetopes.io import (
     opetope_from_doc,
     opetope_to_doc,
     parse_dfc,
+    parse_json,
     parse_opetope,
     serialize_doc,
 )
@@ -251,6 +252,58 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", str(bad)]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def _latin1(tmp: pathlib.Path) -> str:
+    doc = tmp / "latin1.json"
+    doc.write_bytes('{"cells": [], "local_orders": [], "note": "caf\u00e9"}'.encode("latin-1"))
+    return str(doc)
+
+
+def _existing_file(tmp: pathlib.Path) -> str:
+    doc = tmp / "rho3.ope.json"
+    doc.write_text(fixture_text("rho3.ope.json"))
+    return str(doc)
+
+
+# command line -> the part of the one error line that names the fault
+PATH_FAULTS = {
+    "validate a directory": lambda tmp: (["validate", str(FIXTURES)], f"Is a directory: {str(FIXTURES)!r}"),
+    "validate a document that is not UTF-8": lambda tmp: (["validate", _latin1(tmp)], "is not UTF-8 text"),
+    "iso with a second document that is not UTF-8": lambda tmp: (
+        ["iso", path("rho3.dfc.json"), _latin1(tmp)], "is not UTF-8 text"),
+    "convert to an output directory": lambda tmp: (
+        ["convert", "--to", "dfc", path("rho3.ope.json"), "-o", str(tmp)], f"Is a directory: {str(tmp)!r}"),
+    "gen into an output directory that is a file": lambda tmp: (
+        ["gen", "--count", "2", "-o", _existing_file(tmp)], "File exists"),
+}
+
+
+@pytest.mark.parametrize("case", PATH_FAULTS)
+def test_cli_reports_a_path_it_cannot_read_or_write_without_a_traceback(case, tmp_path, capsys):
+    argv, fault = PATH_FAULTS[case](tmp_path)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and fault in err
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_cli_reports_a_missing_file_as_before(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["validate", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+@pytest.mark.parametrize("wrap", ["{}", '{{"cells": {}, "local_orders": []}}'], ids=["whole file", "cells"])
+def test_cli_reports_deeply_nested_json_as_a_parse_error(wrap, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(wrap.format("[" * 200_000 + "]" * 200_000))
+    with pytest.raises(ParseError):
+        parse_json(deep.read_text())
+    assert main(["validate", str(deep)]) == 2
+    assert capsys.readouterr() == ("", "error: JSON nested too deeply to decode\n")
 
 
 def test_cli_validates_a_long_face_complex(tmp_path, capsys):

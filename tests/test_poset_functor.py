@@ -8,14 +8,15 @@ import pytest
 from opetopes.cli import main
 from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.isos import LevelMap, OpetopeIso
+from opetopes.isos import LevelMap, OpetopeIso, dfc_iso_failures
 from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
-from opetopes.poset import LOOP, MINUS, dfc_diagnostics
+from opetopes.poset import LOOP, MINUS, ManyToOnePoset, dfc_diagnostics, mop_diagnostics, trusted_mop
 from opetopes.to_poset import extend, p_image, p_of
+from opetopes.to_zoom import z_of
 from opetopes.trees import RootedTree
 
-from conftest import comb_opetope_doc, load_ope_doc
-from opetopes.io import opetope_from_doc
+from conftest import comb_opetope_doc, generated_corpus, load_ope, load_ope_doc
+from opetopes.io import dfc_to_doc, opetope_from_doc
 
 
 def test_extend_omega(omega_ope):
@@ -288,3 +289,37 @@ def test_p_map_rejects_order_breaking_relabel(rho_ope):
         levels.append(LevelMap({a: swap.get(a, a) for a in t.nodes}, {b: b for b in t.edges}))
     with pytest.raises(NotAnIsomorphism):
         p_map(OpetopeIso(rho_ope, rho_ope, tuple(levels)))
+
+
+def _corpus_fixtures_and_combs():
+    combs = [opetope_from_doc(comb_opetope_doc(leaves)) for leaves in (3, 40, 1000)]
+    return generated_corpus(200) + [load_ope("rho3.ope.json"), load_ope("omega4.ope.json")] + combs
+
+
+def test_only_the_face_complex_axioms_build_the_signed_facet_table(monkeypatch):
+    built = []
+    init = ManyToOnePoset.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ManyToOnePoset, "__init__", recording_init)
+    for ope in _corpus_fixtures_and_combs():
+        c = p_of(ope)
+        assert mop_diagnostics(dfc_to_doc(c)) == []
+        z_of(c)
+        assert dfc_iso_failures(c, p_of(ope), {x: x for x in c.mop.cells}) == []
+    assert len(built) == 3 * 205  # p_of twice, and the check build of mop_diagnostics
+    assert not [mop for mop in built if "signed_facets" in mop.__dict__]
+    assert dfc_diagnostics(c.mop) == []
+    assert "signed_facets" in c.mop.__dict__
+
+
+def test_p_of_hands_the_poset_what_its_document_holds():
+    for ope in _corpus_fixtures_and_combs():
+        mop = p_of(ope).mop
+        ref = trusted_mop(dfc_to_doc(p_of(ope)))
+        assert len(mop.cells) == len(set(mop.cells)) and set(mop.cells) == set(ref.cells)
+        for field in ("dim", "delta", "gamma", "local_orders", "lam", "loops", "signed_facets"):
+            assert getattr(mop, field) == getattr(ref, field), field

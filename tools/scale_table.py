@@ -6,9 +6,10 @@ For each dimension given, draws one opetope with
 GenParams(dim, max_tree_dots=100000, max_whitedots_per_edge=3) from
 random.Random(1), and times through opetopes.cli.main: convert --to dfc,
 convert --to ope of the face complex that wrote, validate of both
-encodings, and iso of each document against a relabelled copy of it, in
-both encodings.  The last row does the same for the 3-opetope whose tree 3
-is a comb on COMB_LEAVES leaves (tests/conftest.py, comb_opetope_doc).
+encodings, iso of each document against a relabelled copy of it, in
+both encodings, and roundtrip of both encodings.  The last row does the
+same for the 3-opetope whose tree 3 is a comb on COMB_LEAVES leaves
+(tests/conftest.py, comb_opetope_doc).
 Each command runs RUNS times, each in a fresh process, which times
 cli.main alone, so no column reads the heap an earlier command left.  A
 column is the median of its runs, since single runs of one command on one
@@ -38,7 +39,7 @@ from conftest import comb_opetope_doc, relabel_doc  # noqa: E402
 COMB_LEAVES = 1000
 RUNS = 3
 COLUMNS = ("cells", "`convert --to dfc`", "`convert --to ope`", "`validate` .ope", "`validate` .dfc", "`iso` .ope",
-           "`iso` .dfc", "peak RSS")
+           "`iso` .dfc", "`roundtrip` .ope", "`roundtrip` .dfc", "peak RSS")
 # Run in a fresh process: the command's time, exit code and the process's peak RSS in KB.  The
 # peak is VmHWM, not ru_maxrss, which on Linux also counts the memory of the forking process.
 CHILD = """
@@ -79,7 +80,7 @@ def _row(name: str, ope_doc: dict, tmp: Path) -> str:
     dfc2.write_text(serialize_doc(relabel_doc(dfc_doc, rng)[0]))
     cells = f"{len(dfc_doc['cells']):,}"
     for argv in (["convert", "--to", "ope", dfc, "-o", back], ["validate", ope], ["validate", dfc],
-                 ["iso", ope, ope2], ["iso", dfc, dfc2]):
+                 ["iso", ope, ope2], ["iso", dfc, dfc2], ["roundtrip", ope], ["roundtrip", dfc]):
         times.append(_timed(argv, rss))
     return "| " + " | ".join([name, cells, *times, f"{max(rss) / 1024:.0f} MB"]) + " |"
 
