@@ -48,7 +48,8 @@ def sign_negate(a: str) -> str:
 class ManyToOnePoset:
     """Graded cell set with source/target facet maps and local loop orders.
 
-    Immutable by convention after construction; build through mop_validate or trusted_mop.
+    Immutable by convention after construction; build through mop_validate or trusted_mop,
+    or from the maps of a translator (to_poset.p_image).
     local_orders maps (x, z) to the stored order of the loops on z among
     the sources of x.  The strata lam and loops are read off delta/gamma in
     the constructor's pass; the signed-facet table is built when first read.
