@@ -32,7 +32,7 @@ from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism, Val
 from .equivalence import _arrow_parts
 from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
-from .to_poset import ExtendedZoom, PImage, p_image
+from .to_poset import extend, p_of
 from .to_zoom import level_tree, z_of
 from .trees import Opetope, RootedTree, tree_diagnostics
 
@@ -168,9 +168,8 @@ def descendant_dots(u: RootedTree, x: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def sigma_tree(pz: PImage, x: str) -> RootedTree:
-    """Source tree of a cell assembled from the nesting subtrees of its sources."""
-    dfc, ez = pz.dfc, pz.ez
+def sigma_tree(dfc: Dfc, ez: Opetope, x: str) -> RootedTree:
+    """Source tree of a cell of dfc = p_of(o), assembled from the nesting subtrees of its sources in ez = extend(o)."""
     mop = dfc.mop
     k = mop.dim[x]
     if k < 2:
@@ -204,19 +203,15 @@ def p_map(f: OpetopeIso) -> DfcIso:
     failures = opetope_iso_failures(f.source, f.target, f.levels)
     if failures:
         raise NotAnIsomorphism(failures)
-    src, tgt = p_image(f.source), p_image(f.target)
-    n = src.ez.base_dim
-    fwd = {src.ez.bottom: tgt.ez.bottom, src.ez.top: tgt.ez.top, src.ez.ext_root: tgt.ez.ext_root}
-    for k in range(n + 1):
-        for x in src.ez.trees[k + 2].edges:
-            if k == n:
-                continue  # the top element, already mapped
-            if k == n - 1:
-                if x != src.ez.ext_root:
-                    fwd[x] = f.levels[n].nodes[x]  # nodes of the top original tree
-            else:
-                fwd[x] = f.levels[k + 2].edges[x]
-    return make_dfc_iso(src.dfc, tgt.dfc, fwd)
+    src, tgt = extend(f.source), extend(f.target)
+    # the bottom, the top cell and its target are the roots of trees 1, n+2 and n+1
+    fwd = {src.trees[i].root: tgt.trees[i].root for i in (1, -1, -2)}
+    n = f.source.dim
+    for k in range(n - 1):
+        fwd.update(f.levels[k + 2].edges)  # the k-cells are the edges of tree k+2
+    if n >= 1:
+        fwd.update(f.levels[n].nodes)  # the other (n-1)-cells are the nodes of tree n
+    return make_dfc_iso(p_of(f.source), p_of(f.target), fwd)
 
 
 def z_map(f: DfcIso) -> OpetopeIso:
@@ -551,8 +546,8 @@ def _components(members, adj) -> list[list[str]]:
     return comps
 
 
-def oracle_nesting_subtree(ez: ExtendedZoom, k: int, x: str) -> NestingSubtree:
-    """The nesting subtree under the edge x of tree k+2, computed for x alone.
+def oracle_nesting_subtree(ez: Opetope, k: int, x: str) -> NestingSubtree:
+    """The nesting subtree under the edge x of tree k+2 of ez = extend(o), computed for x alone.
 
     It builds the expansion of tree k+1, collects the dots above x by
     walking the descending chain of every leaf and nulldot, and groups
@@ -834,10 +829,17 @@ def check_nulldot_targets(dfc: Dfc) -> list[str]:
     ]
 
 
+def _level_tree(dfc: Dfc, k: int) -> RootedTree:
+    """Tree k of z_of(dfc) for 2 <= k <= n+1, and the unit tree on the greatest cell for k = n+2."""
+    if k == dfc.dimension + 2:
+        return RootedTree((), (dfc.omega,), {}, {}, dfc.omega)
+    return level_tree(dfc, k)
+
+
 def check_blackdots_leaves(dfc: Dfc) -> list[tuple]:
     bad = []
     for k in range(2, dfc.dimension + 2):
-        low, high = level_tree(dfc, k), level_tree(dfc, k + 1)
+        low, high = _level_tree(dfc, k), _level_tree(dfc, k + 1)
         if set(low.nodes) != set(high.leaves):
             bad.append((k, tuple(low.nodes), tuple(high.leaves)))
     return bad
@@ -846,7 +848,7 @@ def check_blackdots_leaves(dfc: Dfc) -> list[tuple]:
 def check_whitedots_nulldots(dfc: Dfc) -> list[tuple]:
     bad = []
     for k in range(2, dfc.dimension + 2):
-        low, high = level_tree(dfc, k), level_tree(dfc, k + 1)
+        low, high = _level_tree(dfc, k), _level_tree(dfc, k + 1)
         whitedots = {w for y in low.edges for w in whitedot_order(dfc, k, y)}
         if whitedots != set(high.nulldots):
             bad.append((k, tuple(sorted(whitedots)), tuple(high.nulldots)))
@@ -868,7 +870,7 @@ def check_pencil_linearity(dfc: Dfc) -> list[tuple]:
 
 
 def check_t2_linear(dfc: Dfc) -> list[tuple]:
-    t2 = level_tree(dfc, 2)
+    t2 = _level_tree(dfc, 2)
     return [] if t2.is_linear or t2.is_unit else [(tuple(t2.nodes),)]
 
 

@@ -1,10 +1,13 @@
 """From a zoom complex to a face complex.
 
 The opetope is first extended by a corolla and a unit tree on a fresh top
-element; the cells of the complex are then the edges of the trees of
-degree >= 2.  A cell x of tree k+2 has as sources the leaves, and as target
-the root, of the nesting subtree it cuts out of tree k+1; both are read off
-a signed count instead of building that subtree.
+element.  The extension is itself an opetope, two dimensions up, and its
+roots name the bottom (tree 1), the top cell (the last tree) and the top
+cell's target (the tree below it).  The cells of the complex are the
+edges of its trees of degree >= 2.  A cell x of tree k+2 has as sources
+the leaves, and as target the root, of the nesting subtree it cuts out of
+tree k+1; both are read off a signed count instead of building that
+subtree.
 
 The count is trees.segment_sweep, the sweep that also decides the kernel
 rule: from the top of tree k+2 down, it sums the signed segment counts of
@@ -21,8 +24,6 @@ the reference this route is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import InternalError
 from .poset import Dfc, ManyToOnePoset, trusted_dfc
 from .trees import Opetope, RootedTree, segment_sweep
@@ -35,29 +36,12 @@ def _fresh(name: str, used: set[str]) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ExtendedZoom:
-    """An opetope with the two forced top levels appended."""
+def extend(ope: Opetope) -> Opetope:
+    """The opetope two dimensions up: ope with a corolla on a fresh top cell and the unit tree above it.
 
-    base: Opetope
-    trees: tuple[RootedTree, ...]
-    subdivisions: tuple[dict, ...]
-    top: str
-    ext_root: str
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def bottom(self) -> str:
-        return self.trees[1].root
-
-
-def extend(ope: Opetope) -> ExtendedZoom:
-    """Append the corolla on a fresh top element and the unit tree above it."""
-    if isinstance(ope, ExtendedZoom):
-        raise ValueError("input is already an extended zoom complex")
+    Its roots name three cells of the face complex: trees[1].root the
+    bottom, trees[-1].root the top cell and trees[-2].root its target.
+    """
     used = set()
     for t in ope.trees:
         used |= set(t.nodes) | set(t.edges)
@@ -75,29 +59,21 @@ def extend(ope: Opetope) -> ExtendedZoom:
     # a unit top tree has no blackdot, so the top element itself must
     # appear as the only whitedot for the appended constellation to be exact
     v_n = {} if s_n.nodes else {s_n.root: (top,)}
-    return ExtendedZoom(ope, ope.trees + (corolla, unit), ope.subdivisions + (v_n, {}), top, ext_root)
+    return Opetope(ope.trees + (corolla, unit), ope.subdivisions + (v_n, {}))
 
 
 # -- the complex of an opetope ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PImage:
-    """A complex produced from an opetope, with its extension kept around."""
-
-    ez: ExtendedZoom
-    dfc: Dfc
-
-
-def p_image(ope: Opetope) -> PImage:
+def p_image(ope: Opetope) -> Dfc:
     ez = extend(ope)
-    bottom = ez.bottom
+    bottom = ez.trees[1].root
     dim, delta, gamma = {bottom: -1}, {bottom: frozenset()}, {bottom: frozenset()}
     for x in ez.trees[2].edges:
         dim[x], delta[x], gamma[x] = 0, frozenset(), frozenset((bottom,))
     target_segment: dict[str, tuple[str, int]] = {}
     local_orders: dict[tuple[str, str], list[str]] = {}
-    for k in range(1, ez.base_dim + 1):
+    for k in range(1, ope.dim + 1):
         for x, count, minus in segment_sweep(ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]):
             if minus != 1:
                 raise InternalError(f"the dots above {x!r} leave {minus} target segments; the opetope breaks the kernel rule")
@@ -119,9 +95,11 @@ def p_image(ope: Opetope) -> PImage:
                     # segment lies just below the lowest of them
                     local_orders[(x, z)] = sorted(ys, key=lambda y: (target_segment[y][1], y))
 
-    return PImage(ez, trusted_dfc(ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders)))
+    return trusted_dfc(ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders))
 
 
 def p_of(ope: Opetope) -> Dfc:
     """The face complex of a valid opetope; valid by construction and not re-checked."""
-    return p_image(ope).dfc
+    # perfbench calls p_of and times and fits p_image by name, so both stay
+    # until the benchmark drops that pin (ROADMAP item 1)
+    return p_image(ope)

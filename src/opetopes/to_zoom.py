@@ -32,13 +32,8 @@ from .trees import Opetope, RootedTree
 
 
 def level_tree(dfc: Dfc, k: int) -> RootedTree:
-    """Tree with the non-target (k-1)-cells as nodes and the (k-2)-cells as edges."""
+    """Tree k, for 2 <= k <= n+1: the non-target (k-1)-cells as nodes and the (k-2)-cells as edges."""
     mop = dfc.mop
-    n = dfc.dimension
-    if not 2 <= k <= n + 2:
-        raise ValueError(f"level must lie between 2 and {n + 2}, got {k}")
-    if k == n + 2:
-        return RootedTree((), (dfc.omega,), {}, {}, dfc.omega)
     nodes = [x for x in mop.grade(k - 1) if x in mop.lam]
     edges = mop.grade(k - 2)
     node_target = {x: mop.gamma_cell(x) for x in nodes}

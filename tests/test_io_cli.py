@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import opetopes.equivalence
 import opetopes.io
 import opetopes.trees
 from opetopes.cli import main
@@ -160,6 +161,19 @@ def test_cli_roundtrip(capsys):
     assert out.count('"result": "verified"') == 2
 
 
+@pytest.mark.parametrize("name, detail", [
+    ("rho3.dfc.json", "theta on 'rho': forced; failures"),
+    ("rho3.ope.json", "tau on a 3-opetope: forced; failures"),
+])
+def test_cli_roundtrip_reports_a_broken_witness_as_one_record(name, detail, monkeypatch, capsys):
+    for checker in ("dfc_iso_failures", "opetope_iso_failures"):
+        monkeypatch.setattr(opetopes.equivalence, checker, lambda *args: ["forced", "failures"])
+    assert main(["roundtrip", path(name)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [json.dumps({"result": "broken", "detail": detail}, sort_keys=True)]
+    assert err == ""
+
+
 def test_cli_gen_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["gen", "--dim", "3", "--seed", "9", "--count", "2", "-o", str(a)]) == 0
@@ -252,6 +266,27 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", str(bad)]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_validate_goes_on_past_a_file_it_cannot_read_or_parse(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    errors = []
+    for fault in (str(FIXTURES), str(bad)):
+        assert main(["validate", fault]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        errors.append(err)
+    valid = [path("rho3.dfc.json"), path("omega4.dfc.json"), path("rho3.ope.json")]
+    assert main(["validate", valid[0], str(FIXTURES), valid[1], str(bad), valid[2]]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [json.dumps({"file": f, "valid": True}, sort_keys=True) for f in valid]
+    assert err == "".join(errors)
+    # a file that cannot be read outranks an invalid one, which outranks a valid one
+    invalid = str(FIXTURES / "mutations" / "m03_sign_flip.dfc.json")
+    assert main(["validate", invalid, str(bad), valid[0]]) == 2
+    assert main(["validate", valid[0], invalid, valid[1]]) == 1
+    assert main(["validate", *valid]) == 0
 
 
 def _latin1(tmp: pathlib.Path) -> str:

@@ -24,7 +24,7 @@ from opetopes.poset import (
     dfc_validate,
     mop_validate,
 )
-from opetopes.to_poset import p_image, p_of
+from opetopes.to_poset import extend, p_of
 from opetopes.trees import opetope_validate
 
 from conftest import (
@@ -167,10 +167,9 @@ def test_oracle_iso_identity_and_empty(rho_dfc):
 
 
 def _assert_cuts_agree(ope):
-    img = p_image(ope)
-    ez, mop = img.ez, img.dfc.mop
+    ez, mop = extend(ope), p_of(ope).mop
     cuts = {}
-    for k in range(1, ez.base_dim + 1):
+    for k in range(1, ope.dim + 1):
         level = {x: oracle_nesting_subtree(ez, k, x) for x in ez.trees[k + 2].edges}
         assert sorted(level) == sorted(mop.grade(k))
         for x, st in level.items():

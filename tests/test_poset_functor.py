@@ -11,9 +11,9 @@ from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso, dfc_iso_failures
 from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
 from opetopes.poset import LOOP, MINUS, ManyToOnePoset, dfc_diagnostics, mop_diagnostics, trusted_mop
-from opetopes.to_poset import extend, p_image, p_of
+from opetopes.to_poset import extend, p_of
 from opetopes.to_zoom import z_of
-from opetopes.trees import RootedTree
+from opetopes.trees import RootedTree, opetope_diagnostics
 
 from conftest import comb_opetope_doc, generated_corpus, load_ope, load_ope_doc
 from opetopes.io import dfc_to_doc, opetope_from_doc
@@ -22,12 +22,11 @@ from opetopes.io import dfc_to_doc, opetope_from_doc
 def test_extend_omega(omega_ope):
     ez = extend(omega_ope)
     s5, s6 = ez.trees[5], ez.trees[6]
-    assert s5.nodes == (ez.top,)
+    assert s5.nodes == (s6.root,)
     assert set(s5.leaves) == {"a1", "a2", "a3"}
-    assert s5.root == ez.ext_root
-    assert s6.is_unit and s6.edges == (ez.top,)
-    with pytest.raises(ValueError):
-        extend(ez)
+    assert s6.is_unit and s6.edges == (s6.root,)
+    dfc = p_of(omega_ope)
+    assert (ez.trees[1].root, s6.root, s5.root) == (dfc.bottom, dfc.omega, dfc.iterated_targets[-2])
 
 
 def test_extend_zero_opetope():
@@ -35,7 +34,7 @@ def test_extend_zero_opetope():
     ez = extend(ope)
     assert len(ez.trees[1].nodes) == 1 and len(ez.trees[1].leaves) == 1
     assert ez.trees[2].is_unit
-    assert ez.bottom == ez.ext_root
+    assert ez.trees[1].root == ez.trees[-2].root
 
 
 def test_extend_unit_top_tree_gets_the_top_whitedot():
@@ -44,7 +43,18 @@ def test_extend_unit_top_tree_gets_the_top_whitedot():
     ope = gen_opetope(0, GenParams(dim=2, max_linear_nodes=0))
     assert ope.trees[2].is_unit
     ez = extend(ope)
-    assert ez.subdivisions[2] == {ope.trees[2].root: (ez.top,)}
+    assert ez.subdivisions[2] == {ope.trees[2].root: (ez.trees[-1].root,)}
+
+
+def test_an_extension_is_an_opetope():
+    opes = [load_ope("rho3.ope.json"), load_ope("omega4.ope.json")] + generated_corpus(200)
+    opes += [gen_opetope(0, GenParams(dim=d)) for d in (0, 1)]
+    opes += [gen_opetope(0, GenParams(dim=2, max_linear_nodes=0)), opetope_from_doc(comb_opetope_doc(1000))]
+    for ope in opes:
+        ez = extend(ope)
+        assert ez.dim == ope.dim + 2
+        assert opetope_diagnostics(ez) == []
+        assert opetope_diagnostics(extend(ez)) == []
 
 
 def test_nesting_subtree_examples(rho_ope):
@@ -99,21 +109,20 @@ def test_p_of_local_orders(rho_ope):
 
 def test_loop_iff_unit_subtree(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        img = p_image(ope)
-        mop = img.dfc.mop
+        ez, mop = extend(ope), p_of(ope).mop
         for k in range(1, mop.dimension + 1):
             for x in mop.grade(k):
-                assert oracle_nesting_subtree(img.ez, k, x).tree.is_unit == (x in mop.loops)
+                assert oracle_nesting_subtree(ez, k, x).tree.is_unit == (x in mop.loops)
 
 
 def test_sigma_tree_equals_delta_tree(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        img = p_image(ope)
-        mop = img.dfc.mop
+        dfc, ez = p_of(ope), extend(ope)
+        mop = dfc.mop
         for x in sorted(mop.cells):
             if mop.dim[x] < 2 or x in mop.loops:
                 continue
-            s, d = sigma_tree(img, x), delta_tree(img.dfc, x)
+            s, d = sigma_tree(dfc, ez, x), delta_tree(dfc, x)
             assert set(s.nodes) == set(d.nodes)
             assert set(s.edges) == set(d.edges)
             assert s.node_target == d.node_target
@@ -122,9 +131,8 @@ def test_sigma_tree_equals_delta_tree(rho_ope, omega_ope):
 
 
 def test_sigma_tree_rejects_loops(rho_ope):
-    img = p_image(rho_ope)
     with pytest.raises(ValueError):
-        sigma_tree(img, "b3")
+        sigma_tree(p_of(rho_ope), extend(rho_ope), "b3")
 
 
 def test_sigma_tree_single_covering_corolla():
@@ -132,9 +140,8 @@ def test_sigma_tree_single_covering_corolla():
     ope = gen_opetope(0, GenParams(dim=2, max_linear_nodes=1))
     while len(ope.trees[2].nodes) != 1:
         ope = gen_opetope(1, GenParams(dim=2, max_linear_nodes=1))
-    img = p_image(ope)
-    top = img.dfc.omega
-    tree = sigma_tree(img, top)
+    dfc = p_of(ope)
+    tree = sigma_tree(dfc, extend(ope), dfc.omega)
     assert len(tree.nodes) == 1
 
 
@@ -171,12 +178,12 @@ def _lozenges(mop):
 
 def test_leaf_lozenge(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        img = p_image(ope)
-        mop = img.dfc.mop
+        dfc, ez = p_of(ope), extend(ope)
+        mop = dfc.mop
         for x in sorted(mop.cells):
             if mop.dim[x] < 2 or x in mop.loops:
                 continue
-            sig = sigma_tree(img, x)
+            sig = sigma_tree(dfc, ez, x)
             gx = mop.gamma_cell(x)
             for y in sorted(mop.delta_minus(x)):
                 if y in mop.loops:
@@ -189,12 +196,12 @@ def test_leaf_lozenge(rho_ope, omega_ope):
 
 def test_root_lozenge(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        img = p_image(ope)
-        mop = img.dfc.mop
+        dfc, ez = p_of(ope), extend(ope)
+        mop = dfc.mop
         for x in sorted(mop.cells):
             if mop.dim[x] < 2 or x in mop.loops:
                 continue
-            sig = sigma_tree(img, x)
+            sig = sigma_tree(dfc, ez, x)
             for y in sorted(mop.delta_minus(x)):
                 if y in mop.loops:
                     continue
@@ -234,11 +241,10 @@ def test_p_of_validates_with_zero_diagnostics(rho_ope, omega_ope):
 
 def test_distinct_leaves_distinct_names(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
-        img = p_image(ope)
-        mop = img.dfc.mop
+        ez, mop = extend(ope), p_of(ope).mop
         for k in range(1, mop.dimension + 1):
             for x in mop.grade(k):
-                leaves = oracle_nesting_subtree(img.ez, k, x).tree.leaves
+                leaves = oracle_nesting_subtree(ez, k, x).tree.leaves
                 assert len(set(leaves)) == len(leaves)
 
 
