@@ -67,7 +67,6 @@ def cmd_validate(args) -> int:
     for path in args.files:
         try:
             _load_any(path)
-            _emit({"file": path, "valid": True})
         except ValidationError as err:
             for d in err.diagnostics:
                 _emit({"file": path, **d.to_json()})
@@ -76,6 +75,8 @@ def cmd_validate(args) -> int:
         except (ParseError, OSError) as err:  # the next file is still checked
             print(f"error: {err}", file=sys.stderr)
             worst = USAGE
+        else:
+            _emit({"file": path, "valid": True})
     return worst
 
 

@@ -829,17 +829,10 @@ def check_nulldot_targets(dfc: Dfc) -> list[str]:
     ]
 
 
-def _level_tree(dfc: Dfc, k: int) -> RootedTree:
-    """Tree k of z_of(dfc) for 2 <= k <= n+1, and the unit tree on the greatest cell for k = n+2."""
-    if k == dfc.dimension + 2:
-        return RootedTree((), (dfc.omega,), {}, {}, dfc.omega)
-    return level_tree(dfc, k)
-
-
 def check_blackdots_leaves(dfc: Dfc) -> list[tuple]:
     bad = []
     for k in range(2, dfc.dimension + 2):
-        low, high = _level_tree(dfc, k), _level_tree(dfc, k + 1)
+        low, high = level_tree(dfc, k), level_tree(dfc, k + 1)
         if set(low.nodes) != set(high.leaves):
             bad.append((k, tuple(low.nodes), tuple(high.leaves)))
     return bad
@@ -848,7 +841,7 @@ def check_blackdots_leaves(dfc: Dfc) -> list[tuple]:
 def check_whitedots_nulldots(dfc: Dfc) -> list[tuple]:
     bad = []
     for k in range(2, dfc.dimension + 2):
-        low, high = _level_tree(dfc, k), _level_tree(dfc, k + 1)
+        low, high = level_tree(dfc, k), level_tree(dfc, k + 1)
         whitedots = {w for y in low.edges for w in whitedot_order(dfc, k, y)}
         if whitedots != set(high.nulldots):
             bad.append((k, tuple(sorted(whitedots)), tuple(high.nulldots)))
@@ -870,7 +863,7 @@ def check_pencil_linearity(dfc: Dfc) -> list[tuple]:
 
 
 def check_t2_linear(dfc: Dfc) -> list[tuple]:
-    t2 = _level_tree(dfc, 2)
+    t2 = level_tree(dfc, 2)
     return [] if t2.is_linear or t2.is_unit else [(tuple(t2.nodes),)]
 
 

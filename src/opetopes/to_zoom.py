@@ -32,7 +32,11 @@ from .trees import Opetope, RootedTree
 
 
 def level_tree(dfc: Dfc, k: int) -> RootedTree:
-    """Tree k, for 2 <= k <= n+1: the non-target (k-1)-cells as nodes and the (k-2)-cells as edges."""
+    """Tree k, for 2 <= k <= n+2: the non-target (k-1)-cells as nodes and the (k-2)-cells as edges.
+
+    At k = n+2 there are no such nodes, so the same formula gives the
+    unit tree on the greatest cell.
+    """
     mop = dfc.mop
     nodes = [x for x in mop.grade(k - 1) if x in mop.lam]
     edges = mop.grade(k - 2)

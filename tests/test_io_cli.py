@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import opetopes.cli
 import opetopes.equivalence
 import opetopes.io
 import opetopes.trees
@@ -287,6 +288,16 @@ def test_cli_validate_goes_on_past_a_file_it_cannot_read_or_parse(tmp_path, caps
     assert main(["validate", invalid, str(bad), valid[0]]) == 2
     assert main(["validate", valid[0], invalid, valid[1]]) == 1
     assert main(["validate", *valid]) == 0
+
+
+def test_cli_validate_stops_at_a_verdict_it_cannot_write(monkeypatch, capsys):
+    def closed_pipe(obj):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(opetopes.cli, "_emit", closed_pipe)
+    assert main(["validate", path("rho3.dfc.json"), path("omega4.dfc.json"), path("rho3.ope.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: [Errno 32] Broken pipe\n"
 
 
 def _latin1(tmp: pathlib.Path) -> str:

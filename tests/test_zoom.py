@@ -27,6 +27,8 @@ def test_level_tree_rho_base(rho_dfc):
 
 
 def test_level_tree_top_levels(rho_dfc):
+    t5 = level_tree(rho_dfc, 5)
+    assert t5.is_unit and t5.edges == ("rho",)
     t4 = level_tree(rho_dfc, 4)
     assert t4.nodes == ("rho",) and t4.root == "a0"
 
@@ -40,7 +42,7 @@ def test_level_tree_omega_3(omega_dfc):
 
 def test_level_trees_validate(rho_dfc, omega_dfc):
     for dfc in (rho_dfc, omega_dfc):
-        for k in range(2, dfc.dimension + 2):
+        for k in range(2, dfc.dimension + 3):
             t = level_tree(dfc, k)
             assert not tree_diagnostics(t)
         assert level_tree(dfc, 2).is_linear or level_tree(dfc, 2).is_unit
