@@ -29,6 +29,7 @@ from .poset import (
     dfc_diagnostics,
     dfc_validate,
     mop_diagnostics,
+    mop_from_doc,
     mop_validate,
     sign_product,
 )

@@ -8,17 +8,20 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
 
+A document becomes a poset in one read (mop_from_doc), which leaves out
+what it cannot place and reports it; mop_validate adds the poset axioms
+and returns that same poset, which dfc_validate checks as a face complex.
 The signs add nothing to delta and gamma, so the constructor's one sorted
 pass grades the cells and reads the strata straight off delta/gamma: lam,
 the cells of dim >= 0 in no gamma(x) - delta(x), and loops, the cells
 with delta = gamma nonempty.  The signed-facet table (each cell's facets
 in sorted order, with their signs) is built when first read, by the
 face-complex checks, the DOT export or the oracle.
-The checks index each cell x once instead of rescanning per chain:
-thinness maps every facet z of a facet to its completions over the
-facets of x, acyclicity maps every cell to the facets of x it is a
-proper source of, and the local orders count the loop sources of x by
-the cell they loop on.
+The checks index each cell x once instead of rescanning per chain: one
+walk over the facets of the facets of x groups every chain z < y < x by
+z, which gives each chain's thinness completions and the facets of x
+that z is a proper source of, the edges of the facet flow; the local
+orders count the loop sources of x by the cell they loop on.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ def sign_negate(a: str) -> str:
 class ManyToOnePoset:
     """Graded cell set with source/target facet maps and local loop orders.
 
-    Immutable by convention after construction; build through mop_validate or trusted_mop,
-    or from the maps of a translator (to_poset.p_image).
+    Immutable by convention after construction; read from a document by
+    mop_from_doc (checked by mop_validate), or built from the maps of a
+    translator (to_poset.p_image).
     local_orders maps (x, z) to the stored order of the loops on z among
     the sources of x.  The strata lam and loops are read off delta/gamma in
     the constructor's pass; the signed-facet table is built when first read.
@@ -126,8 +130,12 @@ class ManyToOnePoset:
 # -- MOP validation ----------------------------------------------------
 
 
-def _structural_diagnostics(doc: dict) -> tuple[list[Diagnostic], dict]:
-    """Id-level checks on the raw document; returns (diagnostics, cleaned doc)."""
+def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
+    """The poset a document describes, and the id-level faults met while reading it.
+
+    A cell with a bad or repeated id is left out, and so is a reference to
+    an unknown or repeated facet, or a local order on unknown cells.
+    """
     out: list[Diagnostic] = []
     cells = doc.get("cells", [])
     seen: set[str] = set()
@@ -175,18 +183,15 @@ def _structural_diagnostics(doc: dict) -> tuple[list[Diagnostic], dict]:
         if (x, z) in local_orders:
             out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
             continue
-        local_orders[(x, z)] = list(seq)
-    cleaned = {"order": order, "dim": dim, "delta": delta, "gamma": gamma, "local_orders": local_orders}
-    return out, cleaned
+        local_orders[(x, z)] = seq
+    return ManyToOnePoset(order, dim, delta, gamma, local_orders), out
 
 
-def mop_diagnostics(doc: dict) -> list[Diagnostic]:
-    """Every violation of the many-to-one poset axioms in the document."""
-    out, c = _structural_diagnostics(doc)
-    mop = ManyToOnePoset(c["order"], c["dim"], c["delta"], c["gamma"], c["local_orders"])
+def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
+    """Every violation of the many-to-one poset axioms; the facets of a poset read by mop_from_doc are all cells."""
+    out: list[Diagnostic] = []
     if not mop.cells:
-        out.append(make("BottomMissing", [], "bottom cell", "empty cell set"))
-        return sorted(set(out), key=sort_key)
+        return [make("BottomMissing", [], "bottom cell", "empty cell set")]
 
     bottoms = mop.grade(-1)
     if len(bottoms) == 0:
@@ -204,7 +209,7 @@ def mop_diagnostics(doc: dict) -> list[Diagnostic]:
         if len(mop.gamma[x]) != 1:
             out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
         for y in mop.delta[x] | mop.gamma[x]:
-            if y in mop.dim and mop.dim[y] != k - 1:
+            if mop.dim[y] != k - 1:
                 out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
         inter = mop.delta[x] & mop.gamma[x]
         if inter and mop.delta[x] != mop.gamma[x]:
@@ -248,23 +253,12 @@ def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
 
 
 def mop_validate(doc: dict) -> ManyToOnePoset:
-    """Validated MOP from a document, or ValidationError with every violation."""
-    diags = mop_diagnostics(doc)
+    """The poset of a document, or ValidationError with every fault of its reading and every axiom it breaks."""
+    mop, read = mop_from_doc(doc)
+    diags = set(read).union(mop_diagnostics(mop))  # a fault read twice is reported once
     if diags:
         raise ValidationError(diags)
-    return trusted_mop(doc)
-
-
-def trusted_mop(doc: dict) -> ManyToOnePoset:
-    """The poset of a document known to satisfy the axioms, read without checks."""
-    cells = doc.get("cells", [])
-    return ManyToOnePoset(
-        [rec["id"] for rec in cells],
-        {rec["id"]: rec["dim"] for rec in cells},
-        {rec["id"]: rec.get("delta", []) for rec in cells},
-        {rec["id"]: rec.get("gamma", []) for rec in cells},
-        {(rec["x"], rec["z"]): rec.get("order", []) for rec in doc.get("local_orders", [])},
-    )
+    return mop
 
 
 # -- DFC validation ----------------------------------------------------
@@ -296,52 +290,46 @@ class Dfc:
         return self.mop.bottom
 
 
-def _thinness_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
+def _facet_flow_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
+    """Oriented thinness and acyclicity, from one walk over the facets of the facets of each cell."""
     out = []
     table = mop.signed_facets
     for x in sorted(mop.cells):
         if mop.dim[x] < 1:
             continue
-        # per facet z of a facet: the signed completions (y', alpha', beta')
-        # in facet order, and how many y' are not loops on z below a source
+        # per facet z of a facet: the signed chains z < y < x as (y, alpha, beta), how many
+        # y are not loops on z below a source, and the facets y with z as proper source
         signed: dict[str, list[tuple[str, str, str]]] = {}
         other: dict[str, int] = {}
-        for y2, alpha2 in zip(*table[x]):
-            for z, beta2 in zip(*table[y2]):
-                if alpha2 != LOOP and beta2 != LOOP:
-                    signed.setdefault(z, []).append((y2, alpha2, beta2))
-                if not (alpha2 == MINUS and beta2 == LOOP):
-                    other[z] = other.get(z, 0) + 1
+        sources_on: dict[str, list[str]] = {}
+        loop_chains = []  # (z, y) with y a loop on z and a proper source of x
         for y, alpha in zip(*table[x]):
             for z, beta in zip(*table[y]):
+                if beta == MINUS:
+                    sources_on.setdefault(z, []).append(y)
+                if alpha == MINUS and beta == LOOP:
+                    loop_chains.append((z, y))
+                    continue
+                other[z] = other.get(z, 0) + 1
                 if alpha != LOOP and beta != LOOP:
-                    comps = [c for c in signed[z] if c[0] != y]
-                    if not comps:
-                        out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
-                    elif len(comps) > 1:
-                        out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
-                    else:
-                        y2, alpha2, beta2 = comps[0]
-                        if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
-                            out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
-                elif beta == LOOP and alpha == MINUS:
-                    # y itself is a loop on z below a source, so not counted
-                    if not other.get(z):
-                        out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
-    return out
-
-
-def _acyclicity_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
-    out = []
-    for x in sorted(mop.cells):
-        if mop.dim[x] < 1:
-            continue
-        fac = mop.facets(x)
-        sources_on: dict[str, list[str]] = {}  # t -> facets a with t a proper source of a
-        for a in fac:
-            for t, s in zip(*mop.signed_facets[a]):
-                if s == MINUS:
-                    sources_on.setdefault(t, []).append(a)
+                    signed.setdefault(z, []).append((y, alpha, beta))
+        # a signed chain's completions are the other signed chains through its z
+        for z, chains in signed.items():
+            for y, alpha, beta in chains:
+                comps = [c for c in chains if c[0] != y]
+                if not comps:
+                    out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
+                elif len(comps) > 1:
+                    out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
+                else:
+                    y2, alpha2, beta2 = comps[0]
+                    if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
+                        out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
+        for z, y in loop_chains:
+            if not other.get(z):
+                out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
+        # the facet flow: b -> a when the target of b is a proper source of a
+        fac = table[x][0]
         succ = {b: [] for b in fac}
         for b in fac:
             if mop.dim[b] < 0 or not mop.gamma[b]:
@@ -378,7 +366,7 @@ def _find_cycle(vertices, succ) -> list[str] | None:
 
 
 def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
-    """Every DFC axiom violation; assumes mop already passed mop_diagnostics (local orders included)."""
+    """Every DFC axiom violation of a poset that passed mop_validate (local orders included)."""
     out: list[Diagnostic] = []
     # every facet lies one dimension down (mop_diagnostics), so climbing
     # cofaces from any cell ends at a maximal cell: one maximal cell is greatest
@@ -393,8 +381,7 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     for y in sorted(mop.loops & mop.lam):
         out.append(make("LoopWithoutPlusCoface", [y], "loops", f"loop {y!r} has no cell with {y!r} as proper target"))
 
-    out.extend(_thinness_diagnostics(mop))
-    out.extend(_acyclicity_diagnostics(mop))
+    out.extend(_facet_flow_diagnostics(mop))
     return sorted(set(out), key=sort_key)
 
 

@@ -6,7 +6,7 @@ import pytest
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import opetope_from_doc, parse_dfc, parse_opetope
 from opetopes.oracle import oracle_kernel
-from opetopes.poset import MINUS, PLUS, dfc_validate, mop_validate
+from opetopes.poset import MINUS, PLUS, ManyToOnePoset, dfc_validate, mop_validate
 from opetopes.trees import constellation_diagnostics, opetope_validate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -54,6 +54,20 @@ def rho_ope():
 @pytest.fixture(scope="session")
 def omega_ope():
     return load_ope("omega4.ope.json")
+
+
+@pytest.fixture
+def poset_builds(monkeypatch):
+    """Every ManyToOnePoset built while the test runs, in order."""
+    built = []
+    init = ManyToOnePoset.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ManyToOnePoset, "__init__", recording_init)
+    return built
 
 
 def constellations(ope):

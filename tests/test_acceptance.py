@@ -27,9 +27,10 @@ from opetopes.oracle import (
 from opetopes.poset import (
     MINUS,
     PLUS,
-    _thinness_diagnostics,
+    _facet_flow_diagnostics,
     dfc_diagnostics,
     mop_diagnostics,
+    mop_from_doc,
     mop_validate,
 )
 from opetopes.to_poset import p_of
@@ -46,7 +47,7 @@ from conftest import (
     load_dfc,
     load_ope,
 )
-from test_axiom_indexes import reference_thinness
+from test_axiom_indexes import reference_acyclicity, reference_thinness
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -140,7 +141,7 @@ def test_criterion_6_oracle_equivalence(corpus):
     for dfc in dfcs:
         mop = dfc.mop
         # an empty list means exactly one completion on every signed chain
-        assert _thinness_diagnostics(mop) == reference_thinness(mop) == []
+        assert _facet_flow_diagnostics(mop) == reference_thinness(mop) + reference_acyclicity(mop) == []
         for k in range(dfc.dimension + 1):
             for sign in (MINUS, PLUS):
                 assert is_strict_closure_of_one_step(mop, k, sign, oracle_strictness(mop, k, sign)[0]), (dfc.omega, k, sign)
@@ -180,9 +181,10 @@ def test_criterion_8_mutation_sensitivity():
     assert len(dfc_mutations) == 10 and len(ope_mutations) == 5
     for p in dfc_mutations:
         doc, _ = parse_dfc(p.read_text())
-        diags = mop_diagnostics(doc)
+        mop, diags = mop_from_doc(doc)
+        diags += mop_diagnostics(mop)
         if not diags:
-            diags = dfc_diagnostics(mop_validate(doc))
+            diags = dfc_diagnostics(mop)
         assert diags, p.name
     for p in ope_mutations:
         doc, _ = parse_opetope(p.read_text())

@@ -5,7 +5,7 @@ import random
 from opetopes.equivalence import opetope_iso_search
 from opetopes.generator import GenParams, _Namer, gen_base, gen_nesting, gen_opetope, gen_subdivision
 from opetopes.io import dfc_to_doc, opetope_to_doc, serialize_doc
-from opetopes.poset import dfc_diagnostics, mop_diagnostics
+from opetopes.poset import dfc_diagnostics, mop_diagnostics, mop_from_doc
 from opetopes.to_poset import p_of
 from opetopes.trees import Opetope, constellation_diagnostics, opetope_diagnostics
 
@@ -64,7 +64,8 @@ def test_gen_opetope_valid_and_p_of_valid(rho_ope, omega_ope):
     for ope in seeded + generated_corpus(200) + [rho_ope, omega_ope]:
         assert opetope_diagnostics(ope) == []
         dfc = p_of(ope)
-        assert mop_diagnostics(dfc_to_doc(dfc)) == []
+        mop, read = mop_from_doc(dfc_to_doc(dfc))
+        assert read == [] and mop_diagnostics(mop) == []
         assert dfc_diagnostics(dfc.mop) == []
 
 

@@ -535,23 +535,70 @@ def test_cli_reports_a_node_target_entry_for_a_non_node(tmp_path, capsys, tree, 
     assert (diag["code"], diag["cells"]) == ("DanglingId", [node, edge])
 
 
+BOTTOM = {"id": "*", "dim": -1}
+POINT = {"id": "p", "dim": 0, "gamma": ["*"]}
+# (face-complex cells, local orders, the diagnostic validate prints): one
+# minimal document per code of the document's reading and the bottom cell
+FACE_COMPLEX_CODES = [
+    ([BOTTOM, {"id": "", "dim": 0, "gamma": ["*"]}], [],
+     ("BadId", [""], "cell id must be a non-empty string")),
+    ([BOTTOM, {"id": 5, "dim": 0, "gamma": ["*"]}], [],
+     ("BadId", ["5"], "cell id must be a non-empty string")),
+    ([BOTTOM, POINT, POINT], [],
+     ("DuplicateId", ["p"], "cell id 'p' appears twice")),
+    ([], [],
+     ("BottomMissing", [], "empty cell set")),
+    ([POINT], [],
+     ("BottomMissing", [], "no cell of dimension -1")),
+    ([BOTTOM, {"id": "b", "dim": -1}], [],
+     ("BottomNotUnique", ["*", "b"], "more than one cell of dimension -1")),
+    ([{"id": "*", "dim": -1, "gamma": ["p"]}, POINT], [],
+     ("BottomBoundary", ["*"], "the bottom cell must have empty delta and gamma")),
+    ([BOTTOM, POINT, {"id": "q", "dim": 0, "delta": ["p"], "gamma": ["*"]}], [],
+     ("ZeroCellBoundary", ["q"], "0-cell 'q' must have empty delta and the bottom cell as gamma")),
+    ([BOTTOM, POINT, {"id": "q", "dim": 0, "gamma": ["*"]}, {"id": "f", "dim": 1, "delta": ["p"], "gamma": ["q"]}],
+     [{"x": "f", "z": "p", "order": []}, {"x": "f", "z": "p", "order": []}],
+     ("DuplicateLocalOrder", ["f", "p"], "two local orders stored at ('f', 'p')")),
+]
+
+
+@pytest.mark.parametrize("cells, orders, expected", FACE_COMPLEX_CODES,
+                         ids=[case[2][0] for case in FACE_COMPLEX_CODES])
+def test_cli_validate_reports_each_reading_and_bottom_code(tmp_path, capsys, cells, orders, expected):
+    doc = tmp_path / "doc.dfc.json"
+    doc.write_text(json.dumps({"cells": cells, "local_orders": orders}))
+    assert main(["validate", str(doc)]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert expected in [(d.get("code"), d.get("cells"), d.get("message")) for d in lines]
+    assert lines[-1] == {"file": str(doc), "valid": False}
+
+
+def test_cli_validate_reports_an_unknown_id_listed_twice_once(tmp_path, capsys):
+    doc = tmp_path / "doc.dfc.json"
+    cells = [BOTTOM, POINT, {"id": "f", "dim": 1, "delta": ["u", "u"], "gamma": ["p"]}]
+    doc.write_text(json.dumps({"cells": cells, "local_orders": []}))
+    assert main(["validate", str(doc)]) == 1
+    codes = [json.loads(line).get("code") for line in capsys.readouterr().out.splitlines()]
+    assert codes.count("DanglingId") == 1
+
+
 COUNTED = (
-    ("poset", "_structural_diagnostics"),
-    ("poset", "_thinness_diagnostics"),
+    ("poset", "mop_from_doc"),
+    ("poset", "_facet_flow_diagnostics"),
     ("trees", "tree_diagnostics"),
     ("trees", "constellation_diagnostics"),
 )
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["validate", "omega4.dfc.json"], (1, 1, 0, 0)),
-    (["convert", "--to", "ope", "omega4.dfc.json"], (1, 1, 0, 0)),
-    (["roundtrip", "omega4.dfc.json"], (1, 1, 0, 0)),
-    (["roundtrip", "omega4.ope.json"], (0, 0, 5, 4)),
-    (["convert", "--to", "dfc", "omega4.ope.json"], (0, 0, 5, 4)),
-    (["iso", "rho3.dfc.json", "rho3.dfc.json"], (2, 2, 0, 0)),
+@pytest.mark.parametrize("argv, expected, posets", [
+    (["validate", "omega4.dfc.json"], (1, 1, 0, 0), 1),
+    (["convert", "--to", "ope", "omega4.dfc.json"], (1, 1, 0, 0), 1),
+    (["roundtrip", "omega4.dfc.json"], (1, 1, 0, 0), 2),
+    (["roundtrip", "omega4.ope.json"], (0, 0, 5, 4), 1),
+    (["convert", "--to", "dfc", "omega4.ope.json"], (0, 0, 5, 4), 1),
+    (["iso", "rho3.dfc.json", "rho3.dfc.json"], (2, 2, 0, 0), 2),
 ])
-def test_cli_validates_each_loaded_document_once(monkeypatch, capsys, argv, expected):
+def test_cli_validates_each_loaded_document_once(monkeypatch, capsys, poset_builds, argv, expected, posets):
     calls = dict.fromkeys([name for _, name in COUNTED], 0)
     for module, name in COUNTED:
         original = getattr(importlib.import_module(f"opetopes.{module}"), name)
@@ -566,3 +613,5 @@ def test_cli_validates_each_loaded_document_once(monkeypatch, capsys, argv, expe
                 monkeypatch.setattr(mod, name, counted)
     assert main([path(a) if a.endswith(".json") else a for a in argv]) == 0
     assert tuple(calls.values()) == expected
+    # a face-complex document is read into one poset; p_of builds one more per translation
+    assert len(poset_builds) == posets

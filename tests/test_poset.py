@@ -13,6 +13,7 @@ from opetopes.poset import (
     dfc_diagnostics,
     dfc_validate,
     mop_diagnostics,
+    mop_from_doc,
     mop_validate,
     sign_product,
 )
@@ -56,7 +57,7 @@ def test_gamma_not_singleton_reported():
     doc = load_dfc_doc("rho3.dfc.json")
     rec = next(r for r in doc["cells"] if r["id"] == "a3")
     rec["gamma"] = ["b4", "b5"]
-    assert "GammaNotSingleton" in codes(mop_diagnostics(doc))
+    assert "GammaNotSingleton" in codes(mop_diagnostics(mop_from_doc(doc)[0]))
 
 
 def test_loop_axiom_violated_reported():
@@ -70,7 +71,7 @@ def test_loop_axiom_violated_reported():
         ],
         "local_orders": [],
     }
-    assert "LoopAxiomViolated" in codes(mop_diagnostics(doc))
+    assert "LoopAxiomViolated" in codes(mop_diagnostics(mop_from_doc(doc)[0]))
 
 
 def test_mop_validate_collects_all_violations():
@@ -82,10 +83,10 @@ def test_mop_validate_collects_all_violations():
         ],
         "local_orders": [],
     }
-    got = codes(mop_diagnostics(doc))
-    assert "DanglingId" in got and "DuplicateFacet" in got and "GammaNotSingleton" in got
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         mop_validate(doc)
+    got = codes(err.value.diagnostics)
+    assert "DanglingId" in got and "DuplicateFacet" in got and "GammaNotSingleton" in got
 
 
 def test_relation_sign_examples(rho_dfc):
@@ -245,7 +246,7 @@ def test_arrow_is_valid():
 def test_local_order_required_and_checked():
     doc = load_dfc_doc("rho3.dfc.json")
     doc["local_orders"] = [o for o in doc["local_orders"] if o["x"] != "a1"]
-    assert "LocalOrderMissing" in codes(mop_diagnostics(doc))
+    assert "LocalOrderMissing" in codes(mop_diagnostics(mop_from_doc(doc)[0]))
     doc = load_dfc_doc("rho3.dfc.json")
     doc["local_orders"][0]["order"] = ["b6", "b3", "b6"]
-    assert "LocalOrderInvalid" in codes(mop_diagnostics(doc))
+    assert "LocalOrderInvalid" in codes(mop_diagnostics(mop_from_doc(doc)[0]))

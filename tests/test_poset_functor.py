@@ -10,7 +10,7 @@ from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso, dfc_iso_failures
 from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
-from opetopes.poset import LOOP, MINUS, ManyToOnePoset, dfc_diagnostics, mop_diagnostics, trusted_mop
+from opetopes.poset import LOOP, MINUS, dfc_diagnostics, mop_diagnostics, mop_from_doc
 from opetopes.to_poset import extend, p_of
 from opetopes.to_zoom import z_of
 from opetopes.trees import RootedTree, opetope_diagnostics
@@ -302,22 +302,15 @@ def _corpus_fixtures_and_combs():
     return generated_corpus(200) + [load_ope("rho3.ope.json"), load_ope("omega4.ope.json")] + combs
 
 
-def test_only_the_face_complex_axioms_build_the_signed_facet_table(monkeypatch):
-    built = []
-    init = ManyToOnePoset.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(ManyToOnePoset, "__init__", recording_init)
+def test_only_the_face_complex_axioms_build_the_signed_facet_table(poset_builds):
     for ope in _corpus_fixtures_and_combs():
         c = p_of(ope)
-        assert mop_diagnostics(dfc_to_doc(c)) == []
+        mop, read = mop_from_doc(dfc_to_doc(c))
+        assert read == [] and mop_diagnostics(mop) == []
         z_of(c)
         assert dfc_iso_failures(c, p_of(ope), {x: x for x in c.mop.cells}) == []
-    assert len(built) == 3 * 205  # p_of twice, and the check build of mop_diagnostics
-    assert not [mop for mop in built if "signed_facets" in mop.__dict__]
+    assert len(poset_builds) == 3 * 205  # p_of twice, and the read of mop_from_doc
+    assert not [mop for mop in poset_builds if "signed_facets" in mop.__dict__]
     assert dfc_diagnostics(c.mop) == []
     assert "signed_facets" in c.mop.__dict__
 
@@ -325,7 +318,7 @@ def test_only_the_face_complex_axioms_build_the_signed_facet_table(monkeypatch):
 def test_p_of_hands_the_poset_what_its_document_holds():
     for ope in _corpus_fixtures_and_combs():
         mop = p_of(ope).mop
-        ref = trusted_mop(dfc_to_doc(p_of(ope)))
+        ref = mop_from_doc(dfc_to_doc(p_of(ope)))[0]
         assert len(mop.cells) == len(set(mop.cells)) and set(mop.cells) == set(ref.cells)
         for field in ("dim", "delta", "gamma", "local_orders", "lam", "loops", "signed_facets"):
             assert getattr(mop, field) == getattr(ref, field), field
