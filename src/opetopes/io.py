@@ -14,6 +14,7 @@ back.
 from __future__ import annotations
 
 import json
+import math
 
 from .diagnostics import ParseError, ValidationError, make
 from .poset import Dfc
@@ -33,8 +34,109 @@ def parse_json(text: str):
         raise ParseError("JSON nested too deeply to decode") from err
 
 
-def serialize_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_CONTAINERS = (dict, list, tuple)
+_encode_str = json.encoder.encode_basestring_ascii  # json's own string writer, in C where the interpreter has it
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as json.dumps writes it, NaN and the infinities included."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _join(keyed: bool, texts: list[str], pad: str) -> str:
+    """An object (keyed) or an array at indent pad, from the texts of its entries."""
+    if not texts:
+        return "{}" if keyed else "[]"
+    opening, closing = "{}" if keyed else "[]"
+    inner = pad + "  "
+    return f"{opening}\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}{closing}"
+
+
+def _leaf(value, pad: str) -> str | None:
+    """A container of scalars written at indent pad; None when it holds a container."""
+    keyed = isinstance(value, dict)
+    texts = []
+    for k, v in sorted(value.items()) if keyed else enumerate(value):
+        if isinstance(v, _CONTAINERS):
+            return None
+        t = _encode_str(v) if isinstance(v, str) else _scalar(v)
+        texts.append(f"{_encode_str(k)}: {t}" if keyed else t)
+    return _join(keyed, texts, pad)
+
+
+def _record(value, pad: str) -> str | None:
+    """A scalar, or a container of scalars and containers of scalars, written at indent pad; else None."""
+    if not isinstance(value, _CONTAINERS):
+        return _scalar(value)
+    keyed = isinstance(value, dict)
+    inner = pad + "  "
+    sep = f",\n{inner}  "
+    texts = []
+    for k, v in sorted(value.items()) if keyed else enumerate(value):
+        if isinstance(v, str):
+            t = _encode_str(v)
+        elif not isinstance(v, _CONTAINERS):
+            t = _scalar(v)
+        elif type(v) is list and v:
+            try:  # an array of ids, in one join
+                t = f"[\n{inner}  " + sep.join(map(_encode_str, v)) + f"\n{inner}]"
+            except TypeError:  # it holds something other than a string
+                t = _leaf(v, inner)
+        else:
+            t = _leaf(v, inner)
+        if t is None:
+            return None
+        texts.append(f"{_encode_str(k)}: {t}" if keyed else t)
+    return _join(keyed, texts, pad)
+
+
+def serialize_doc(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) plus a newline, byte for byte, for any JSON value.
+
+    Object keys are strings, as in every JSON object; another key raises
+    TypeError.  json writes an indented document with its pure-Python
+    encoder; here each container of scalars, and each container of such
+    containers, is written with one join, and deeper containers are opened
+    on an explicit stack.
+    """
+    out = []
+    stack = [(doc, "", "\n")]  # (a value, the indent it starts at, the text after it), or text to write
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, pad, tail = item
+        text = _record(value, pad)
+        if text is not None:
+            out.append(text + tail)
+            continue
+        keyed = isinstance(value, dict)
+        keys = sorted(value) if keyed else range(len(value))
+        inner = pad + "  "
+        out.append("{" if keyed else "[")
+        stack.append(f"\n{pad}{'}' if keyed else ']'}{tail}")
+        last = len(keys) - 1
+        for i in range(last, -1, -1):
+            head = f"\n{inner}{_encode_str(keys[i])}: " if keyed else f"\n{inner}"
+            stack += [(value[keys[i]], inner, "," if i < last else ""), head]
+    return "".join(out)
 
 
 def _path(where: tuple, *keys) -> str:

@@ -15,19 +15,22 @@ The signs add nothing to delta and gamma, so the constructor's one sorted
 pass grades the cells and reads the strata straight off delta/gamma: lam,
 the cells of dim >= 0 in no gamma(x) - delta(x), and loops, the cells
 with delta = gamma nonempty.  The signed-facet table (each cell's facets
-in sorted order, with their signs) is built when first read, by the
-face-complex checks, the DOT export or the oracle.
-The checks index each cell x once instead of rescanning per chain: one
-walk over the facets of the facets of x groups every chain z < y < x by
-z, which gives each chain's thinness completions and the facets of x
-that z is a proper source of, the edges of the facet flow; the local
-orders count the loop sources of x by the cell they loop on.
+in sorted order, with their signs) is built when first read, by the DOT
+export, the oracle, or a face-complex check that finds a fault.
+The face-complex checks decide each cell x from delta and gamma alone:
+oriented thinness with the sign rule says that the boundary of the
+boundary of x cancels, each cell below a facet of x met once with each
+sign, which takes a few list and set operations per facet of x instead
+of a walk over every chain z < y < x.  Only a cell that fails is walked
+chain by chain, to list its faults; the local orders count the loop
+sources of x by the cell they loop on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -56,7 +59,8 @@ class ManyToOnePoset:
     translator (to_poset.p_image).
     local_orders maps (x, z) to the stored order of the loops on z among
     the sources of x.  The strata lam and loops are read off delta/gamma in
-    the constructor's pass; the signed-facet table is built when first read.
+    the constructor's pass; the signed-facet table is built when first
+    read, which checking a valid face complex never does.
     """
 
     def __init__(self, cells, dim, delta, gamma, local_orders):
@@ -290,54 +294,132 @@ class Dfc:
         return self.mop.bottom
 
 
+def _proper_facets(mop: ManyToOnePoset) -> tuple[dict, dict] | None:
+    """Each cell's proper sources and proper targets, or None when some cell is irregular.
+
+    A cell is regular when its delta and gamma are disjoint or equal, and it
+    has one target exactly when its dim is >= 0: what mop_validate asks.
+    On a regular poset the proper sources and targets are delta and gamma
+    themselves, emptied on the loops; no set is built for them.
+    """
+    delta, gamma, dim, loops = mop.delta, mop.gamma, mop.dim, mop.loops
+    for c in mop.cells:
+        g = gamma[c]
+        if len(g) != (dim[c] >= 0) or not (c in loops or delta[c].isdisjoint(g)):
+            return None
+    if not loops:
+        return delta, gamma
+    proper = dict.fromkeys(loops, frozenset())
+    return {**delta, **proper}, {**gamma, **proper}
+
+
+def _keeps_facet_flow(mop: ManyToOnePoset, x: str, dm: dict, gm: dict) -> bool:
+    """Whether the non-loop cell x of a regular poset is thin, keeps the sign rule and has an acyclic facet flow.
+
+    dm and gm map each cell to its proper sources and proper targets
+    (_proper_facets).  The chains z < y < x whose two signs multiply to +
+    list z in plus, those whose signs multiply to - list z in minus: the
+    two halves of the boundary of the boundary of x.  x is thin and keeps
+    the sign rule exactly when they cancel, each z met once in each, that
+    is when plus and minus repeat nothing and hold the same cells.
+    """
+    dx = mop.delta[x]
+    (t,) = mop.gamma[x]
+    plus = [*chain.from_iterable(map(dm.__getitem__, dx)), *gm[t]]
+    minus = [*chain.from_iterable(map(gm.__getitem__, dx)), *dm[t]]
+    covered = set(plus)
+    if not (len(covered) == len(plus) == len(minus) and covered == set(minus)):
+        return False
+    loops = mop.loops
+    if not loops.isdisjoint(dx):
+        # a loop chain z <o y <- x needs another chain through z: a signed
+        # one (now all in covered) or one through the target
+        covered.update(mop.delta[t], mop.gamma[t])
+        if not all(z in covered for y in dx if y in loops for z in mop.delta[y]):
+            return False
+    # The facet flow, b -> a when the target of b is a proper source of a.
+    # A loop has no proper source and so no edge in.  The target t of x,
+    # unless a loop, has no edge out: a proper source a of x with the
+    # target of t among its proper sources would put that cell in plus
+    # twice.  So a cycle runs through proper sources with proper sources
+    # of their own, and along them the flow is a function, since each of
+    # their proper sources is met once in plus.
+    sources = [a for a in dx if dm[a]]
+    if len(sources) < 2:
+        return True
+    owner = {z: a for a in sources for z in dm[a]}
+    flow = {b: owner.get(w) for b in sources for w in mop.gamma[b]}
+    walked: dict[str, int] = {}  # the source each walk set out from, by index
+    for i, b in enumerate(sources):
+        while b is not None and b not in walked:
+            walked[b] = i
+            b = flow.get(b)
+        if b is not None and walked[b] == i:
+            return False
+    return True
+
+
 def _facet_flow_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
-    """Oriented thinness and acyclicity, from one walk over the facets of the facets of each cell."""
+    """Oriented thinness and acyclicity, decided per cell from delta and gamma; a cell that fails is listed chain by chain."""
+    proper = _proper_facets(mop)
+    if proper is None:
+        failing = [x for x in mop.cells if mop.dim[x] >= 1]
+    else:
+        failing = [
+            x for x in mop.cells
+            if mop.dim[x] >= 1 and x not in mop.loops and not _keeps_facet_flow(mop, x, *proper)
+        ]
+    out = []
+    for x in sorted(failing):
+        out.extend(_facet_flow_listing(mop, x))
+    return out
+
+
+def _facet_flow_listing(mop: ManyToOnePoset, x: str) -> list[Diagnostic]:
+    """Every thinness, sign-rule and acyclicity violation at x, from one walk over the facets of its facets."""
     out = []
     table = mop.signed_facets
-    for x in sorted(mop.cells):
-        if mop.dim[x] < 1:
-            continue
-        # per facet z of a facet: the signed chains z < y < x as (y, alpha, beta), how many
-        # y are not loops on z below a source, and the facets y with z as proper source
-        signed: dict[str, list[tuple[str, str, str]]] = {}
-        other: dict[str, int] = {}
-        sources_on: dict[str, list[str]] = {}
-        loop_chains = []  # (z, y) with y a loop on z and a proper source of x
-        for y, alpha in zip(*table[x]):
-            for z, beta in zip(*table[y]):
-                if beta == MINUS:
-                    sources_on.setdefault(z, []).append(y)
-                if alpha == MINUS and beta == LOOP:
-                    loop_chains.append((z, y))
-                    continue
-                other[z] = other.get(z, 0) + 1
-                if alpha != LOOP and beta != LOOP:
-                    signed.setdefault(z, []).append((y, alpha, beta))
-        # a signed chain's completions are the other signed chains through its z
-        for z, chains in signed.items():
-            for y, alpha, beta in chains:
-                comps = [c for c in chains if c[0] != y]
-                if not comps:
-                    out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
-                elif len(comps) > 1:
-                    out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
-                else:
-                    y2, alpha2, beta2 = comps[0]
-                    if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
-                        out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
-        for z, y in loop_chains:
-            if not other.get(z):
-                out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
-        # the facet flow: b -> a when the target of b is a proper source of a
-        fac = table[x][0]
-        succ = {b: [] for b in fac}
-        for b in fac:
-            if mop.dim[b] < 0 or not mop.gamma[b]:
+    # per facet z of a facet: the signed chains z < y < x as (y, alpha, beta), how many
+    # y are not loops on z below a source, and the facets y with z as proper source
+    signed: dict[str, list[tuple[str, str, str]]] = {}
+    other: dict[str, int] = {}
+    sources_on: dict[str, list[str]] = {}
+    loop_chains = []  # (z, y) with y a loop on z and a proper source of x
+    for y, alpha in zip(*table[x]):
+        for z, beta in zip(*table[y]):
+            if beta == MINUS:
+                sources_on.setdefault(z, []).append(y)
+            if alpha == MINUS and beta == LOOP:
+                loop_chains.append((z, y))
                 continue
-            succ[b] = [a for a in sources_on.get(mop.gamma_cell(b), ()) if a != b]
-        cycle = _find_cycle(fac, succ)
-        if cycle:
-            out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
+            other[z] = other.get(z, 0) + 1
+            if alpha != LOOP and beta != LOOP:
+                signed.setdefault(z, []).append((y, alpha, beta))
+    # a signed chain's completions are the other signed chains through its z
+    for z, chains in signed.items():
+        for y, alpha, beta in chains:
+            comps = [c for c in chains if c[0] != y]
+            if not comps:
+                out.append(make("ThinnessMissingCompletion", [z, y, x], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has no completion"))
+            elif len(comps) > 1:
+                out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
+            else:
+                y2, alpha2, beta2 = comps[0]
+                if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
+                    out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
+    for z, y in loop_chains:
+        if not other.get(z):
+            out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
+    # the facet flow: b -> a when the target of b is a proper source of a
+    fac = table[x][0]
+    succ = {b: [] for b in fac}
+    for b in fac:
+        if mop.dim[b] < 0 or not mop.gamma[b]:
+            continue
+        succ[b] = [a for a in sources_on.get(mop.gamma_cell(b), ()) if a != b]
+    cycle = _find_cycle(fac, succ)
+    if cycle:
+        out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
     return out
 
 
@@ -370,7 +452,7 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     # every facet lies one dimension down (mop_diagnostics), so climbing
     # cofaces from any cell ends at a maximal cell: one maximal cell is greatest
-    faces = {y for x in mop.cells for y in mop.facets(x)}
+    faces = set().union(*mop.delta.values(), *mop.gamma.values())
     maximal = [c for c in sorted(mop.cells) if c not in faces]
     if len(maximal) != 1:
         out.append(make("NoGreatestElement", maximal, "greatest element", f"{len(maximal)} maximal cells"))

@@ -8,6 +8,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opetopes.cli
 import opetopes.equivalence
@@ -33,7 +35,7 @@ from opetopes.to_poset import p_of
 from opetopes.to_zoom import z_of
 from opetopes.trees import opetope_diagnostics
 
-from conftest import FIXTURES, fixture_text, linear_opetope_doc, load_dfc, relabel_doc
+from conftest import FIXTURES, fixture_text, generated_corpus, linear_opetope_doc, load_dfc, relabel_doc
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.json"))
 
@@ -48,6 +50,46 @@ def test_serialize_parse_serialize_is_stable(name):
     assert serialize_doc(doc2) == once
     # the shipped fixtures are already canonical
     assert once == text
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_serialize_doc_writes_what_json_dumps_writes():
+    docs = [json.loads(fixture_text(name)) for name in ALL_FIXTURES]  # the fixtures and the mutations
+    for ope in generated_corpus(200):
+        docs += [opetope_to_doc(ope), dfc_to_doc(p_of(ope))]
+    assert len(docs) == 419
+    for doc in docs:
+        assert serialize_doc(doc) == _json_dumps(doc)
+
+
+# strings json must escape, non-ASCII ones among them; a fixed alphabet spares
+# hypothesis from building its Unicode tables
+any_text = st.text(alphabet='ab"\\/\n\t\x00\x1f\x7fé☃\u2028\U0001f600 [],:{}', max_size=5)
+any_json = st.recursive(
+    # floats include NaN and the infinities, which parse_json reads
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(any_text, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(value=any_json)
+def test_serialize_doc_writes_what_json_dumps_writes_for_any_json_value(value):
+    assert serialize_doc(value) == _json_dumps(value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(name=st.sampled_from(ALL_FIXTURES), field=any_text, value=any_json)
+def test_serialize_doc_writes_unknown_fields_as_json_dumps_does(name, field, value):
+    doc = json.loads(fixture_text(name))
+    doc[field] = value
+    record = doc["cells" if "cells" in doc else "trees"][0]
+    record[field] = value
+    assert serialize_doc(doc) == _json_dumps(doc)
 
 
 def test_make_fixtures_regenerates_the_fixtures_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -565,12 +607,54 @@ FACE_COMPLEX_CODES = [
 @pytest.mark.parametrize("cells, orders, expected", FACE_COMPLEX_CODES,
                          ids=[case[2][0] for case in FACE_COMPLEX_CODES])
 def test_cli_validate_reports_each_reading_and_bottom_code(tmp_path, capsys, cells, orders, expected):
+    _assert_validate_prints(tmp_path, capsys, cells, orders, expected)
+
+
+def _assert_validate_prints(tmp_path, capsys, cells, orders, expected):
     doc = tmp_path / "doc.dfc.json"
     doc.write_text(json.dumps({"cells": cells, "local_orders": orders}))
     assert main(["validate", str(doc)]) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert expected in [(d.get("code"), d.get("cells"), d.get("message")) for d in lines]
     assert lines[-1] == {"file": str(doc), "valid": False}
+
+
+Q = {"id": "q", "dim": 0, "gamma": ["*"]}
+R = {"id": "r", "dim": 0, "gamma": ["*"]}
+
+
+def _arrow(name, source, target):
+    return {"id": name, "dim": 1, "delta": [source], "gamma": [target]}
+
+
+# one minimal document per code of the facet flow, each passing the poset
+# axioms, so that validate reaches the face-complex check
+FACET_FLOW_CODES = [
+    # an arrow with no source: the chain through its target is alone over the bottom
+    ([BOTTOM, Q, {"id": "f", "dim": 1, "gamma": ["q"]}], [],
+     ("ThinnessMissingCompletion", ["*", "q", "f"], "chain '*' <+ 'q' <+ 'f' has no completion")),
+    # an arrow with two sources: three chains over the bottom
+    ([BOTTOM, POINT, Q, R, {"id": "f", "dim": 1, "delta": ["p", "r"], "gamma": ["q"]}], [],
+     ("ThinnessNonUnique", ["*", "p", "f", "q", "r"], "chain '*' <+ 'p' <- 'f' has 2 completions")),
+    # a 2-cell from p -> q to q -> p: both chains over p have sign +
+    ([BOTTOM, POINT, Q, _arrow("f", "p", "q"), _arrow("g", "q", "p"),
+      {"id": "A", "dim": 2, "delta": ["f"], "gamma": ["g"]}], [],
+     ("SignRuleViolated", ["p", "f", "A", "g"], "lozenge over 'p' < 'f','g' < 'A' breaks the sign rule")),
+    # a 2-cell from the loop y on p to the loop g on q: nothing else lies over p
+    ([BOTTOM, POINT, Q, _arrow("y", "p", "p"), _arrow("g", "q", "q"),
+      {"id": "A", "dim": 2, "delta": ["y"], "gamma": ["g"]}], [],
+     ("LoopChainMissingCompletion", ["p", "y", "A"], "chain 'p' <o 'y' <- 'A' has no admissible completion")),
+    # a thin 2-cell from the round trip p -> q -> p to the loop g on r
+    ([BOTTOM, POINT, Q, R, _arrow("f", "p", "q"), _arrow("h", "q", "p"), _arrow("g", "r", "r"),
+      {"id": "A", "dim": 2, "delta": ["f", "h"], "gamma": ["g"]}], [],
+     ("AcyclicityCycle", ["A", "f", "h", "f"], "facet flow of 'A' has a directed cycle")),
+]
+
+
+@pytest.mark.parametrize("cells, orders, expected", FACET_FLOW_CODES,
+                         ids=[case[2][0] for case in FACET_FLOW_CODES])
+def test_cli_validate_reports_each_facet_flow_code(tmp_path, capsys, cells, orders, expected):
+    _assert_validate_prints(tmp_path, capsys, cells, orders, expected)
 
 
 def test_cli_validate_reports_an_unknown_id_listed_twice_once(tmp_path, capsys):

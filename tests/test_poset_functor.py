@@ -10,12 +10,12 @@ from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.isos import LevelMap, OpetopeIso, dfc_iso_failures
 from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
-from opetopes.poset import LOOP, MINUS, dfc_diagnostics, mop_diagnostics, mop_from_doc
+from opetopes.poset import LOOP, MINUS, dfc_diagnostics, mop_diagnostics, mop_from_doc, mop_validate
 from opetopes.to_poset import extend, p_of
 from opetopes.to_zoom import z_of
 from opetopes.trees import RootedTree, opetope_diagnostics
 
-from conftest import comb_opetope_doc, generated_corpus, load_ope, load_ope_doc
+from conftest import comb_opetope_doc, generated_corpus, load_dfc_doc, load_ope, load_ope_doc
 from opetopes.io import dfc_to_doc, opetope_from_doc
 
 
@@ -302,17 +302,19 @@ def _corpus_fixtures_and_combs():
     return generated_corpus(200) + [load_ope("rho3.ope.json"), load_ope("omega4.ope.json")] + combs
 
 
-def test_only_the_face_complex_axioms_build_the_signed_facet_table(poset_builds):
+def test_only_a_failing_face_complex_cell_builds_the_signed_facet_table(poset_builds):
     for ope in _corpus_fixtures_and_combs():
         c = p_of(ope)
         mop, read = mop_from_doc(dfc_to_doc(c))
-        assert read == [] and mop_diagnostics(mop) == []
+        assert read == [] and mop_diagnostics(mop) == [] and dfc_diagnostics(mop) == []
         z_of(c)
         assert dfc_iso_failures(c, p_of(ope), {x: x for x in c.mop.cells}) == []
     assert len(poset_builds) == 3 * 205  # p_of twice, and the read of mop_from_doc
     assert not [mop for mop in poset_builds if "signed_facets" in mop.__dict__]
-    assert dfc_diagnostics(c.mop) == []
-    assert "signed_facets" in c.mop.__dict__
+    broken = mop_validate(load_dfc_doc("mutations/m03_sign_flip.dfc.json"))
+    assert "signed_facets" not in broken.__dict__
+    assert "SignRuleViolated" in {d.code for d in dfc_diagnostics(broken)}
+    assert "signed_facets" in broken.__dict__
 
 
 def test_p_of_hands_the_poset_what_its_document_holds():

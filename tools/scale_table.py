@@ -9,7 +9,8 @@ convert --to ope of the face complex that wrote, validate of both
 encodings, iso of each document against a relabelled copy of it, in
 both encodings, and roundtrip of both encodings.  The last row does the
 same for the 3-opetope whose tree 3 is a comb on COMB_LEAVES leaves
-(tests/conftest.py, comb_opetope_doc).
+(tests/conftest.py, comb_opetope_doc).  The last two columns divide the
+face-complex time by the opetope time, for validate and for iso.
 Each command runs RUNS times, each in a fresh process, which times
 cli.main alone, so no column reads the heap an earlier command left.  A
 column is the median of its runs, since single runs of one command on one
@@ -39,7 +40,7 @@ from conftest import comb_opetope_doc, relabel_doc  # noqa: E402
 COMB_LEAVES = 1000
 RUNS = 3
 COLUMNS = ("cells", "`convert --to dfc`", "`convert --to ope`", "`validate` .ope", "`validate` .dfc", "`iso` .ope",
-           "`iso` .dfc", "`roundtrip` .ope", "`roundtrip` .dfc", "peak RSS")
+           "`iso` .dfc", "`roundtrip` .ope", "`roundtrip` .dfc", "peak RSS", "`validate` .dfc / .ope", "`iso` .dfc / .ope")
 # Run in a fresh process: the command's time, exit code and the process's peak RSS in KB.  The
 # peak is VmHWM, not ru_maxrss, which on Linux also counts the memory of the forking process.
 CHILD = """
@@ -54,10 +55,10 @@ print(elapsed, code, status["VmHWM"].split()[0])
 """
 
 
-def _timed(argv, rss: list) -> str:
-    """Median seconds of RUNS runs of one command, each in a fresh process, with its exit code when that is not 0.
+def _timed(argv, rss: list) -> tuple[float, str]:
+    """Median seconds of RUNS runs of one command, each in a fresh process, and the median as a table cell.
 
-    Appends the peak RSS of every run to rss.
+    The cell carries the exit code when that is not 0.  Appends the peak RSS of every run to rss.
     """
     elapsed = []
     for _ in range(RUNS):
@@ -65,7 +66,8 @@ def _timed(argv, rss: list) -> str:
         seconds, code, peak = out.stdout.split()
         elapsed.append(float(seconds))
         rss.append(int(peak))
-    return f"{statistics.median(elapsed):.2f} s" + (f" (exit {code})" if code != "0" else "")
+    median = statistics.median(elapsed)
+    return median, f"{median:.2f} s" + (f" (exit {code})" if code != "0" else "")
 
 
 def _row(name: str, ope_doc: dict, tmp: Path) -> str:
@@ -82,7 +84,10 @@ def _row(name: str, ope_doc: dict, tmp: Path) -> str:
     for argv in (["convert", "--to", "ope", dfc, "-o", back], ["validate", ope], ["validate", dfc],
                  ["iso", ope, ope2], ["iso", dfc, dfc2], ["roundtrip", ope], ["roundtrip", dfc]):
         times.append(_timed(argv, rss))
-    return "| " + " | ".join([name, cells, *times, f"{max(rss) / 1024:.0f} MB"]) + " |"
+    seconds = [t for t, _ in times]
+    # what a face-complex document costs against the opetope it encodes
+    ratios = [f"{seconds[3] / seconds[2]:.2f}", f"{seconds[5] / seconds[4]:.2f}"]
+    return "| " + " | ".join([name, cells, *(cell for _, cell in times), f"{max(rss) / 1024:.0f} MB", *ratios]) + " |"
 
 
 def main(argv=None) -> int:
