@@ -31,7 +31,6 @@ from .poset import (
     mop_diagnostics,
     mop_from_doc,
     mop_validate,
-    sign_product,
 )
 from .trees import (
     Opetope,

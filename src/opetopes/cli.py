@@ -191,6 +191,11 @@ def cmd_oracle(args) -> int:
         kind2, other = _load_any(args.against)
         if kind != "dfc" or kind2 != "dfc":
             raise ParseError("iso oracle needs two DFC documents")
+        for path, dfc in ((args.file, obj), (args.against, other)):
+            for k in range(-1, dfc.dimension + 1):
+                if len(dfc.mop.grade(k)) > oracle.ISO_GRADE_BOUND:
+                    raise ParseError(f"iso oracle permutes whole grades and takes at most {oracle.ISO_GRADE_BOUND} cells"
+                                     f" per grade; grade {k} of {path} has {len(dfc.mop.grade(k))}")
         witnesses = oracle.oracle_iso(obj, other)
         _emit({"witnesses": [dict(sorted(w.items())) for w in witnesses]})
         return OK if witnesses else INVALID

@@ -27,12 +27,9 @@ def _dot_hasse(dfc: Dfc) -> str:
     mop = dfc.mop
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
     for k in range(-1, mop.dimension + 1):
-        grade = mop.grade(k)
-        if not grade:
-            continue
-        members = " ".join(_quote(c) + ";" for c in grade)
+        members = " ".join(_quote(c) + ";" for c in mop.grade(k))
         lines.append(f"  {{ rank=same; {members} }}")
-    for x in sorted(mop.cells):
+    for x in mop.cells:
         for y in mop.facets(x):
             lines.append(f"  {_quote(y)} -> {_quote(x)} [label={_quote(mop.sign(y, x))}];")
     lines.append("}")
@@ -47,7 +44,7 @@ def _dot_trees(ope: Opetope) -> str:
         pre = prefix + "/"
         lines.append(f"  subgraph {_quote('cluster_' + prefix)} {{")
         lines.append(f"    label={_quote(prefix)};")
-        for a in sorted(t.nodes):
+        for a in t.nodes:
             lines.append(f"    {_quote(pre + a)} [shape=circle, style=filled, fillcolor=black, fontcolor=white, label={_quote(a)}];")
         ends: list[str] = []
 
@@ -56,7 +53,7 @@ def _dot_trees(ope: Opetope) -> str:
             ends.append(f"    {_quote(name)} [shape=point, label=\"\"];")
             return name
 
-        for b in sorted(t.edges):
+        for b in t.edges:
             lower = t.edge_target.get(b)
             upper = t.source_node_of(b)
             tail = pre + lower if lower is not None else port(b, "root")

@@ -56,7 +56,7 @@ def gen_base(rng: random.Random, max_linear_nodes: int) -> tuple[list[RootedTree
 def gen_subdivision(rng: random.Random, t: RootedTree, max_whitedots_per_edge: int, namer: _Namer) -> dict:
     """Independent uniform whitedot count per edge, fresh ascending ids; edges without whitedots are left out."""
     w = {}
-    for b in sorted(t.edges):
+    for b in t.edges:
         count = rng.randint(0, max_whitedots_per_edge)
         if count:
             w[b] = tuple(namer.fresh("w") for _ in range(count))
@@ -119,8 +119,6 @@ def gen_nesting(rng: random.Random, t: RootedTree, w: dict, namer: _Namer) -> Ro
             while size < len(pool) - 1 and rng.random() > GROW_STOP:
                 size += 1
             group = _grow_connected(rng, pool, adj, size)
-            if group >= members:
-                break
             children.append(group)
             pool -= group
         # whitedots never stay direct: each becomes a minimal empty circle

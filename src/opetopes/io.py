@@ -190,7 +190,6 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
     for i, rec in enumerate(doc["cells"]):
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each cell is an object with at least an 'id'")
-        rec.setdefault("dim", -1)
         rec.setdefault("delta", [])
         rec.setdefault("gamma", [])
         _check_id(rec["id"], ("cells", i, "id"))
@@ -215,8 +214,9 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
 def dfc_to_doc(dfc: Dfc) -> dict:
     mop = dfc.mop
     cells = [
-        {"id": c, "dim": mop.dim[c], "delta": sorted(mop.delta[c]), "gamma": sorted(mop.gamma[c])}
-        for c in sorted(mop.cells, key=lambda c: (mop.dim[c], c))
+        {"id": c, "dim": k, "delta": sorted(mop.delta[c]), "gamma": sorted(mop.gamma[c])}
+        for k in range(-1, mop.dimension + 1)
+        for c in mop.grade(k)
     ]
     orders = [{"x": x, "z": z, "order": list(seq)} for (x, z), seq in sorted(mop.local_orders.items())]
     return {"cells": cells, "local_orders": orders}
@@ -306,8 +306,8 @@ def opetope_from_doc(doc: dict) -> Opetope:
 
 def tree_to_doc(t: RootedTree) -> dict:
     return {
-        "nodes": sorted(t.nodes),
-        "edges": sorted(t.edges),
+        "nodes": list(t.nodes),
+        "edges": list(t.edges),
         "node_target": dict(sorted(t.node_target.items())),
         "edge_target": dict(sorted(t.edge_target.items())),
         "root": t.root,

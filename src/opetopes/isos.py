@@ -28,9 +28,9 @@ def dfc_iso_failures(c: Dfc, d: Dfc, fwd: dict) -> list[str]:
     out = []
     if set(fwd) != set(mc.cells):
         return [f"map is not total on the source cells ({len(fwd)} of {len(mc.cells)})"]
-    if sorted(fwd.values()) != sorted(md.cells):
+    if tuple(sorted(fwd.values())) != md.cells:
         return ["map is not a bijection onto the target cells"]
-    for x in sorted(mc.cells):
+    for x in mc.cells:
         fx = fwd[x]
         if mc.dim[x] != md.dim[fx]:
             out.append(f"dimension of {x!r} not preserved")
@@ -91,18 +91,18 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
         return [f"expected {y.dim + 1} level maps, got {len(levels)}"]
     for i, lv in enumerate(levels):
         s, t = y.trees[i], z.trees[i]
-        if set(lv.nodes) != set(s.nodes) or sorted(lv.nodes.values()) != sorted(t.nodes):
+        if set(lv.nodes) != set(s.nodes) or tuple(sorted(lv.nodes.values())) != t.nodes:
             out.append(f"level {i}: node map is not a bijection")
             continue
-        if set(lv.edges) != set(s.edges) or sorted(lv.edges.values()) != sorted(t.edges):
+        if set(lv.edges) != set(s.edges) or tuple(sorted(lv.edges.values())) != t.edges:
             out.append(f"level {i}: edge map is not a bijection")
             continue
         if lv.edges[s.root] != t.root:
             out.append(f"level {i}: root not preserved")
-        for a in sorted(s.nodes):
+        for a in s.nodes:
             if lv.edges[s.node_target[a]] != t.node_target.get(lv.nodes[a]):
                 out.append(f"level {i}: target edge of node {a!r} not preserved")
-        for b in sorted(s.edges):
+        for b in s.edges:
             ta = s.edge_target.get(b)
             tb = t.edge_target.get(lv.edges[b])
             if (ta is None) != (tb is None) or (ta is not None and lv.nodes[ta] != tb):
@@ -115,7 +115,7 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
         # pair whitedots positionally; this is the order-preservation constraint
         wmap: dict = {}
         broken = False
-        for b in sorted(y.trees[i].edges):
+        for b in y.trees[i].edges:
             ws = list(sy.get(b, ()))
             wt = list(sz.get(f_lo.edges[b], ()))
             if len(ws) != len(wt):
@@ -126,7 +126,7 @@ def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
         if broken:
             continue
         # constellations are exact: blackdots are the next leaves, whitedots the next nulldots
-        for a in sorted(y.trees[i].nodes):
+        for a in y.trees[i].nodes:
             if f_hi.edges.get(a) != f_lo.nodes[a]:
                 out.append(f"constellation {i + 1}: blackdot {a!r} not preserved")
         for w in sorted(wmap):

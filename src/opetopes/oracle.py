@@ -7,7 +7,7 @@ subtree each cell cuts out of one, the source tree of a cell on each side
 through an element, the order of the whitedots on an edge through
 zig-zags, loop paths and a comparison sort (ZigZag, zigzag, LoopPath,
 loop_path, compare_loops, whitedot_order, over a coface index built here
-from the signed-facet table), and the actions p_map and z_map of the two
+from the facets and their signs), and the actions p_map and z_map of the two
 functors on isomorphisms (the zoom-side objects follow Kock, Joyal,
 Batanin and Mascari 2010).  They live here as references for the fast routes.
 
@@ -44,13 +44,13 @@ _COFACES: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def cofaces(mop: ManyToOnePoset, sign: str, y: str) -> tuple[str, ...]:
-    """The cells x with y < x of the given sign, in id order; indexed once per poset from its signed-facet table."""
+    """The cells x with y < x of the given sign, in id order; indexed once per poset from the facets and their signs."""
     index = _COFACES.get(mop)
     if index is None:
         index = {}
-        for x in sorted(mop.cells):
-            for f, s in zip(*mop.signed_facets[x]):
-                index.setdefault((s, f), []).append(x)
+        for x in mop.cells:
+            for f in mop.facets(x):
+                index.setdefault((mop.sign(f, x), f), []).append(x)
         _COFACES[mop] = index
     return tuple(index.get((sign, y), ()))
 
@@ -63,7 +63,7 @@ class Expansion:
     """
 
     def __init__(self, base: RootedTree, w: dict):
-        whitedots = [d for b in sorted(base.edges) for d in w.get(b, ())]
+        whitedots = [d for b in base.edges for d in w.get(b, ())]
         used = set(base.nodes) | set(base.edges) | set(whitedots)
         nodes = list(base.nodes)
         edges: list[str] = []
@@ -71,7 +71,7 @@ class Expansion:
         edge_target = dict(base.edge_target)
         origin: dict[str, tuple[str, int]] = {}
         segments_of: dict[str, list[str]] = {}
-        for b in sorted(base.edges):
+        for b in base.edges:
             dots = list(w.get(b, ()))
             segs = []
             for i in range(len(dots) + 1):
@@ -455,7 +455,7 @@ def oracle_lozenge(mop: ManyToOnePoset, z: str, y: str, x: str) -> list[tuple[st
 
 def all_chains(mop: ManyToOnePoset):
     """Every two-step chain (z, y, x, beta, alpha) of the poset."""
-    for x in sorted(mop.cells):
+    for x in mop.cells:
         if mop.dim[x] < 1:
             continue
         for y in mop.facets(x):
@@ -673,7 +673,7 @@ def oracle_hexagon(dfc: Dfc) -> list[tuple]:
     """
     mop = dfc.mop
     bad = []
-    for b in sorted(mop.cells):
+    for b in mop.cells:
         if mop.dim[b] < 2:
             continue
         srcs = [c for c in sorted(mop.delta_minus(b)) if c not in mop.loops]
@@ -730,12 +730,15 @@ def _hexagon_pattern_ok(tree, path, d_signs) -> bool:
     return True
 
 
+ISO_GRADE_BOUND = 8  # the most cells per grade that `opetopes oracle iso` takes
+
+
 def oracle_iso(c: Dfc, d: Dfc) -> list[dict]:
     """All isomorphism witnesses by per-dimension permutation search.
 
     A completed grade is rejected early when some boundary map into the
     previous grade fails to transport, which keeps whole-grade permutation
-    enumeration feasible up to about eight cells per dimension.
+    enumeration feasible up to about ISO_GRADE_BOUND cells per dimension.
     """
     mc, md = c.mop, d.mop
     if mc.dimension != md.dimension:
@@ -824,8 +827,8 @@ def check_nulldot_targets(dfc: Dfc) -> list[str]:
     mop = dfc.mop
     return [
         x
-        for x in sorted(c for c in mop.cells if mop.dim[c] >= 0 and not mop.delta[c])
-        if mop.dim[x] >= 2 and mop.gamma_cell(x) not in mop.loops
+        for x in mop.cells
+        if mop.dim[x] >= 2 and not mop.delta[x] and mop.gamma_cell(x) not in mop.loops
     ]
 
 

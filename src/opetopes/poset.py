@@ -11,25 +11,23 @@ collect every violation instead of stopping at the first one.
 A document becomes a poset in one read (mop_from_doc), which leaves out
 what it cannot place and reports it; mop_validate adds the poset axioms
 and returns that same poset, which dfc_validate checks as a face complex.
-The signs add nothing to delta and gamma, so the constructor's one sorted
-pass grades the cells and reads the strata straight off delta/gamma: lam,
-the cells of dim >= 0 in no gamma(x) - delta(x), and loops, the cells
-with delta = gamma nonempty.  The signed-facet table (each cell's facets
-in sorted order, with their signs) is built when first read, by the DOT
-export, the oracle, or a face-complex check that finds a fault.
-The face-complex checks decide each cell x from delta and gamma alone:
-oriented thinness with the sign rule says that the boundary of the
-boundary of x cancels, each cell below a facet of x met once with each
-sign, which takes a few list and set operations per facet of x instead
-of a walk over every chain z < y < x.  Only a cell that fails is walked
-chain by chain, to list its faults; the local orders count the loop
-sources of x by the cell they loop on.
+The signs add nothing to delta and gamma: sign(y, x) reads them, and
+facets(x) lists delta(x) | gamma(x) in id order.  The constructor stores
+the cells in id order, the one order every reader uses, and its one pass
+grades them and reads the strata straight off delta/gamma: lam, the cells
+of dim >= 0 in no gamma(x) - delta(x), and loops, the cells with
+delta = gamma nonempty.  The face-complex checks decide each cell x from
+delta and gamma alone: oriented thinness with the sign rule says that the
+boundary of the boundary of x cancels, each cell below a facet of x met
+once with each sign, which takes a few list and set operations per facet
+of x instead of a walk over every chain z < y < x.  Only a cell that
+fails is walked chain by chain, to list its faults; the local orders
+count the loop sources of x by the cell they loop on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
@@ -38,18 +36,6 @@ MINUS = "-"
 PLUS = "+"
 LOOP = "o"
 
-_SIGN_VALUE = {MINUS: -1, PLUS: 1, LOOP: 0}
-_VALUE_SIGN = {-1: MINUS, 1: PLUS, 0: LOOP}
-
-
-def sign_product(a: str, b: str) -> str:
-    """Product in the sign monoid {+1, -1, 0}."""
-    return _VALUE_SIGN[_SIGN_VALUE[a] * _SIGN_VALUE[b]]
-
-
-def sign_negate(a: str) -> str:
-    return _VALUE_SIGN[-_SIGN_VALUE[a]]
-
 
 class ManyToOnePoset:
     """Graded cell set with source/target facet maps and local loop orders.
@@ -57,14 +43,13 @@ class ManyToOnePoset:
     Immutable by convention after construction; read from a document by
     mop_from_doc (checked by mop_validate), or built from the maps of a
     translator (to_poset.p_image).
-    local_orders maps (x, z) to the stored order of the loops on z among
-    the sources of x.  The strata lam and loops are read off delta/gamma in
-    the constructor's pass; the signed-facet table is built when first
-    read, which checking a valid face complex never does.
+    cells are stored in id order.  local_orders maps (x, z) to the stored
+    order of the loops on z among the sources of x.  The strata lam and
+    loops are read off delta/gamma in the constructor's pass.
     """
 
     def __init__(self, cells, dim, delta, gamma, local_orders):
-        self.cells = tuple(cells)
+        self.cells = tuple(sorted(cells))
         self.dim = dict(dim)
         self.delta = {c: frozenset(delta.get(c, ())) for c in self.cells}
         self.gamma = {c: frozenset(gamma.get(c, ())) for c in self.cells}
@@ -73,7 +58,7 @@ class ManyToOnePoset:
         self._by_dim: dict[int, list[str]] = {}
         proper_targets: set[str] = set()
         loops = []
-        for x in sorted(self.cells):
+        for x in self.cells:
             self._by_dim.setdefault(self.dim[x], []).append(x)
             d, g = self.delta[x], self.gamma[x]
             if d == g:
@@ -84,15 +69,6 @@ class ManyToOnePoset:
         # the strata: lam, the cells of dim >= 0 that are never a proper target, and the loops
         self.lam = frozenset(c for c in self.cells if self.dim[c] >= 0 and c not in proper_targets)
         self.loops = frozenset(loops)
-
-    @cached_property
-    def signed_facets(self) -> dict[str, tuple[tuple[str, ...], str]]:
-        """x -> (its facets y in sorted order, the sign of each y < x: one character per facet)."""
-        table = {}
-        for x in sorted(self.cells):
-            facets = tuple(sorted(self.delta[x] | self.gamma[x]))
-            table[x] = (facets, "".join(self.sign(y, x) for y in facets))
-        return table
 
     # -- basic queries -------------------------------------------------
 
@@ -120,7 +96,8 @@ class ManyToOnePoset:
         return None
 
     def facets(self, x: str) -> tuple[str, ...]:
-        return self.signed_facets[x][0]
+        """The facets of x in id order."""
+        return tuple(sorted(self.delta[x] | self.gamma[x]))
 
     def delta_minus(self, x: str) -> frozenset[str]:
         return self.delta[x] - self.gamma[x]
@@ -206,7 +183,7 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.delta[b] or mop.gamma[b]:
             out.append(make("BottomBoundary", [b], "bottom cell", "the bottom cell must have empty delta and gamma"))
 
-    for x in sorted(mop.cells):
+    for x in mop.cells:
         k = mop.dim[x]
         if k < 0:
             continue
@@ -370,7 +347,7 @@ def _facet_flow_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
             if mop.dim[x] >= 1 and x not in mop.loops and not _keeps_facet_flow(mop, x, *proper)
         ]
     out = []
-    for x in sorted(failing):
+    for x in failing:
         out.extend(_facet_flow_listing(mop, x))
     return out
 
@@ -378,15 +355,17 @@ def _facet_flow_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
 def _facet_flow_listing(mop: ManyToOnePoset, x: str) -> list[Diagnostic]:
     """Every thinness, sign-rule and acyclicity violation at x, from one walk over the facets of its facets."""
     out = []
-    table = mop.signed_facets
     # per facet z of a facet: the signed chains z < y < x as (y, alpha, beta), how many
     # y are not loops on z below a source, and the facets y with z as proper source
     signed: dict[str, list[tuple[str, str, str]]] = {}
     other: dict[str, int] = {}
     sources_on: dict[str, list[str]] = {}
     loop_chains = []  # (z, y) with y a loop on z and a proper source of x
-    for y, alpha in zip(*table[x]):
-        for z, beta in zip(*table[y]):
+    fac = mop.facets(x)
+    for y in fac:
+        alpha = mop.sign(y, x)
+        for z in mop.facets(y):
+            beta = mop.sign(z, y)
             if beta == MINUS:
                 sources_on.setdefault(z, []).append(y)
             if alpha == MINUS and beta == LOOP:
@@ -405,13 +384,13 @@ def _facet_flow_listing(mop: ManyToOnePoset, x: str) -> list[Diagnostic]:
                 out.append(make("ThinnessNonUnique", [z, y, x] + [c[0] for c in comps], "oriented thinness", f"chain {z!r} <{beta} {y!r} <{alpha} {x!r} has {len(comps)} completions"))
             else:
                 y2, alpha2, beta2 = comps[0]
-                if sign_product(alpha, beta) != sign_negate(sign_product(alpha2, beta2)):
+                # the sign rule: a lozenge carries an odd number of - among its four signs
+                if (alpha, beta, alpha2, beta2).count(MINUS) % 2 == 0:
                     out.append(make("SignRuleViolated", [z, y, x, y2], "sign rule", f"lozenge over {z!r} < {y!r},{y2!r} < {x!r} breaks the sign rule"))
     for z, y in loop_chains:
         if not other.get(z):
             out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
     # the facet flow: b -> a when the target of b is a proper source of a
-    fac = table[x][0]
     succ = {b: [] for b in fac}
     for b in fac:
         if mop.dim[b] < 0 or not mop.gamma[b]:
@@ -453,7 +432,7 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     # every facet lies one dimension down (mop_diagnostics), so climbing
     # cofaces from any cell ends at a maximal cell: one maximal cell is greatest
     faces = set().union(*mop.delta.values(), *mop.gamma.values())
-    maximal = [c for c in sorted(mop.cells) if c not in faces]
+    maximal = [c for c in mop.cells if c not in faces]
     if len(maximal) != 1:
         out.append(make("NoGreatestElement", maximal, "greatest element", f"{len(maximal)} maximal cells"))
     elif mop.dim[maximal[0]] < 0:  # a greatest 0-cell is the point {bottom < p}, the 0-opetope

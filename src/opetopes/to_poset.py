@@ -50,7 +50,7 @@ def extend(ope: Opetope) -> Opetope:
     s_n = ope.trees[-1]
     corolla = RootedTree(
         (top,),
-        tuple(sorted(s_n.nodes)) + (ext_root,),
+        (*s_n.nodes, ext_root),
         {top: ext_root},
         {b: top for b in s_n.nodes},
         ext_root,

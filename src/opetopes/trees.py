@@ -33,11 +33,11 @@ from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
 
 class RootedTree:
-    """Finite rooted tree with first-class edge identities."""
+    """Finite rooted tree with first-class edge identities; nodes and edges are stored in id order."""
 
     def __init__(self, nodes, edges, node_target, edge_target, root):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
+        self.nodes = tuple(sorted(nodes))
+        self.edges = tuple(sorted(edges))
         self.node_target = dict(node_target)   # node -> edge below it
         self.edge_target = dict(edge_target)   # edge -> node below it
         self.root = root
@@ -45,18 +45,18 @@ class RootedTree:
         for a, b in self.node_target.items():
             self._source_node.setdefault(b, a)
         self._sources = {a: [] for a in self.nodes}
-        for b in sorted(self.edges):
+        for b in self.edges:
             a = self.edge_target.get(b)
             if a in self._sources:
                 self._sources[a].append(b)
 
     @property
     def leaves(self) -> tuple[str, ...]:
-        return tuple(b for b in sorted(self.edges) if b not in self._source_node)
+        return tuple(b for b in self.edges if b not in self._source_node)
 
     @property
     def nulldots(self) -> tuple[str, ...]:
-        return tuple(a for a in sorted(self.nodes) if not self._sources[a])
+        return tuple(a for a in self.nodes if not self._sources[a])
 
     def sources_of(self, a: str) -> tuple[str, ...]:
         """Edges whose target node is a, in sorted order (trees are not planar)."""
@@ -149,7 +149,7 @@ def subdivided_diagnostics(t: RootedTree, w: dict) -> list[Diagnostic]:
         if b not in edges:
             out.append(make("DanglingId", [b], "subdivision", f"subdivision names unknown edge {b!r}"))
     seen = set()
-    for b in sorted(t.edges):
+    for b in t.edges:
         for d in w.get(b, ()):
             if d in used or d in seen:
                 out.append(make("IdClash", [d], "subdivision", f"whitedot id {d!r} collides with another id"))

@@ -91,10 +91,10 @@ def kernel_rule_by_both_routes(t, subdivision, u):
 
 
 def one_step_order(mop, k, sign) -> set[tuple[str, str]]:
-    """The lower (minus) or upper (plus) one-step order on the k-cells, read off the signed-facet table."""
+    """The lower (minus) or upper (plus) one-step order on the k-cells, read off the facets and their signs."""
     out = set()
     for w in mop.grade(k + 1 if sign == PLUS else k):
-        facets = dict(zip(*mop.signed_facets[w]))
+        facets = {y: mop.sign(y, w) for y in mop.facets(w)}
         if sign == PLUS:
             out |= {(x, x2) for x, s in facets.items() if s == MINUS for x2, s2 in facets.items() if s2 == PLUS}
         else:

@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ import opetopes.equivalence
 import opetopes.io
 import opetopes.trees
 from opetopes.cli import main
-from opetopes.diagnostics import ParseError
+from opetopes.diagnostics import ParseError, ValidationError
 from opetopes.dot import export_dot
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import (
@@ -116,6 +117,11 @@ def test_unknown_fields_warned_and_preserved():
     parsed, warnings = parse_dfc(text)
     assert any("color" in w for w in warnings) and any("note" in w for w in warnings)
     assert '"color": "red"' in serialize_doc(parsed)
+    ope = json.loads(fixture_text("rho3.ope.json"))
+    ope["note"] = "hi"
+    parsed, warnings = parse_opetope(serialize_doc(ope))
+    assert warnings == ["document: unknown field 'note' preserved"]
+    assert '"note": "hi"' in serialize_doc(parsed)
 
 
 def test_structured_roundtrip_through_objects(rho_dfc, rho_ope):
@@ -285,6 +291,11 @@ def test_cli_oracle_iso(capsys):
     ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "c1", "-y", "nope", "-x", "a1"],
     ["oracle", "lozenge", path("rho3.dfc.json"), "-z", "a1", "-y", "a1", "-x", "a1"],
     ["oracle", "iso", path("rho3.dfc.json")],
+    ["oracle", "lozenge", path("rho3.ope.json")],
+    ["oracle", "strictness", path("rho3.ope.json")],
+    ["oracle", "kernel", path("rho3.dfc.json")],
+    ["oracle", "hexagon", path("rho3.ope.json")],
+    ["oracle", "iso", path("omega4.dfc.json"), "--against", path("omega4.ope.json")],
     ["gen", "--max-nodes", "-1"],
     ["gen", "--max-whitedots", "-2"],
     ["gen", "--dim", "-1"],
@@ -483,6 +494,8 @@ WRONG_TYPES = [
     ("rho3.dfc.json", ("cells", -1, "delta"), 3),
     ("rho3.dfc.json", ("local_orders", 0, "x"), ["a1"]),
     ("rho3.dfc.json", ("local_orders", 0, "order"), 3),
+    ("rho3.dfc.json", ("local_orders",), {}),
+    ("rho3.dfc.json", ("local_orders", 0), {"z": "c1", "order": []}),
     ("rho3.ope.json", ("constellations", 2, "subdivision"), []),
     ("rho3.ope.json", ("constellations", 2, "subdivision", "c1"), 3),
     ("rho3.ope.json", ("trees", 1, "root"), ["*"]),
@@ -498,6 +511,8 @@ WRONG_TYPE_ERRORS = [
     "cells[21].delta must be an array of ids",
     "local_orders[0].x must be an id, not an array",
     "local_orders[0].order must be an array of ids",
+    "local_orders must be an array",
+    "each local order is an object with 'x', 'z' and 'order'",
     "constellations[2].subdivision must be an object mapping edges to arrays of whitedots",
     'constellations[2].subdivision["c1"] must be an array of ids',
     "trees[1].root must be an id, not an array",
@@ -575,6 +590,73 @@ def test_cli_reports_a_node_target_entry_for_a_non_node(tmp_path, capsys, tree, 
     assert main([*command, str(edited)]) == 1
     diag = json.loads(capsys.readouterr().out.splitlines()[0])
     assert (diag["code"], diag["cells"]) == ("DanglingId", [node, edge])
+
+
+# (JSON path, value, the diagnostics validate prints): one minimal edit of
+# rho3.ope.json per code of the zoom side that no other fixture shows
+ZOOM_CODES = [
+    # the root of tree 2 given a target node
+    (("trees", 2, "edge_target", "c0"), "b1",
+     [("RootHasTarget", ["c0"], "the root edge has a target node")]),
+    # two nodes of tree 3 on one edge
+    (("trees", 3, "node_target", "a2"), "b0",
+     [("SharedTargetEdge", ["b0"], "edge 'b0' is the target edge of two nodes")]),
+    # a node of tree 3 listed twice
+    (("trees", 3, "nodes", APPEND), "a1",
+     [("DuplicateId", [], "repeated node or edge id")]),
+    # a subdivision key that names no edge
+    (("constellations", 2, "subdivision", "zz"), [],
+     [("DanglingId", ["zz"], "subdivision names unknown edge 'zz'")]),
+    # a whitedot named like a node of its tree
+    (("constellations", 2, "subdivision", "c1", 0), "b1",
+     [("IdClash", ["b1"], "whitedot id 'b1' collides with another id")]),
+    # the root of tree 0 named like the root of tree 3
+    (("trees", 0), {"nodes": ["u0"], "edges": ["b0", "u2"], "node_target": {"u0": "b0"}, "edge_target": {"u2": "u0"}, "root": "b0"},
+     [("IdClash", ["b0"], "id 'b0' used at degrees 0 and 3")]),
+    # a second leaf on tree 1, which tree 0 has no blackdot for
+    (("trees", 1), {"nodes": ["c2"], "edges": ["*", "u0", "x"], "node_target": {"c2": "*"}, "edge_target": {"u0": "c2", "x": "c2"}, "root": "*"},
+     [("BadBaseTree", ["*"], "degree-1 tree must have one root, one leaf and one node"),
+      ("BlackdotsNotNextLeaves", ["x"], "the blackdots are not the leaves of the next tree")]),
+]
+
+
+@pytest.mark.parametrize("field, value, expected", ZOOM_CODES,
+                         ids=["RootHasTarget", "SharedTargetEdge", "DuplicateId", "DanglingId", "IdClash-whitedot",
+                              "IdClash-degrees", "BadBaseTree"])
+def test_cli_validate_reports_each_zoom_code(tmp_path, capsys, field, value, expected):
+    edited = _edited(tmp_path, "rho3.ope.json", field, value)
+    assert main(["validate", str(edited)]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["code"], d["cells"], d["message"]) for d in lines[:-1]] == expected
+    assert lines[-1] == {"file": str(edited), "valid": False}
+
+
+def test_cli_and_library_report_a_cell_without_dim_alike(tmp_path, capsys):
+    doc = json.loads(fixture_text("rho3.dfc.json"))
+    del next(rec for rec in doc["cells"] if rec["id"] == "a0")["dim"]
+    edited = tmp_path / "doc.dfc.json"
+    edited.write_text(json.dumps(doc))
+    assert main(["validate", str(edited)]) == 1
+    printed = {json.loads(line).get("code") for line in capsys.readouterr().out.splitlines()} - {None}
+    with pytest.raises(ValidationError) as err:
+        mop_validate(doc)
+    assert printed == {d.code for d in err.value.diagnostics}
+    assert "BadDimension" in printed
+
+
+def test_cli_oracle_iso_refuses_a_grade_it_cannot_permute(capsys):
+    start = time.perf_counter()
+    assert main(["oracle", "iso", path("omega4.dfc.json"), "--against", path("rho3.dfc.json")]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: iso oracle permutes whole grades and takes at most 8 cells per grade;"
+                   f" grade 1 of {path('rho3.dfc.json')} has 9\n")
+    omega = path("omega4.dfc.json")
+    assert main(["oracle", "iso", omega, "--against", omega]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    cells = [rec["id"] for rec in json.loads(fixture_text("omega4.dfc.json"))["cells"]]
+    assert json.loads(line) == {"witnesses": [{c: c for c in cells}]}
 
 
 BOTTOM = {"id": "*", "dim": -1}

@@ -9,15 +9,16 @@ from opetopes.poset import (
     LOOP,
     MINUS,
     PLUS,
+    ManyToOnePoset,
     _find_cycle,
     dfc_diagnostics,
     dfc_validate,
     mop_diagnostics,
     mop_from_doc,
     mop_validate,
-    sign_product,
 )
 from opetopes.oracle import delta_tree, oracle_strictness
+from opetopes.trees import RootedTree
 
 from conftest import load_dfc_doc
 
@@ -41,11 +42,15 @@ def codes(diags):
     return sorted({d.code for d in diags})
 
 
-def test_sign_monoid():
-    assert sign_product(MINUS, MINUS) == PLUS
-    assert sign_product(MINUS, PLUS) == MINUS
-    assert sign_product(LOOP, PLUS) == LOOP
-    assert sign_product(LOOP, LOOP) == LOOP
+def test_constructors_store_cells_nodes_and_edges_in_id_order():
+    mop = ManyToOnePoset(["t", "*", "f", "s"], {"*": -1, "s": 0, "t": 0, "f": 1},
+                         {"f": ["s"]}, {"s": ["*"], "t": ["*"], "f": ["t"]}, {})
+    assert mop.cells == ("*", "f", "s", "t")
+    assert mop.grade(0) == ("s", "t")
+    tree = RootedTree(["n3", "n1", "n2"], ["e2", "e0", "e3", "e1"], {"n1": "e0", "n2": "e1", "n3": "e2"},
+                      {"e2": "n1", "e1": "n1", "e3": "n2"}, "e0")
+    assert tree.nodes == ("n1", "n2", "n3") and tree.edges == ("e0", "e1", "e2", "e3")
+    assert tree.sources_of("n1") == ("e1", "e2") and tree.leaves == ("e3",) and tree.nulldots == ("n3",)
 
 
 def test_rho_fixture_is_valid_mop_and_dfc(rho_dfc):
