@@ -4,25 +4,19 @@ theta maps a face complex onto the complex of its own zoom complex; tau
 maps an opetope onto the zoom complex of its own face complex.  Both are
 built id-wise (with a fixed correspondence for the reserved top/bottom
 names) and then verified; failure to verify is an implementation bug, not
-an input error.  Isomorphism search needs no backtracking, because
-opetopes are rigid: each opetope gets a canonical order of its elements in
-one pass from tree 0 upward, two opetopes are paired position by position
-and the pairing is verified, and face complexes are compared through
-their zoom complexes.  Both searches always decide, in time near linear in
+an input error.  An opetope witness is one map on names, since a name
+denotes one element of a zoom complex.  Isomorphism search needs no
+backtracking, because opetopes are rigid: each opetope gets a canonical
+order of its elements in one pass from tree 0 upward, two opetopes are
+paired position by position and the pairing is verified, and face
+complexes are compared through their zoom complexes.  Both searches always decide, in time near linear in
 the input.
 """
 
 from __future__ import annotations
 
 from .diagnostics import RoundTripBroken
-from .isos import (
-    DfcIso,
-    LevelMap,
-    OpetopeIso,
-    dfc_iso_failures,
-    make_dfc_iso,
-    opetope_iso_failures,
-)
+from .isos import DfcIso, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import Dfc
 from .to_poset import p_of
 from .to_zoom import z_of
@@ -63,23 +57,20 @@ def _arrow_parts(t: RootedTree) -> tuple[str, str, str]:
 
 
 def tau(y: Opetope) -> OpetopeIso:
-    """The identity-on-elements witness from an opetope to the zoom of its complex."""
+    """The identity-on-elements witness from an opetope to the zoom of its complex.
+
+    Trees 0 and 1 of the zoom carry fresh names, so their arrows are
+    matched part by part; every name from tree 2 up maps to itself.
+    """
     y2 = z_of(p_of(y))
     n = y.dim
-    levels = []
-    for i in range(n + 1):
-        s, t = y.trees[i], y2.trees[i]
-        if i >= 2:
-            levels.append(LevelMap({a: a for a in s.nodes}, {b: b for b in s.edges}))
-        else:
-            s_root, s_node, s_leaf = _arrow_parts(s)
-            t_root, t_node, t_leaf = _arrow_parts(t)
-            levels.append(LevelMap({s_node: t_node}, {s_root: t_root, s_leaf: t_leaf}))
-    levels = tuple(levels)
-    failures = opetope_iso_failures(y, y2, levels)
+    fwd = {x: x for t in y.trees[2:] for part in (t.nodes, t.edges) for x in part}
+    for s, t in zip(y.trees[:2], y2.trees):
+        fwd.update(zip(_arrow_parts(s), _arrow_parts(t)))
+    failures = opetope_iso_failures(y, y2, fwd)
     if failures:
         raise RoundTripBroken(f"tau on a {n}-opetope: " + "; ".join(failures[:4]))
-    return OpetopeIso(y, y2, levels)
+    return OpetopeIso(y, y2, fwd)
 
 
 # -- isomorphism search --------------------------------------------------
@@ -131,11 +122,11 @@ def opetope_iso_search(y: Opetope, z: Opetope) -> OpetopeIso | None:
         len(s.nodes) != len(t.nodes) or len(s.edges) != len(t.edges) for s, t in zip(y.trees, z.trees)
     ):
         return None
-    levels = tuple(
-        LevelMap(dict(zip(ny, nz)), dict(zip(ey, ez)))
-        for (ny, ey), (nz, ez) in zip(_canonical_order(y), _canonical_order(z))
-    )
-    return None if opetope_iso_failures(y, z, levels) else OpetopeIso(y, z, levels)
+    fwd = {}
+    for (ny, ey), (nz, ez) in zip(_canonical_order(y), _canonical_order(z)):
+        fwd.update(zip(ny, nz))
+        fwd.update(zip(ey, ez))
+    return None if opetope_iso_failures(y, z, fwd) else OpetopeIso(y, z, fwd)
 
 
 def dfc_iso_search(c: Dfc, d: Dfc) -> DfcIso | None:
@@ -150,9 +141,5 @@ def dfc_iso_search(c: Dfc, d: Dfc) -> DfcIso | None:
     g = opetope_iso_search(z_of(c), z_of(d))
     if g is None:
         return None
-    image = {}
-    for lv in g.levels:
-        image.update(lv.nodes)
-        image.update(lv.edges)
     reserved = _reserved_map(c, d)
-    return make_dfc_iso(c, d, {x: reserved[x] if x in reserved else image[x] for x in c.mop.cells})
+    return make_dfc_iso(c, d, {x: reserved[x] if x in reserved else g.fwd[x] for x in c.mop.cells})

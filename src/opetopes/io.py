@@ -2,13 +2,15 @@
 
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and keeps arrays in document order, so serialize . parse . serialize equals
-serialize byte for byte.  Unknown fields survive a round trip and are
-reported as warnings.  Normalizing rejects a field of the wrong JSON type
-with a ParseError naming its path.  An id is never a container; in a
-face-complex document it may be any scalar, in an opetope document it is a
-string.  An opetope document may carry a constellation's structure maps
-(sigma_black, sigma_white); they must be identities and are not written
-back.
+serialize byte for byte.  Unknown fields are reported as warnings.
+normalize_* leaves them in the dict, so serialize_doc of a parsed document
+writes them back; the commands write documents rebuilt from the validated
+object (dfc_to_doc, opetope_to_doc), which drop them.  Normalizing rejects
+a field of the wrong JSON type with a ParseError naming its path.  An id
+is never a container; in a face-complex document it may be any scalar, in
+an opetope document it is a non-empty string.  An opetope document may
+carry a constellation's structure maps (sigma_black, sigma_white); they
+must be identities and are not written back.
 """
 
 from __future__ import annotations
@@ -146,24 +148,25 @@ def _path(where: tuple, *keys) -> str:
 
 
 def _check_id(value, where: tuple, *keys, strict: bool = False) -> None:
-    if type(value) is not str:
-        _check_non_string_id(value, where, *keys, strict=strict)
+    if type(value) is not str or not value:
+        _check_bad_id(value, where, *keys, strict=strict)
 
 
 def _check_ids(value, where: tuple, *keys, container=list, strict: bool = False) -> None:
     if not isinstance(value, container):
         raise ParseError(f"{_path(where, *keys)} must be an {'array' if container is list else 'object'} of ids")
     for key, v in value.items() if container is dict else enumerate(value):
-        if type(v) is not str:  # inline: a call per id costs more than the rest of normalizing
-            _check_non_string_id(v, where, *keys, key, strict=strict)
+        if type(v) is not str or not v:  # inline: a call per id costs more than the rest of normalizing
+            _check_bad_id(v, where, *keys, key, strict=strict)
 
 
-def _check_non_string_id(value, where: tuple, *keys, strict: bool) -> None:
-    """Non-string scalars pass unless strict: the face-complex validators report them as bad ids."""
+def _check_bad_id(value, where: tuple, *keys, strict: bool) -> None:
+    """Non-string scalars and the empty string pass unless strict: the face-complex validators report them as bad ids."""
     if isinstance(value, (list, dict)):
         raise ParseError(f"{_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
     if strict:
-        raise ParseError(f"{_path(where, *keys)} must be a string id, not {json.dumps(value)}")
+        kind = "non-empty string" if value == "" else "string"
+        raise ParseError(f"{_path(where, *keys)} must be a {kind} id, not {json.dumps(value)}")
 
 
 def detect_kind(doc) -> str:
@@ -196,7 +199,7 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
         _check_ids(rec["delta"], ("cells", i, "delta"))
         _check_ids(rec["gamma"], ("cells", i, "gamma"))
         for key in sorted(set(rec) - DFC_CELL_KEYS):
-            warnings.append(f"cell {rec['id']!r}: unknown field {key!r} preserved")
+            warnings.append(f"cell {rec['id']!r}: unknown field {key!r}")
     doc.setdefault("local_orders", [])
     if not isinstance(doc["local_orders"], list):
         raise ParseError("local_orders must be an array")
@@ -207,7 +210,7 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
         _check_id(rec["z"], ("local_orders", i, "z"))
         _check_ids(rec["order"], ("local_orders", i, "order"))
     for key in sorted(set(doc) - {"cells", "local_orders"}):
-        warnings.append(f"document: unknown field {key!r} preserved")
+        warnings.append(f"document: unknown field {key!r}")
     return doc, warnings
 
 
@@ -248,7 +251,7 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         _check_ids(rec["node_target"], ("trees", i, "node_target"), container=dict, strict=True)
         _check_ids(rec["edge_target"], ("trees", i, "edge_target"), container=dict, strict=True)
         for key in sorted(set(rec) - TREE_KEYS):
-            warnings.append(f"tree {i}: unknown field {key!r} preserved")
+            warnings.append(f"tree {i}: unknown field {key!r}")
     doc.setdefault("constellations", [])
     if not isinstance(doc["constellations"], list):
         raise ParseError("constellations must be an array")
@@ -264,14 +267,14 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
             if rec.get(key) is not None:
                 _check_ids(rec[key], ("constellations", i, key), container=dict, strict=True)
         for key in sorted(set(rec) - CONSTELLATION_KEYS):
-            warnings.append(f"constellation {i}: unknown field {key!r} preserved")
+            warnings.append(f"constellation {i}: unknown field {key!r}")
     if len(doc["constellations"]) != len(doc["trees"]) - 1:
         raise ParseError(
             f"{len(doc['trees'])} trees need {len(doc['trees']) - 1} constellations, got {len(doc['constellations'])}"
         )
     doc.setdefault("dim", len(doc["trees"]) - 1)
     for key in sorted(set(doc) - {"dim", "trees", "constellations"}):
-        warnings.append(f"document: unknown field {key!r} preserved")
+        warnings.append(f"document: unknown field {key!r}")
     return doc, warnings
 
 

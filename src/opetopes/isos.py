@@ -63,73 +63,56 @@ def make_dfc_iso(c: Dfc, d: Dfc, fwd: dict) -> DfcIso:
 
 
 @dataclass(frozen=True)
-class LevelMap:
-    nodes: dict
-    edges: dict
-
-
-@dataclass(frozen=True)
 class OpetopeIso:
+    """One map on the names of source.
+
+    Constellations are exact, so a name denotes one element: a node of
+    tree i is the leaf of tree i+1 with its name, and a whitedot the
+    nulldot.  The map sends each tree of source onto the same tree of
+    target; to_json writes it tree by tree.
+    """
+
     source: Opetope
     target: Opetope
-    levels: tuple[LevelMap, ...]
+    fwd: dict
 
     def to_json(self) -> dict:
+        fwd = self.fwd
         return {
             "levels": [
-                {"nodes": dict(sorted(lv.nodes.items())), "edges": dict(sorted(lv.edges.items()))}
-                for lv in self.levels
+                {"nodes": {a: fwd[a] for a in t.nodes}, "edges": {b: fwd[b] for b in t.edges}}
+                for t in self.source.trees
             ]
         }
 
 
-def opetope_iso_failures(y: Opetope, z: Opetope, levels) -> list[str]:
-    out = []
+def opetope_iso_failures(y: Opetope, z: Opetope, fwd: dict) -> list[str]:
     if y.dim != z.dim:
         return [f"dimensions differ ({y.dim} vs {z.dim})"]
-    if len(levels) != y.dim + 1:
-        return [f"expected {y.dim + 1} level maps, got {len(levels)}"]
-    for i, lv in enumerate(levels):
-        s, t = y.trees[i], z.trees[i]
-        if set(lv.nodes) != set(s.nodes) or tuple(sorted(lv.nodes.values())) != t.nodes:
+    names = {x for t in y.trees for part in (t.nodes, t.edges) for x in part}
+    if names.difference(fwd):
+        return [f"map is not total on the source names ({len(names.intersection(fwd))} of {len(names)})"]
+    out = []
+    for i, (s, t) in enumerate(zip(y.trees, z.trees)):
+        if tuple(sorted(fwd[a] for a in s.nodes)) != t.nodes:
             out.append(f"level {i}: node map is not a bijection")
             continue
-        if set(lv.edges) != set(s.edges) or tuple(sorted(lv.edges.values())) != t.edges:
+        if tuple(sorted(fwd[b] for b in s.edges)) != t.edges:
             out.append(f"level {i}: edge map is not a bijection")
             continue
-        if lv.edges[s.root] != t.root:
+        if fwd[s.root] != t.root:
             out.append(f"level {i}: root not preserved")
         for a in s.nodes:
-            if lv.edges[s.node_target[a]] != t.node_target.get(lv.nodes[a]):
+            if fwd[s.node_target[a]] != t.node_target.get(fwd[a]):
                 out.append(f"level {i}: target edge of node {a!r} not preserved")
         for b in s.edges:
             ta = s.edge_target.get(b)
-            tb = t.edge_target.get(lv.edges[b])
-            if (ta is None) != (tb is None) or (ta is not None and lv.nodes[ta] != tb):
+            if t.edge_target.get(fwd[b]) != (None if ta is None else fwd[ta]):
                 out.append(f"level {i}: target node of edge {b!r} not preserved")
     if out:
         return out
-    for i in range(y.dim):
-        sy, sz = y.subdivisions[i], z.subdivisions[i]
-        f_lo, f_hi = levels[i], levels[i + 1]
-        # pair whitedots positionally; this is the order-preservation constraint
-        wmap: dict = {}
-        broken = False
+    for i, (sy, sz) in enumerate(zip(y.subdivisions, z.subdivisions)):
         for b in y.trees[i].edges:
-            ws = list(sy.get(b, ()))
-            wt = list(sz.get(f_lo.edges[b], ()))
-            if len(ws) != len(wt):
-                out.append(f"constellation {i + 1}: subdivision length of edge {b!r} differs")
-                broken = True
-                continue
-            wmap.update(zip(ws, wt))
-        if broken:
-            continue
-        # constellations are exact: blackdots are the next leaves, whitedots the next nulldots
-        for a in y.trees[i].nodes:
-            if f_hi.edges.get(a) != f_lo.nodes[a]:
-                out.append(f"constellation {i + 1}: blackdot {a!r} not preserved")
-        for w in sorted(wmap):
-            if f_hi.nodes.get(w) != wmap[w]:
-                out.append(f"constellation {i + 1}: whitedot {w!r} not preserved")
+            if [fwd[w] for w in sy.get(b, ())] != list(sz.get(fwd[b], ())):
+                out.append(f"constellation {i + 1}: whitedots of edge {b!r} not preserved")
     return out

@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 
 from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism, ValidationError, make
 from .equivalence import _arrow_parts
-from .isos import DfcIso, LevelMap, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
+from .isos import DfcIso, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
 from .to_poset import extend, p_of
 from .to_zoom import level_tree, z_of
@@ -113,7 +113,6 @@ class NestingSubtree:
     from; whitedots inside the cut are recorded per edge in v.
     """
 
-    owner: str
     dots: frozenset[str]
     tree: RootedTree
     v: dict
@@ -190,47 +189,39 @@ def sigma_tree(dfc: Dfc, ez: Opetope, x: str) -> RootedTree:
     return RootedTree(nodes, edges, node_target, edge_target, root)
 
 
-def make_opetope_iso(y: Opetope, z: Opetope, levels) -> OpetopeIso:
-    levels = tuple(LevelMap(dict(lv.nodes), dict(lv.edges)) for lv in levels)
-    failures = opetope_iso_failures(y, z, levels)
+def make_opetope_iso(y: Opetope, z: Opetope, fwd: dict) -> OpetopeIso:
+    failures = opetope_iso_failures(y, z, fwd)
     if failures:
         raise NotAnIsomorphism(failures)
-    return OpetopeIso(y, z, levels)
+    return OpetopeIso(y, z, dict(fwd))
 
 
 def p_map(f: OpetopeIso) -> DfcIso:
-    """The cell map induced by a level-wise opetope isomorphism."""
-    failures = opetope_iso_failures(f.source, f.target, f.levels)
+    """The cell map induced by an opetope isomorphism."""
+    failures = opetope_iso_failures(f.source, f.target, f.fwd)
     if failures:
         raise NotAnIsomorphism(failures)
     src, tgt = extend(f.source), extend(f.target)
     # the bottom, the top cell and its target are the roots of trees 1, n+2 and n+1
     fwd = {src.trees[i].root: tgt.trees[i].root for i in (1, -1, -2)}
-    n = f.source.dim
-    for k in range(n - 1):
-        fwd.update(f.levels[k + 2].edges)  # the k-cells are the edges of tree k+2
-    if n >= 1:
-        fwd.update(f.levels[n].nodes)  # the other (n-1)-cells are the nodes of tree n
+    # the other cells are the edges of trees 2..n and the nodes of tree n
+    for t in f.source.trees[2:]:
+        fwd.update((b, f.fwd[b]) for b in t.edges)
+    if f.source.dim >= 1:
+        fwd.update((a, f.fwd[a]) for a in f.source.trees[-1].nodes)
     return make_dfc_iso(p_of(f.source), p_of(f.target), fwd)
 
 
 def z_map(f: DfcIso) -> OpetopeIso:
-    """The level-wise tree isomorphism induced by a complex isomorphism."""
+    """The opetope isomorphism induced by a complex isomorphism."""
     failures = dfc_iso_failures(f.source, f.target, f.fwd)
     if failures:
         raise NotAnIsomorphism(failures)
     src, tgt = z_of(f.source), z_of(f.target)
-    n = src.dim
-    levels = []
-    for i in range(n + 1):
-        s, t = src.trees[i], tgt.trees[i]
-        if i >= 2:
-            levels.append(LevelMap({a: f.fwd[a] for a in s.nodes}, {b: f.fwd[b] for b in s.edges}))
-        else:
-            s_root, s_node, s_leaf = _arrow_parts(s)
-            t_root, t_node, t_leaf = _arrow_parts(t)
-            levels.append(LevelMap({s_node: t_node}, {s_root: t_root, s_leaf: t_leaf}))
-    return make_opetope_iso(src, tgt, levels)
+    fwd = {x: f.fwd[x] for t in src.trees[2:] for part in (t.nodes, t.edges) for x in part}
+    for s, t in zip(src.trees[:2], tgt.trees):
+        fwd.update(zip(_arrow_parts(s), _arrow_parts(t)))
+    return make_opetope_iso(src, tgt, fwd)
 
 
 # -- zig-zags, loop paths and the whitedot order --------------------------
@@ -244,7 +235,6 @@ class ZigZag:
     b < a carrying alpha; members is the induced ordered run of top cells.
     """
 
-    base: str
     chains: tuple[tuple[str, str, str, str], ...]
     members: tuple[str, ...]
 
@@ -269,7 +259,7 @@ def zigzag(dfc: Dfc, c: str) -> ZigZag:
             if a in mop.lam:
                 chains.append((b, a, beta, mop.sign(b, a)))
     if not chains:
-        return ZigZag(c, (), ())
+        return ZigZag((), ())
 
     by_a: dict[str, list] = {}
     by_b: dict[str, list] = {}
@@ -282,7 +272,7 @@ def zigzag(dfc: Dfc, c: str) -> ZigZag:
     members = sorted(by_a)
     if len(members) == 1:
         ordered = sorted(chains, key=_chain_sort_key)
-        return ZigZag(c, tuple(ordered), tuple(members))
+        return ZigZag(tuple(ordered), tuple(members))
 
     # link two members when they share the middle cell of their chains
     neighbours: dict[str, list[str]] = {a: [] for a in members}
@@ -329,7 +319,7 @@ def zigzag(dfc: Dfc, c: str) -> ZigZag:
         prev_b = link_b.get((path[i - 1], a)) if i > 0 else None
         own.sort(key=lambda ch: (ch[0] != prev_b, _chain_sort_key(ch)))
         ordered.extend(own)
-    return ZigZag(c, tuple(ordered), tuple(path))
+    return ZigZag(tuple(ordered), tuple(path))
 
 
 # -- loop paths and the whitedot order ----------------------------------
@@ -345,8 +335,6 @@ class LoopPath:
     member; completion carries the final chain signs otherwise.
     """
 
-    base: str
-    start: str
     members: tuple[str, ...]
     entering: tuple[str, ...]
     root_loop: str | None
@@ -364,7 +352,7 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
         if not cofaces(mop, MINUS, current):
             if current != dfc.iterated_targets[mop.dim[current]]:
                 raise InternalError(f"{current!r} is sourceless-above yet not the iterated target")
-            return LoopPath(c, b, tuple(members), tuple(entering), current, None)
+            return LoopPath(tuple(members), tuple(entering), current, None)
         lam_up = [x for x in cofaces(mop, MINUS, current) if x in mop.lam]
         if len(lam_up) != 1:
             raise InternalError(f"{current!r} has {len(lam_up)} non-target minus-cofaces")
@@ -386,7 +374,7 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
         )
         if y2 is None:
             raise InternalError(f"chain {c!r} <o {current!r} <- {a!r} has no sign completion")
-        return LoopPath(c, b, tuple(members), tuple(entering), None, (mop.sign(y2, a), mop.sign(c, y2)))
+        return LoopPath(tuple(members), tuple(entering), None, (mop.sign(y2, a), mop.sign(c, y2)))
     raise InternalError(f"loop path from {b!r} over {c!r} exceeded the step bound")
 
 
@@ -627,7 +615,7 @@ def oracle_nesting_subtree(ez: Opetope, k: int, x: str) -> NestingSubtree:
     diags = tree_diagnostics(tree)
     if diags:
         raise ValidationError([make("DisconnectedNesting", [x], "kernel rule", f"cut of {x!r} is not a tree")] + diags)
-    return NestingSubtree(x, frozenset(dots), tree, v)
+    return NestingSubtree(frozenset(dots), tree, v)
 
 
 def oracle_tree_paths(nodes, edges, node_target, edge_target, root) -> bool:

@@ -8,8 +8,9 @@ map from edges to whitedots.  An opetope is stored as its trees and one
 subdivision per tree below the top: the constellation from tree i into
 tree i+1 is exact, so the blackdots (nodes) of subdivided tree i are the
 leaves of tree i+1 and its whitedots are the nulldots, by name, subject to
-the kernel (connectivity) rule.  The trees of degree 0..2 have constrained
-shapes.
+the kernel (connectivity) rule.  So one name denotes one element, and
+opetope_diagnostics reports any other reuse of a name across trees as an
+IdClash.  The trees of degree 0..2 have constrained shapes.
 
 The kernel rule is computed in one place, segment_sweep, by signed
 counts.  A segment (b, i) is the stretch of edge b above its i-th
@@ -283,12 +284,17 @@ def opetope_diagnostics(ope: Opetope) -> list[Diagnostic]:
         return sorted(set(out), key=sort_key)
     for i, sub in enumerate(ope.subdivisions):
         out.extend(constellation_diagnostics(ope.trees[i], sub, ope.trees[i + 1]))
-    # cells of distinct degrees must not share ids (edge with edge, node with node)
-    for i in range(len(ope.trees)):
-        for j in range(i + 1, len(ope.trees)):
-            ee = sorted(set(ope.trees[i].edges) & set(ope.trees[j].edges))
-            nn = sorted(set(ope.trees[i].nodes) & set(ope.trees[j].nodes))
-            for clash in ee + nn:
+    # one name, one element: cells of distinct degrees must not share ids
+    # (edge with edge, node with node); every node below the top is a leaf
+    # of the next tree, so only a top node can clash with a lower edge
+    edges = [set(t.edges) for t in ope.trees]
+    nodes = [set(t.nodes) for t in ope.trees]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            clashes = edges[i] & edges[j] | nodes[i] & nodes[j]
+            if j == n:
+                clashes |= edges[i] & nodes[n]
+            for clash in sorted(clashes):
                 out.append(make("IdClash", [clash], "zoom complex", f"id {clash!r} used at degrees {i} and {j}"))
     if not _is_arrow_shape(ope.trees[0]):
         out.append(make("BadBaseTree", [ope.trees[0].root], "opetope base", "degree-0 tree must have one root, one leaf and one node"))

@@ -15,10 +15,11 @@ from opetopes.equivalence import (
 )
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc
-from opetopes.isos import LevelMap, dfc_iso_failures, opetope_iso_failures
+from opetopes.isos import dfc_iso_failures, opetope_iso_failures
 from opetopes.oracle import make_opetope_iso, p_map, z_map
-from opetopes.poset import dfc_validate, mop_validate
+from opetopes.poset import dfc_validate, mop_from_doc, mop_validate, trusted_dfc
 from opetopes.to_poset import p_of
+from opetopes.trees import Opetope, opetope_diagnostics
 
 from conftest import linear_opetope_doc, load_dfc_doc, load_ope_doc, relabel_doc
 from test_poset import ARROW
@@ -37,10 +38,9 @@ def test_theta_on_fixtures(rho_dfc, omega_dfc):
 def test_tau_on_fixtures(rho_ope, omega_ope):
     for ope in (rho_ope, omega_ope):
         w = tau(ope)
-        assert not opetope_iso_failures(w.source, w.target, w.levels)
-        for i in range(2, ope.dim + 1):
-            assert all(k == v for k, v in w.levels[i].nodes.items())
-            assert all(k == v for k, v in w.levels[i].edges.items())
+        assert not opetope_iso_failures(w.source, w.target, w.fwd)
+        for t in ope.trees[2:]:
+            assert all(w.fwd[x] == x for x in (*t.nodes, *t.edges))
 
 
 def test_tau_low_dimensions():
@@ -93,7 +93,7 @@ def test_dfc_iso_search_distinguishes(rho_dfc, omega_dfc):
 def test_opetope_iso_search_identity(omega_ope):
     w = opetope_iso_search(omega_ope, omega_ope)
     assert w is not None
-    assert all(k == v for lv in w.levels for k, v in lv.nodes.items())
+    assert all(w.fwd[a] == a for t in omega_ope.trees for a in t.nodes)
 
 
 def test_opetope_iso_search_order_mismatch(rho_ope):
@@ -121,19 +121,12 @@ def test_opetope_iso_search_relabel(omega_ope):
     relabeled = opetope_from_doc(doc)
     w = opetope_iso_search(omega_ope, relabeled)
     assert w is not None
-    assert w.levels[4].edges["b2"] == "B2"
-    assert w.levels[4].nodes["a3"] == "A3" and w.levels[3].nodes["b2"] == "B2"
+    assert w.fwd["b2"] == "B2" and w.fwd["a3"] == "A3"
 
 
 def _compose_opetope_isos(f, g):
-    """g after f, levelwise."""
-    return [
-        LevelMap(
-            {a: g.levels[i].nodes[v] for a, v in f.levels[i].nodes.items()},
-            {b: g.levels[i].edges[v] for b, v in f.levels[i].edges.items()},
-        )
-        for i in range(len(f.levels))
-    ]
+    """g after f, name by name."""
+    return {x: g.fwd[v] for x, v in f.fwd.items()}
 
 
 def test_naturality_square(omega_ope):
@@ -155,15 +148,47 @@ def test_naturality_square(omega_ope):
     f = make_opetope_iso(
         omega_ope,
         other,
-        [LevelMap({a: r(a) for a in t.nodes}, {b: r(b) for b in t.edges}) for t in omega_ope.trees],
+        {x: r(x) for t in omega_ope.trees for x in (*t.nodes, *t.edges)},
     )
     # tau after f versus Z(P(f)) after tau, elementwise
     left = _compose_opetope_isos(f, tau(other))
     zpf = z_map(p_map(f))
     right = _compose_opetope_isos(tau(omega_ope), zpf)
-    for lv_l, lv_r in zip(left, right):
-        assert lv_l.nodes == lv_r.nodes
-        assert lv_l.edges == lv_r.edges
+    assert left == right
+
+
+def test_verifiers_name_each_broken_condition(rho_dfc, rho_ope, omega_ope):
+    c = rho_dfc
+    ident = {x: x for x in c.mop.cells}
+    assert dfc_iso_failures(c, c, {x: x for x in c.mop.cells if x != "a1"}) == [
+        "map is not total on the source cells (21 of 22)"]
+    assert dfc_iso_failures(c, c, {**ident, "a1": "a2"}) == ["map is not a bijection onto the target cells"]
+    assert dfc_iso_failures(c, c, {**ident, "b3": "b4", "b4": "b3"}) == [
+        "delta of 'a1' not preserved", "delta of 'a2' not preserved",
+        "gamma of 'a2' not preserved", "gamma of 'a3' not preserved"]
+    doc = load_dfc_doc("rho3.dfc.json")
+    doc["local_orders"] = doc["local_orders"][1:]  # the source drops its order at (a1, c1)
+    bare = trusted_dfc(mop_from_doc(doc)[0])
+    assert dfc_iso_failures(bare, c, ident) == [
+        "target stores a required local order at ('a1', 'c1') with no source counterpart"]
+
+    y = rho_ope
+    names = {x: x for t in y.trees for x in (*t.nodes, *t.edges)}
+    assert opetope_iso_failures(y, omega_ope, names) == ["dimensions differ (3 vs 4)"]
+    assert opetope_iso_failures(y, y, {x: v for x, v in names.items() if x != "a3"}) == [
+        "map is not total on the source names (22 of 23)"]
+    assert opetope_iso_failures(y, y, {**names, "a1": "a2"}) == ["level 3: node map is not a bijection"]
+    assert opetope_iso_failures(y, y, {**names, "b0": "b8"}) == ["level 3: edge map is not a bijection"]
+    assert opetope_iso_failures(y, y, {**names, "u1": "u2", "u2": "u1"}) == [
+        "level 0: root not preserved", "level 0: target edge of node 'u0' not preserved",
+        "level 0: target node of edge 'u1' not preserved", "level 0: target node of edge 'u2' not preserved"]
+    doc = load_ope_doc("rho3.ope.json")
+    doc["constellations"][2]["subdivision"]["c1"] = ["a5", "a7", "a4", "a3"]
+    assert opetope_iso_failures(y, opetope_from_doc(doc), names) == [
+        "constellation 3: whitedots of edge 'c1' not preserved"]
+
+    (shape,) = opetope_diagnostics(Opetope(y.trees, y.subdivisions + ({},)))
+    assert (shape.code, shape.message) == ("BadShape", "4 trees need 3 constellations, got 4")
 
 
 def test_roundtrips_on_generated_sample():
@@ -181,8 +206,8 @@ def test_relabelled_copies_get_the_renaming_as_witness(dim):
         doc, m = relabel_doc(opetope_to_doc(ope), rng)
         other = opetope_from_doc(doc)
         w = opetope_iso_search(ope, other)
-        assert w is not None and not opetope_iso_failures(ope, other, w.levels)
-        assert all(m[x] == fx for lv in w.levels for part in (lv.nodes, lv.edges) for x, fx in part.items())
+        assert w is not None and not opetope_iso_failures(ope, other, w.fwd)
+        assert all(m[x] == fx for x, fx in w.fwd.items())
 
         dfc = p_of(ope)
         doc, m = relabel_doc(dfc_to_doc(dfc), rng)

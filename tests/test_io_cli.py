@@ -120,7 +120,7 @@ def test_unknown_fields_warned_and_preserved():
     ope = json.loads(fixture_text("rho3.ope.json"))
     ope["note"] = "hi"
     parsed, warnings = parse_opetope(serialize_doc(ope))
-    assert warnings == ["document: unknown field 'note' preserved"]
+    assert warnings == ["document: unknown field 'note'"]
     assert '"note": "hi"' in serialize_doc(parsed)
 
 
@@ -501,6 +501,7 @@ WRONG_TYPES = [
     ("rho3.ope.json", ("trees", 1, "root"), ["*"]),
     ("rho3.ope.json", ("trees", 1, "nodes"), 3),
     ("rho3.ope.json", ("trees", 1, "edges", 0), {"id": "*"}),
+    ("rho3.ope.json", ("trees", 3, "nodes", 0), ""),
 ]
 # the error of each WRONG_TYPES edit, in the same order
 WRONG_TYPE_ERRORS = [
@@ -518,6 +519,7 @@ WRONG_TYPE_ERRORS = [
     "trees[1].root must be an id, not an array",
     "trees[1].nodes must be an array of ids",
     "trees[1].edges[0] must be an id, not an object",
+    'trees[3].nodes[0] must be a non-empty string id, not ""',
 ]
 APPEND = "+"  # a last path key that appends the value to an array
 # (fixture, JSON path, value, path named in the error): ids of an opetope
@@ -613,6 +615,13 @@ ZOOM_CODES = [
     # the root of tree 0 named like the root of tree 3
     (("trees", 0), {"nodes": ["u0"], "edges": ["b0", "u2"], "node_target": {"u0": "b0"}, "edge_target": {"u2": "u0"}, "root": "b0"},
      [("IdClash", ["b0"], "id 'b0' used at degrees 0 and 3")]),
+    # a node of the top tree named like the root of tree 2
+    (("trees", 3), {"nodes": ["c0", "a2", "a3", "a4", "a5", "a6", "a7"], "edges": [f"b{i}" for i in range(9)],
+                    "node_target": {"c0": "b0", "a2": "b3", "a3": "b4", "a4": "b5", "a5": "b6", "a6": "b7", "a7": "b8"},
+                    "edge_target": {"b1": "a6", "b2": "c0", "b3": "c0", "b4": "a2", "b5": "a2", "b6": "c0", "b7": "c0",
+                                    "b8": "a6"},
+                    "root": "b0"},
+     [("IdClash", ["c0"], "id 'c0' used at degrees 2 and 3")]),
     # a second leaf on tree 1, which tree 0 has no blackdot for
     (("trees", 1), {"nodes": ["c2"], "edges": ["*", "u0", "x"], "node_target": {"c2": "*"}, "edge_target": {"u0": "c2", "x": "c2"}, "root": "*"},
      [("BadBaseTree", ["*"], "degree-1 tree must have one root, one leaf and one node"),
@@ -622,7 +631,7 @@ ZOOM_CODES = [
 
 @pytest.mark.parametrize("field, value, expected", ZOOM_CODES,
                          ids=["RootHasTarget", "SharedTargetEdge", "DuplicateId", "DanglingId", "IdClash-whitedot",
-                              "IdClash-degrees", "BadBaseTree"])
+                              "IdClash-degrees", "IdClash-top-node", "BadBaseTree"])
 def test_cli_validate_reports_each_zoom_code(tmp_path, capsys, field, value, expected):
     edited = _edited(tmp_path, "rho3.ope.json", field, value)
     assert main(["validate", str(edited)]) == 1

@@ -8,7 +8,7 @@ import pytest
 from opetopes.cli import main
 from opetopes.diagnostics import InternalError, NotAnIsomorphism
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.isos import LevelMap, OpetopeIso, dfc_iso_failures
+from opetopes.isos import OpetopeIso, dfc_iso_failures
 from opetopes.oracle import delta_tree, make_opetope_iso, oracle_lozenge, oracle_nesting_subtree, p_map, sigma_tree
 from opetopes.poset import LOOP, MINUS, dfc_diagnostics, mop_diagnostics, mop_from_doc, mop_validate
 from opetopes.to_poset import extend, p_of
@@ -252,8 +252,7 @@ def test_distinct_leaves_distinct_names(rho_ope, omega_ope):
 
 
 def _identity_iso(ope):
-    levels = [LevelMap({a: a for a in t.nodes}, {b: b for b in t.edges}) for t in ope.trees]
-    return make_opetope_iso(ope, ope, levels)
+    return make_opetope_iso(ope, ope, {x: x for t in ope.trees for x in (*t.nodes, *t.edges)})
 
 
 def test_p_map_identity(rho_ope):
@@ -277,11 +276,7 @@ def test_p_map_relabel(omega_ope):
     for c in doc["constellations"]:
         c["subdivision"] = {r(k): [r(w) for w in ws] for k, ws in c["subdivision"].items()}
     relabeled = opetope_from_doc(doc)
-    levels = [
-        LevelMap({a: r(a) for a in t.nodes}, {b: r(b) for b in t.edges})
-        for t in omega_ope.trees
-    ]
-    f = make_opetope_iso(omega_ope, relabeled, levels)
+    f = make_opetope_iso(omega_ope, relabeled, {x: r(x) for t in omega_ope.trees for x in (*t.nodes, *t.edges)})
     w = p_map(f)
     assert w.fwd["b1"] == "B1" and w.fwd["a2"] == "A2" and w.fwd["c4"] == "C4"
     assert w.fwd["b0"] == "b0"
@@ -289,12 +284,10 @@ def test_p_map_relabel(omega_ope):
 
 def test_p_map_rejects_order_breaking_relabel(rho_ope):
     # swapping two whitedots on one edge breaks the subdivision order
-    levels = []
     swap = {"a5": "a7", "a7": "a5"}
-    for t in rho_ope.trees:
-        levels.append(LevelMap({a: swap.get(a, a) for a in t.nodes}, {b: b for b in t.edges}))
+    fwd = {x: swap.get(x, x) for t in rho_ope.trees for x in (*t.nodes, *t.edges)}
     with pytest.raises(NotAnIsomorphism):
-        p_map(OpetopeIso(rho_ope, rho_ope, tuple(levels)))
+        p_map(OpetopeIso(rho_ope, rho_ope, fwd))
 
 
 def _corpus_fixtures_and_combs():

@@ -232,9 +232,8 @@ def test_z_of_constellations_pass_kernel_oracle(rho_dfc, omega_dfc):
 def test_z_map_identity_and_relabel(omega_dfc):
     ident = make_dfc_iso(omega_dfc, omega_dfc, {c: c for c in omega_dfc.mop.cells})
     w = z_map(ident)
-    for lv in w.levels[2:]:
-        assert all(k == v for k, v in lv.nodes.items())
-        assert all(k == v for k, v in lv.edges.items())
+    for t in w.source.trees[2:]:
+        assert all(w.fwd[x] == x for x in (*t.nodes, *t.edges))
 
     perm = {c: c for c in omega_dfc.mop.cells}
     doc = load_dfc_doc("omega4.dfc.json")
@@ -246,9 +245,7 @@ def test_z_map_identity_and_relabel(omega_dfc):
     relabeled = dfc_validate(mop_validate(doc))
     f = make_dfc_iso(omega_dfc, relabeled, {c: renames.get(c, c) for c in omega_dfc.mop.cells})
     w = z_map(f)
-    assert w.levels[4].nodes["a2"] == "A2"
-    assert w.levels[3].nodes["b1"] == "B1" and w.levels[4].edges["b1"] == "B1"
-    assert w.levels[3].edges["c4"] == "C4"
+    assert w.fwd["a2"] == "A2" and w.fwd["b1"] == "B1" and w.fwd["c4"] == "C4"
 
 
 def test_z_map_rejects_dimension_breaking(rho_dfc):
