@@ -626,12 +626,44 @@ ZOOM_CODES = [
     (("trees", 1), {"nodes": ["c2"], "edges": ["*", "u0", "x"], "node_target": {"c2": "*"}, "edge_target": {"u0": "c2", "x": "c2"}, "root": "*"},
      [("BadBaseTree", ["*"], "degree-1 tree must have one root, one leaf and one node"),
       ("BlackdotsNotNextLeaves", ["x"], "the blackdots are not the leaves of the next tree")]),
+    # a node of tree 3 with no target edge
+    (("trees", 3, "nodes", APPEND), "a8",
+     [("NodeWithoutTarget", ["a8"], "node 'a8' has no target edge")]),
+    # a second targetless edge in tree 3
+    (("trees", 3, "edges", APPEND), "zz",
+     [("MultipleRoots", ["b0", "zz"], "more than one targetless edge")]),
+    # tree 2 closed into the cycle b1 -> c2 -> b2 -> c1 -> b1 above its root
+    (("trees", 2, "node_target", "b1"), "c2",
+     [("Cycle", ["c1"], "no finite descending path from 'c1'")]),
+    # a node of tree 3 whose target edge is unknown
+    (("trees", 3, "node_target", "a7"), "zz",
+     [("DanglingId", ["a7", "zz"], "target edge of 'a7' is unknown")]),
+    # an edge-target entry of tree 3 for an unknown edge
+    (("trees", 3, "edge_target", "zz"), "a1",
+     [("DanglingId", ["zz", "a1"], "edge target entry ('zz', 'a1') references unknown ids")]),
+    # the root of tree 3 is not one of its edges
+    (("trees", 3, "root"), "zz",
+     [("DanglingId", ["zz"], "root is not an edge")]),
+    # a whitedot of tree 2 that is no nulldot of tree 3
+    (("constellations", 2, "subdivision", "c1", 0), "zz",
+     [("WhitedotsNotNextNulldots", ["a7", "zz"], "the whitedots are not the nulldots of the next tree")]),
+    # the whitedots of c1 in reverse, which splits the dots over a6
+    (("constellations", 2, "subdivision", "c1"), ["a3", "a4", "a5", "a7"],
+     [("KernelRuleViolated", ["a6", "a7", "b1"], "dots over 'a6' split into 2 components"),
+      ("KernelRuleViolated", ["b7", "a7", "b1"], "dots over 'b7' split into 2 components")]),
+    # tree 2 with both upper edges on b1, which leaves b2 a nulldot
+    (("trees", 2), {"nodes": ["b1", "b2"], "edges": ["c0", "c1", "c2"], "node_target": {"b1": "c0", "b2": "c1"},
+                    "edge_target": {"c1": "b1", "c2": "b1"}, "root": "c0"},
+     [("NonLinearT2", ["c0"], "degree-2 tree must be linear"),
+      ("WhitedotsNotNextNulldots", ["b2"], "the whitedots are not the nulldots of the next tree")]),
 ]
 
 
 @pytest.mark.parametrize("field, value, expected", ZOOM_CODES,
                          ids=["RootHasTarget", "SharedTargetEdge", "DuplicateId", "DanglingId", "IdClash-whitedot",
-                              "IdClash-degrees", "IdClash-top-node", "BadBaseTree"])
+                              "IdClash-degrees", "IdClash-top-node", "BadBaseTree", "NodeWithoutTarget", "MultipleRoots",
+                              "Cycle", "DanglingId-target-edge", "DanglingId-edge-target", "DanglingId-root",
+                              "WhitedotsNotNextNulldots", "KernelRuleViolated", "NonLinearT2"])
 def test_cli_validate_reports_each_zoom_code(tmp_path, capsys, field, value, expected):
     edited = _edited(tmp_path, "rho3.ope.json", field, value)
     assert main(["validate", str(edited)]) == 1
@@ -670,8 +702,17 @@ def test_cli_oracle_iso_refuses_a_grade_it_cannot_permute(capsys):
 
 BOTTOM = {"id": "*", "dim": -1}
 POINT = {"id": "p", "dim": 0, "gamma": ["*"]}
+Q = {"id": "q", "dim": 0, "gamma": ["*"]}
+R = {"id": "r", "dim": 0, "gamma": ["*"]}
+
+
+def _arrow(name, source, target):
+    return {"id": name, "dim": 1, "delta": [source], "gamma": [target]}
+
+
 # (face-complex cells, local orders, the diagnostic validate prints): one
-# minimal document per code of the document's reading and the bottom cell
+# minimal document per code of the document's reading, the poset axioms,
+# the local orders, the greatest element and the loops
 FACE_COMPLEX_CODES = [
     ([BOTTOM, {"id": "", "dim": 0, "gamma": ["*"]}], [],
      ("BadId", [""], "cell id must be a non-empty string")),
@@ -692,6 +733,29 @@ FACE_COMPLEX_CODES = [
     ([BOTTOM, POINT, {"id": "q", "dim": 0, "gamma": ["*"]}, {"id": "f", "dim": 1, "delta": ["p"], "gamma": ["q"]}],
      [{"x": "f", "z": "p", "order": []}, {"x": "f", "z": "p", "order": []}],
      ("DuplicateLocalOrder", ["f", "p"], "two local orders stored at ('f', 'p')")),
+    ([BOTTOM, POINT, {"id": "f", "dim": 1, "delta": ["u"], "gamma": ["p"]}], [],
+     ("DanglingId", ["f", "u"], "delta of 'f' references unknown cell 'u'")),
+    ([BOTTOM, POINT, Q, _arrow("f", "p", "q")], [{"x": "f", "z": "u", "order": []}],
+     ("DanglingId", ["u"], "local order references unknown cells")),
+    ([BOTTOM, POINT, Q, {"id": "f", "dim": 1, "delta": ["p", "p"], "gamma": ["q"]}], [],
+     ("DuplicateFacet", ["f", "p"], "delta of 'f' lists 'p' twice")),
+    ([BOTTOM, POINT, {"id": "f", "dim": 1, "delta": ["p"]}], [],
+     ("GammaNotSingleton", ["f"], "gamma of 'f' has 0 elements")),
+    ([BOTTOM, POINT, {"id": "f", "dim": 1, "delta": ["*"], "gamma": ["p"]}], [],
+     ("GradationBroken", ["f", "*"], "facet '*' of 'f' is not one dimension down")),
+    ([BOTTOM, POINT, Q, {"id": "f", "dim": 1, "delta": ["p", "q"], "gamma": ["p"]}], [],
+     ("LoopAxiomViolated", ["f"], "delta and gamma of 'f' overlap without being equal")),
+    # two loops on p as sources of A, with no order stored, then with an order that leaves one out
+    ([BOTTOM, POINT, _arrow("y1", "p", "p"), _arrow("y2", "p", "p"), _arrow("g", "p", "p"),
+      {"id": "A", "dim": 2, "delta": ["y1", "y2"], "gamma": ["g"]}], [],
+     ("LocalOrderMissing", ["A", "p"], "'A' has several loop sources on 'p' but no stored order")),
+    ([BOTTOM, POINT, _arrow("y1", "p", "p"), _arrow("y2", "p", "p"), _arrow("g", "p", "p"),
+      {"id": "A", "dim": 2, "delta": ["y1", "y2"], "gamma": ["g"]}], [{"x": "A", "z": "p", "order": ["y1"]}],
+     ("LocalOrderInvalid", ["A", "p", "y1"], "stored order at ('A', 'p') is not an enumeration of the loop sources")),
+    ([BOTTOM, POINT, Q], [],
+     ("NoGreatestElement", ["p", "q"], "2 maximal cells")),
+    ([BOTTOM, POINT, _arrow("y", "p", "p")], [],
+     ("LoopWithoutPlusCoface", ["y"], "loop 'y' has no cell with 'y' as proper target")),
 ]
 
 
@@ -701,6 +765,36 @@ def test_cli_validate_reports_each_reading_and_bottom_code(tmp_path, capsys, cel
     _assert_validate_prints(tmp_path, capsys, cells, orders, expected)
 
 
+HUGE = 10**18
+
+
+def _huge_a0(cells):
+    next(rec for rec in cells if rec["id"] == "a0")["dim"] = HUGE
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_huge_a0,
+     [("GradationBroken", ["a0", "b0"], "facet 'b0' of 'a0' is not one dimension down"),
+      ("GradationBroken", ["a0", "b1"], "facet 'b1' of 'a0' is not one dimension down"),
+      ("GradationBroken", ["a0", "b2"], "facet 'b2' of 'a0' is not one dimension down"),
+      ("GradationBroken", ["rho", "a0"], "facet 'a0' of 'rho' is not one dimension down")]),
+    (lambda cells: cells.append({"id": "zz", "dim": HUGE, "delta": [], "gamma": []}),
+     [("GammaNotSingleton", ["zz"], "gamma of 'zz' has 0 elements")]),
+], ids=["facets", "lone-cell"])
+def test_cli_validate_reports_a_huge_dimension_at_once(tmp_path, capsys, edit, expected):
+    # no check may step through the grades up to a declared dimension
+    doc = json.loads(fixture_text("rho3.dfc.json"))
+    edit(doc["cells"])
+    edited = tmp_path / "doc.dfc.json"
+    edited.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["validate", str(edited)]) == 1
+    assert time.perf_counter() - start < 0.5
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["code"], d["cells"], d["message"]) for d in lines[:-1]] == expected
+    assert lines[-1] == {"file": str(edited), "valid": False}
+
+
 def _assert_validate_prints(tmp_path, capsys, cells, orders, expected):
     doc = tmp_path / "doc.dfc.json"
     doc.write_text(json.dumps({"cells": cells, "local_orders": orders}))
@@ -708,14 +802,6 @@ def _assert_validate_prints(tmp_path, capsys, cells, orders, expected):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert expected in [(d.get("code"), d.get("cells"), d.get("message")) for d in lines]
     assert lines[-1] == {"file": str(doc), "valid": False}
-
-
-Q = {"id": "q", "dim": 0, "gamma": ["*"]}
-R = {"id": "r", "dim": 0, "gamma": ["*"]}
-
-
-def _arrow(name, source, target):
-    return {"id": name, "dim": 1, "delta": [source], "gamma": [target]}
 
 
 # one minimal document per code of the facet flow, each passing the poset
