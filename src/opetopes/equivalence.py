@@ -103,7 +103,8 @@ def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
             if a is None:
                 least[b] = key.get(b, ())
             else:
-                least[b] = min((least[s] for s in t.sources_of(a)), default=key.get(a, ()))
+                srcs = t.sources_of(a)
+                least[b] = min(map(least.__getitem__, srcs)) if srcs else key.get(a, ())
         nodes, edges, stack = [], [], [t.root]
         while stack:
             b = stack.pop()
@@ -111,7 +112,8 @@ def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
             a = t.source_node_of(b)
             if a is not None:
                 nodes.append(a)
-                stack.extend(sorted(t.sources_of(a), key=least.__getitem__, reverse=True))
+                srcs = t.sources_of(a)
+                stack.extend(sorted(srcs, key=least.__getitem__, reverse=True) if len(srcs) > 1 else srcs)
         out.append((nodes, edges))
     return out
 

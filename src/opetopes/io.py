@@ -160,6 +160,14 @@ def _check_ids(value, where: tuple, *keys, container=list, strict: bool = False)
             _check_bad_id(v, where, *keys, key, strict=strict)
 
 
+_STR = {str}
+
+
+def _plain_ids(values) -> bool:
+    """Whether values are all non-empty strings, the ids of a valid document, which pass every id check."""
+    return "" not in values and _STR.issuperset(map(type, values))
+
+
 def _check_bad_id(value, where: tuple, *keys, strict: bool) -> None:
     """Non-string scalars and the empty string pass unless strict: the face-complex validators report them as bad ids."""
     if isinstance(value, (list, dict)):
@@ -193,13 +201,15 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
     for i, rec in enumerate(doc["cells"]):
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each cell is an object with at least an 'id'")
-        rec.setdefault("delta", [])
-        rec.setdefault("gamma", [])
-        _check_id(rec["id"], ("cells", i, "id"))
-        _check_ids(rec["delta"], ("cells", i, "delta"))
-        _check_ids(rec["gamma"], ("cells", i, "gamma"))
-        for key in sorted(set(rec) - DFC_CELL_KEYS):
-            warnings.append(f"cell {rec['id']!r}: unknown field {key!r}")
+        cid, delta, gamma = rec["id"], rec.setdefault("delta", []), rec.setdefault("gamma", [])
+        # the common case, decided without a JSON path per field
+        if not (type(cid) is str and cid and type(delta) is list and type(gamma) is list and _plain_ids(delta + gamma)):
+            _check_id(cid, ("cells", i, "id"))
+            _check_ids(delta, ("cells", i, "delta"))
+            _check_ids(gamma, ("cells", i, "gamma"))
+        if not rec.keys() <= DFC_CELL_KEYS:
+            for key in sorted(set(rec) - DFC_CELL_KEYS):
+                warnings.append(f"cell {cid!r}: unknown field {key!r}")
     doc.setdefault("local_orders", [])
     if not isinstance(doc["local_orders"], list):
         raise ParseError("local_orders must be an array")
@@ -241,17 +251,20 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
     for i, rec in enumerate(doc["trees"]):
         if not isinstance(rec, dict) or "root" not in rec:
             raise ParseError(f"tree {i} must be an object with at least a 'root'")
-        rec.setdefault("nodes", [])
-        rec.setdefault("edges", [])
-        rec.setdefault("node_target", {})
-        rec.setdefault("edge_target", {})
-        _check_id(rec["root"], ("trees", i, "root"), strict=True)
-        _check_ids(rec["nodes"], ("trees", i, "nodes"), strict=True)
-        _check_ids(rec["edges"], ("trees", i, "edges"), strict=True)
-        _check_ids(rec["node_target"], ("trees", i, "node_target"), container=dict, strict=True)
-        _check_ids(rec["edge_target"], ("trees", i, "edge_target"), container=dict, strict=True)
-        for key in sorted(set(rec) - TREE_KEYS):
-            warnings.append(f"tree {i}: unknown field {key!r}")
+        root, nodes, edges = rec["root"], rec.setdefault("nodes", []), rec.setdefault("edges", [])
+        node_target, edge_target = rec.setdefault("node_target", {}), rec.setdefault("edge_target", {})
+        # the common case, decided without a JSON path per field
+        if not (type(root) is str and root and type(nodes) is list and type(edges) is list
+                and type(node_target) is dict and type(edge_target) is dict
+                and _plain_ids([*nodes, *edges, *node_target.values(), *edge_target.values()])):
+            _check_id(root, ("trees", i, "root"), strict=True)
+            _check_ids(nodes, ("trees", i, "nodes"), strict=True)
+            _check_ids(edges, ("trees", i, "edges"), strict=True)
+            _check_ids(node_target, ("trees", i, "node_target"), container=dict, strict=True)
+            _check_ids(edge_target, ("trees", i, "edge_target"), container=dict, strict=True)
+        if not rec.keys() <= TREE_KEYS:
+            for key in sorted(set(rec) - TREE_KEYS):
+                warnings.append(f"tree {i}: unknown field {key!r}")
     doc.setdefault("constellations", [])
     if not isinstance(doc["constellations"], list):
         raise ParseError("constellations must be an array")
@@ -262,12 +275,14 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         if not isinstance(rec["subdivision"], dict):
             raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
         for b, ws in rec["subdivision"].items():
-            _check_ids(ws, ("constellations", i, "subdivision"), b, strict=True)
+            if type(ws) is not list or not _plain_ids(ws):
+                _check_ids(ws, ("constellations", i, "subdivision"), b, strict=True)
         for key in ("sigma_black", "sigma_white"):
             if rec.get(key) is not None:
                 _check_ids(rec[key], ("constellations", i, key), container=dict, strict=True)
-        for key in sorted(set(rec) - CONSTELLATION_KEYS):
-            warnings.append(f"constellation {i}: unknown field {key!r}")
+        if not rec.keys() <= CONSTELLATION_KEYS:
+            for key in sorted(set(rec) - CONSTELLATION_KEYS):
+                warnings.append(f"constellation {i}: unknown field {key!r}")
     if len(doc["constellations"]) != len(doc["trees"]) - 1:
         raise ParseError(
             f"{len(doc['trees'])} trees need {len(doc['trees']) - 1} constellations, got {len(doc['constellations'])}"
@@ -298,6 +313,8 @@ def opetope_from_doc(doc: dict) -> Opetope:
     ope = Opetope(trees, subdivisions)
     non_exact = []
     for i, rec in enumerate(doc["constellations"]):
+        if rec.get("sigma_black") is None and rec.get("sigma_white") is None:
+            continue
         black = {a: a for a in trees[i].nodes}
         white = {w: w for ws in subdivisions[i].values() for w in ws}
         if rec.get("sigma_black") not in (None, black) or rec.get("sigma_white") not in (None, white):

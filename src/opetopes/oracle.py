@@ -331,14 +331,13 @@ class LoopPath:
 
     members lists the traversed non-target cofaces bottom-up; entering[i]
     is the loop through which members[i] was entered.  root_loop is set
-    when the ascent ends on the iterated target instead of a zig-zag
-    member; completion carries the final chain signs otherwise.
+    when the ascent ends on the iterated target; otherwise it ends on a
+    zig-zag member whose chain has a sign completion.
     """
 
     members: tuple[str, ...]
     entering: tuple[str, ...]
     root_loop: str | None
-    completion: tuple[str, str] | None
 
 
 def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
@@ -352,7 +351,7 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
         if not cofaces(mop, MINUS, current):
             if current != dfc.iterated_targets[mop.dim[current]]:
                 raise InternalError(f"{current!r} is sourceless-above yet not the iterated target")
-            return LoopPath(tuple(members), tuple(entering), current, None)
+            return LoopPath(tuple(members), tuple(entering), current)
         lam_up = [x for x in cofaces(mop, MINUS, current) if x in mop.lam]
         if len(lam_up) != 1:
             raise InternalError(f"{current!r} has {len(lam_up)} non-target minus-cofaces")
@@ -367,14 +366,10 @@ def loop_path(dfc: Dfc, c: str, b: str) -> LoopPath:
                     raise InternalError(f"confinement fails at {a!r}: source {y!r} is not a loop on {c!r}")
             current = g
             continue
-        # the first sign completion in facet order, sought among the cofaces of c
-        y2 = min(
-            (y2 for y2 in cofaces(mop, MINUS, c) + cofaces(mop, PLUS, c) if y2 != current and mop.sign(y2, a) in (MINUS, PLUS)),
-            default=None,
-        )
-        if y2 is None:
+        # a sign completion, sought among the cofaces of c
+        if not any(y2 != current and mop.sign(y2, a) in (MINUS, PLUS) for y2 in cofaces(mop, MINUS, c) + cofaces(mop, PLUS, c)):
             raise InternalError(f"chain {c!r} <o {current!r} <- {a!r} has no sign completion")
-        return LoopPath(tuple(members), tuple(entering), None, (mop.sign(y2, a), mop.sign(c, y2)))
+        return LoopPath(tuple(members), tuple(entering), None)
     raise InternalError(f"loop path from {b!r} over {c!r} exceeded the step bound")
 
 

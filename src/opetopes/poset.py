@@ -28,7 +28,8 @@ count the loop sources of x by the cell they loop on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -143,6 +144,10 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
         dim[cid] = d
         for key, store in (("delta", delta), ("gamma", gamma)):
             refs = rec.get(key, [])
+            facets = frozenset(refs)
+            if len(facets) == len(refs) and facets <= seen:  # each a known cell, listed once
+                store[cid] = facets
+                continue
             ok = []
             local_seen = set()
             for r in refs:
@@ -183,21 +188,33 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.delta[b] or mop.gamma[b]:
             out.append(make("BottomBoundary", [b], "bottom cell", "the bottom cell must have empty delta and gamma"))
 
-    for x in mop.cells:
-        k = mop.dim[x]
+    # per grade the poset holds (a declared dim can be huge): each gamma a
+    # singleton, every facet one grade down, and delta meeting a gamma only
+    # by holding it, in which case delta is that gamma; a grade that fails
+    # is listed cell by cell
+    on_bottom = {frozenset(bottoms[:1])}
+    for k, cells in mop._by_dim.items():
         if k < 0:
             continue
-        if len(mop.gamma[x]) != 1:
-            out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
-        for y in mop.delta[x] | mop.gamma[x]:
-            if mop.dim[y] != k - 1:
-                out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
-        inter = mop.delta[x] & mop.gamma[x]
-        if inter and mop.delta[x] != mop.gamma[x]:
-            out.append(make("LoopAxiomViolated", [x], "delta meets gamma only on loops", f"delta and gamma of {x!r} overlap without being equal"))
-        if k == 0:
-            if bottoms and (mop.gamma[x] != frozenset(bottoms[:1]) or mop.delta[x]):
-                out.append(make("ZeroCellBoundary", [x], "0-cells sit on the bottom", f"0-cell {x!r} must have empty delta and the bottom cell as gamma"))
+        ds, gs = [*map(mop.delta.__getitem__, cells)], [*map(mop.gamma.__getitem__, cells)]
+        if (
+            {*map(len, gs)} == {1} and set().union(*ds, *gs).issubset(mop._by_dim.get(k - 1, ()))
+            and not any(map(frozenset.__lt__, gs, ds))
+            and (k != 0 or not any(ds) and (not bottoms or on_bottom.issuperset(gs)))
+        ):
+            continue
+        for x in cells:
+            if len(mop.gamma[x]) != 1:
+                out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
+            for y in mop.delta[x] | mop.gamma[x]:
+                if mop.dim[y] != k - 1:
+                    out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
+            inter = mop.delta[x] & mop.gamma[x]
+            if inter and mop.delta[x] != mop.gamma[x]:
+                out.append(make("LoopAxiomViolated", [x], "delta meets gamma only on loops", f"delta and gamma of {x!r} overlap without being equal"))
+            if k == 0:
+                if bottoms and (mop.gamma[x] != frozenset(bottoms[:1]) or mop.delta[x]):
+                    out.append(make("ZeroCellBoundary", [x], "0-cells sit on the bottom", f"0-cell {x!r} must have empty delta and the bottom cell as gamma"))
 
     out.extend(_local_order_diagnostics(mop))
     return sorted(set(out), key=sort_key)
@@ -216,8 +233,11 @@ def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     out = []
     loop_sources = {}
     required: set[tuple[str, str]] = set()
-    for x in sorted(mop.lam):
-        if mop.dim[x] < 1:
+    # a loop source is a cell whose delta meets its gamma, so only a cell
+    # with such a cell in its delta can need a stored order
+    looping = frozenset(compress(mop.cells, map(not_, map(frozenset.isdisjoint, mop.delta.values(), mop.gamma.values()))))
+    for x in sorted(mop.lam) if looping else ():
+        if mop.dim[x] < 1 or looping.isdisjoint(mop.delta[x]):
             continue
         loop_sources[x] = _loop_sources(mop, x)
         required.update((x, z) for z, ys in loop_sources[x].items() if len(ys) >= 2)

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, filterfalse
+from operator import not_
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -42,26 +44,26 @@ class RootedTree:
         self.node_target = dict(node_target)   # node -> edge below it
         self.edge_target = dict(edge_target)   # edge -> node below it
         self.root = root
-        self._source_node = {}                 # edge -> node above it
-        for a, b in self.node_target.items():
-            self._source_node.setdefault(b, a)
-        self._sources = {a: [] for a in self.nodes}
+        # edge -> node above it; of two nodes on one target edge, the first
+        self._source_node = {b: a for a, b in reversed(self.node_target.items())}
+        sources = {a: [] for a in self.nodes}  # node -> the edges above it, in id order
         for b in self.edges:
             a = self.edge_target.get(b)
-            if a in self._sources:
-                self._sources[a].append(b)
+            if a in sources:
+                sources[a].append(b)
+        self._sources = {a: tuple(bs) for a, bs in sources.items()}
 
     @property
     def leaves(self) -> tuple[str, ...]:
-        return tuple(b for b in self.edges if b not in self._source_node)
+        return tuple(filterfalse(self._source_node.__contains__, self.edges))
 
     @property
     def nulldots(self) -> tuple[str, ...]:
-        return tuple(a for a in self.nodes if not self._sources[a])
+        return tuple(compress(self.nodes, map(not_, map(self._sources.__getitem__, self.nodes))))
 
     def sources_of(self, a: str) -> tuple[str, ...]:
         """Edges whose target node is a, in sorted order (trees are not planar)."""
-        return tuple(self._sources[a])
+        return self._sources[a]
 
     def source_node_of(self, b: str) -> str | None:
         return self._source_node.get(b)
@@ -92,9 +94,28 @@ class RootedTree:
 
 
 def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
     nodes, edges, node_target, edge_target, root = t.nodes, t.edges, t.node_target, t.edge_target, t.root
     node_set, edge_set = set(nodes), set(edges)
+    targets = set(node_target.values())
+    # a valid tree passes these set tests, and then only a cycle can remain;
+    # each test that fails has a fault listed below, so only a tree that
+    # fails one is walked id by id
+    if (
+        len(node_set) == len(nodes) and len(edge_set) == len(edges) and node_set.isdisjoint(edge_set)
+        and node_target.keys() == node_set and len(targets) == len(node_target) and targets <= edge_set
+        and edge_target.keys() <= edge_set and node_set.issuperset(edge_target.values())
+        and root in edge_set and root not in edge_target and len(edge_target) == len(edge_set) - 1
+    ):
+        # the root has no target node and every other edge enters the walk
+        # up from it only through its one target node, whose one target edge
+        # is walked at most once: so the walk ends, lists no edge twice, and
+        # what it misses descends into a cycle
+        if len(t.edge_order) == len(edges):
+            return []
+        stuck = sorted(edge_set.difference(t.edge_order))
+        return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
+
+    out: list[Diagnostic] = []
     if len(node_set) != len(nodes) or len(edge_set) != len(edges):
         out.append(make("DuplicateId", [], "tree ids", "repeated node or edge id"))
     clash = sorted(node_set & edge_set)
@@ -125,17 +146,7 @@ def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
         out.append(make("RootHasTarget", [root], "rooted tree", "the root edge has a target node"))
     if len(targetless) > 1:
         out.append(make("MultipleRoots", targetless, "rooted tree", "more than one targetless edge"))
-    if out:
-        return sorted(set(out), key=sort_key)
-
-    # the root has no target node and every other edge enters the walk up
-    # from it only through its one target node, whose one target edge is
-    # walked at most once: so the walk ends, and what it misses descends
-    # into a cycle
-    stuck = sorted(edge_set.difference(t.edge_order))
-    if stuck:
-        return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
-    return []
+    return sorted(set(out), key=sort_key)
 
 
 # -- subdivisions -----------------------------------------------------
@@ -143,8 +154,14 @@ def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
 
 def subdivided_diagnostics(t: RootedTree, w: dict) -> list[Diagnostic]:
     """Violations of the subdivision w (edge -> whitedots) of tree t."""
-    out = []
     edges = set(t.edges)
+    whitedots = list(chain.from_iterable(w.values()))
+    dots = set(whitedots)
+    # the keys name edges; the whitedots, on edges listed once, are distinct and share no id of the tree
+    if (len(edges) == len(t.edges) and edges.issuperset(w) and len(dots) == len(whitedots)
+            and dots.isdisjoint(t.nodes) and dots.isdisjoint(edges)):
+        return []
+    out = []
     used = set(t.nodes) | edges
     for b in sorted(w):
         if b not in edges:
@@ -167,8 +184,8 @@ def subdivided_diagnostics(t: RootedTree, w: dict) -> list[Diagnostic]:
 
 def _same_dots(code: str, dots, expected, message: str) -> list[Diagnostic]:
     """No diagnostic when dots are exactly the expected dots of the next tree, else one on the difference."""
-    diff = sorted(set(dots) ^ set(expected))
-    return [make(code, diff, "exact constellation", message)] if diff else []
+    diff = set(dots).symmetric_difference(expected)
+    return [make(code, sorted(diff), "exact constellation", message)] if diff else []
 
 
 def segment_sweep(t: RootedTree, w: dict, u: RootedTree):
@@ -231,7 +248,7 @@ def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
     out = subdivided_diagnostics(t, subdivision)
     if out:
         return out
-    whitedots = [d for ws in subdivision.values() for d in ws]
+    whitedots = chain.from_iterable(subdivision.values())
     out.extend(_same_dots("BlackdotsNotNextLeaves", t.nodes, u.leaves, "the blackdots are not the leaves of the next tree"))
     out.extend(_same_dots("WhitedotsNotNextNulldots", whitedots, u.nulldots, "the whitedots are not the nulldots of the next tree"))
     if out:
@@ -286,16 +303,24 @@ def opetope_diagnostics(ope: Opetope) -> list[Diagnostic]:
         out.extend(constellation_diagnostics(ope.trees[i], sub, ope.trees[i + 1]))
     # one name, one element: cells of distinct degrees must not share ids
     # (edge with edge, node with node); every node below the top is a leaf
-    # of the next tree, so only a top node can clash with a lower edge
-    edges = [set(t.edges) for t in ope.trees]
-    nodes = [set(t.nodes) for t in ope.trees]
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            clashes = edges[i] & edges[j] | nodes[i] & nodes[j]
-            if j == n:
-                clashes |= edges[i] & nodes[n]
-            for clash in sorted(clashes):
-                out.append(make("IdClash", [clash], "zoom complex", f"id {clash!r} used at degrees {i} and {j}"))
+    # of the next tree, so only a top node can clash with a lower edge.  No
+    # tree repeats an id, so the names are distinct when their count is the
+    # size of their union; only a count that differs is listed pair by pair
+    all_edges = set().union(*(t.edges for t in ope.trees))
+    if (
+        len(all_edges) != sum(len(t.edges) for t in ope.trees)
+        or len(set().union(*(t.nodes for t in ope.trees))) != sum(len(t.nodes) for t in ope.trees)
+        or not all_edges.isdisjoint(ope.trees[n].nodes)
+    ):
+        edges = [set(t.edges) for t in ope.trees]
+        nodes = [set(t.nodes) for t in ope.trees]
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                clashes = edges[i] & edges[j] | nodes[i] & nodes[j]
+                if j == n:
+                    clashes |= edges[i] & nodes[n]
+                for clash in sorted(clashes):
+                    out.append(make("IdClash", [clash], "zoom complex", f"id {clash!r} used at degrees {i} and {j}"))
     if not _is_arrow_shape(ope.trees[0]):
         out.append(make("BadBaseTree", [ope.trees[0].root], "opetope base", "degree-0 tree must have one root, one leaf and one node"))
     if n >= 1 and not _is_arrow_shape(ope.trees[1]):

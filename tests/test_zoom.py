@@ -122,7 +122,7 @@ def test_zigzag_oracle_everywhere(rho_dfc, omega_dfc):
 def test_loop_path_examples(rho_dfc):
     p = loop_path(rho_dfc, "c1", "b4")
     assert p.members == ("a2", "a1") and p.entering == ("b4", "b3")
-    assert p.root_loop is None and p.completion is not None
+    assert p.root_loop is None
     p5 = loop_path(rho_dfc, "c1", "b5")
     assert p5.members[0] == "a2"
     # single step: b6 enters a1 directly and terminates there
