@@ -11,6 +11,9 @@ collect every violation instead of stopping at the first one.
 A document becomes a poset in one read (mop_from_doc), which leaves out
 what it cannot place and reports it; mop_validate adds the poset axioms
 and returns that same poset, which dfc_validate checks as a face complex.
+On a valid document the reading and the poset axioms are set tests, per
+record and per grade, and only a record or grade that fails one is
+listed reference by reference.
 The signs add nothing to delta and gamma: sign(y, x) reads them, and
 facets(x) lists delta(x) | gamma(x) in id order.  The constructor stores
 the cells in id order, the one order every reader uses, and its one pass
@@ -188,10 +191,11 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.delta[b] or mop.gamma[b]:
             out.append(make("BottomBoundary", [b], "bottom cell", "the bottom cell must have empty delta and gamma"))
 
-    # per grade the poset holds (a declared dim can be huge): each gamma a
-    # singleton, every facet one grade down, and delta meeting a gamma only
-    # by holding it, in which case delta is that gamma; a grade that fails
-    # is listed cell by cell
+    # set tests per grade the poset holds, never per declared dimension,
+    # which can be huge: each gamma a singleton, every facet one grade down,
+    # and no gamma a proper subset of its delta (the one way a singleton
+    # gamma meets delta without being equal to it); only a grade that fails
+    # one is listed cell by cell
     on_bottom = {frozenset(bottoms[:1])}
     for k, cells in mop._by_dim.items():
         if k < 0:

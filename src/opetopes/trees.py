@@ -10,7 +10,9 @@ tree i+1 is exact, so the blackdots (nodes) of subdivided tree i are the
 leaves of tree i+1 and its whitedots are the nulldots, by name, subject to
 the kernel (connectivity) rule.  So one name denotes one element, and
 opetope_diagnostics reports any other reuse of a name across trees as an
-IdClash.  The trees of degree 0..2 have constrained shapes.
+IdClash.  The trees of degree 0..2 have constrained shapes.  Each check
+decides a valid input by set tests and lists ids one by one only for a
+rule that fails.
 
 The kernel rule is computed in one place, segment_sweep, by signed
 counts.  A segment (b, i) is the stretch of edge b above its i-th
@@ -55,10 +57,12 @@ class RootedTree:
 
     @property
     def leaves(self) -> tuple[str, ...]:
+        """The edges with no node above them, in id order."""
         return tuple(filterfalse(self._source_node.__contains__, self.edges))
 
     @property
     def nulldots(self) -> tuple[str, ...]:
+        """The nodes with no source edge, in id order."""
         return tuple(compress(self.nodes, map(not_, map(self._sources.__getitem__, self.nodes))))
 
     def sources_of(self, a: str) -> tuple[str, ...]:
