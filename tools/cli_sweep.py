@@ -55,7 +55,7 @@ def documents() -> list[tuple[str, str, str | None]]:
             name, copy = f"gen/{i:03d}.{ext}.json", f"gen/{i:03d}r.{ext}.json"
             docs.append((name, serialize_doc(doc), copy))
             docs.append((copy, serialize_doc(relabel_doc(doc, rng)[0]), name))
-    generated = test_axiom_indexes.generated.__wrapped__()
+    generated = test_axiom_indexes.generated.__wrapped__()  # the fixture's function, so the sweep edits what the tests edit
     for edit in test_axiom_indexes.EDITS:
         for i, doc in enumerate(test_axiom_indexes.single_edits(generated, edit)):
             docs.append((f"edit/{edit.__name__}-{i:02d}.dfc.json", serialize_doc(doc), None))
