@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .diagnostics import ParseError, ValidationError, make
 from .poset import Dfc
@@ -160,14 +161,6 @@ def _check_ids(value, where: tuple, *keys, container=list, strict: bool = False)
             _check_bad_id(v, where, *keys, key, strict=strict)
 
 
-_STR = {str}
-
-
-def _plain_ids(values) -> bool:
-    """Whether values are all non-empty strings, the ids of a valid document, which pass every id check."""
-    return "" not in values and _STR.issuperset(map(type, values))
-
-
 def _check_bad_id(value, where: tuple, *keys, strict: bool) -> None:
     """Non-string scalars and the empty string pass unless strict: the face-complex validators report them as bad ids."""
     if isinstance(value, (list, dict)):
@@ -203,7 +196,7 @@ def normalize_dfc(doc) -> tuple[dict, list[str]]:
             raise ParseError("each cell is an object with at least an 'id'")
         cid, delta, gamma = rec["id"], rec.setdefault("delta", []), rec.setdefault("gamma", [])
         # the common case, decided without a JSON path per field
-        if not (type(cid) is str and cid and type(delta) is list and type(gamma) is list and _plain_ids(delta + gamma)):
+        if not (type(cid) is str and cid and type(delta) is list and type(gamma) is list and all(type(v) is str and v for v in delta + gamma)):
             _check_id(cid, ("cells", i, "id"))
             _check_ids(delta, ("cells", i, "delta"))
             _check_ids(gamma, ("cells", i, "gamma"))
@@ -256,7 +249,7 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         # the common case, decided without a JSON path per field
         if not (type(root) is str and root and type(nodes) is list and type(edges) is list
                 and type(node_target) is dict and type(edge_target) is dict
-                and _plain_ids([*nodes, *edges, *node_target.values(), *edge_target.values()])):
+                and all(type(v) is str and v for v in chain(nodes, edges, node_target.values(), edge_target.values()))):
             _check_id(root, ("trees", i, "root"), strict=True)
             _check_ids(nodes, ("trees", i, "nodes"), strict=True)
             _check_ids(edges, ("trees", i, "edges"), strict=True)
@@ -275,7 +268,7 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
         if not isinstance(rec["subdivision"], dict):
             raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
         for b, ws in rec["subdivision"].items():
-            if type(ws) is not list or not _plain_ids(ws):
+            if not (type(ws) is list and all(type(v) is str and v for v in ws)):
                 _check_ids(ws, ("constellations", i, "subdivision"), b, strict=True)
         for key in ("sigma_black", "sigma_white"):
             if rec.get(key) is not None:

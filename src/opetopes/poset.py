@@ -11,9 +11,8 @@ collect every violation instead of stopping at the first one.
 A document becomes a poset in one read (mop_from_doc), which leaves out
 what it cannot place and reports it; mop_validate adds the poset axioms
 and returns that same poset, which dfc_validate checks as a face complex.
-On a valid document the reading and the poset axioms are set tests, per
-record and per grade, and only a record or grade that fails one is
-listed reference by reference.
+On a valid document the reading is a set test per record, and only a
+record that fails it is listed reference by reference.
 The signs add nothing to delta and gamma: sign(y, x) reads them, and
 facets(x) lists delta(x) | gamma(x) in id order.  The constructor stores
 the cells in id order, the one order every reader uses, and its one pass
@@ -191,34 +190,21 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.delta[b] or mop.gamma[b]:
             out.append(make("BottomBoundary", [b], "bottom cell", "the bottom cell must have empty delta and gamma"))
 
-    # set tests per grade the poset holds, never per declared dimension,
-    # which can be huge: each gamma a singleton, every facet one grade down,
-    # and no gamma a proper subset of its delta (the one way a singleton
-    # gamma meets delta without being equal to it); only a grade that fails
-    # one is listed cell by cell
-    on_bottom = {frozenset(bottoms[:1])}
-    for k, cells in mop._by_dim.items():
+    for x in mop.cells:
+        k = mop.dim[x]
         if k < 0:
             continue
-        ds, gs = [*map(mop.delta.__getitem__, cells)], [*map(mop.gamma.__getitem__, cells)]
-        if (
-            {*map(len, gs)} == {1} and set().union(*ds, *gs).issubset(mop._by_dim.get(k - 1, ()))
-            and not any(map(frozenset.__lt__, gs, ds))
-            and (k != 0 or not any(ds) and (not bottoms or on_bottom.issuperset(gs)))
-        ):
-            continue
-        for x in cells:
-            if len(mop.gamma[x]) != 1:
-                out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
-            for y in mop.delta[x] | mop.gamma[x]:
-                if mop.dim[y] != k - 1:
-                    out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
-            inter = mop.delta[x] & mop.gamma[x]
-            if inter and mop.delta[x] != mop.gamma[x]:
-                out.append(make("LoopAxiomViolated", [x], "delta meets gamma only on loops", f"delta and gamma of {x!r} overlap without being equal"))
-            if k == 0:
-                if bottoms and (mop.gamma[x] != frozenset(bottoms[:1]) or mop.delta[x]):
-                    out.append(make("ZeroCellBoundary", [x], "0-cells sit on the bottom", f"0-cell {x!r} must have empty delta and the bottom cell as gamma"))
+        if len(mop.gamma[x]) != 1:
+            out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
+        for y in mop.delta[x] | mop.gamma[x]:
+            if mop.dim[y] != k - 1:
+                out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
+        inter = mop.delta[x] & mop.gamma[x]
+        if inter and mop.delta[x] != mop.gamma[x]:
+            out.append(make("LoopAxiomViolated", [x], "delta meets gamma only on loops", f"delta and gamma of {x!r} overlap without being equal"))
+        if k == 0:
+            if bottoms and (mop.gamma[x] != frozenset(bottoms[:1]) or mop.delta[x]):
+                out.append(make("ZeroCellBoundary", [x], "0-cells sit on the bottom", f"0-cell {x!r} must have empty delta and the bottom cell as gamma"))
 
     out.extend(_local_order_diagnostics(mop))
     return sorted(set(out), key=sort_key)

@@ -46,14 +46,16 @@ class RootedTree:
         self.node_target = dict(node_target)   # node -> edge below it
         self.edge_target = dict(edge_target)   # edge -> node below it
         self.root = root
-        # edge -> node above it; of two nodes on one target edge, the first
-        self._source_node = {b: a for a, b in reversed(self.node_target.items())}
-        sources = {a: [] for a in self.nodes}  # node -> the edges above it, in id order
+        self._source_node = source_node = {}   # edge -> node above it
+        for a, b in self.node_target.items():
+            source_node.setdefault(b, a)
+        self._sources = sources = {a: [] for a in self.nodes}  # node -> the edges above it, in id order
         for b in self.edges:
             a = self.edge_target.get(b)
             if a in sources:
                 sources[a].append(b)
-        self._sources = {a: tuple(bs) for a, bs in sources.items()}
+        for a, bs in sources.items():
+            sources[a] = tuple(bs)
 
     @property
     def leaves(self) -> tuple[str, ...]:
@@ -98,59 +100,59 @@ class RootedTree:
 
 
 def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     nodes, edges, node_target, edge_target, root = t.nodes, t.edges, t.node_target, t.edge_target, t.root
     node_set, edge_set = set(nodes), set(edges)
     targets = set(node_target.values())
-    # a valid tree passes these set tests, and then only a cycle can remain;
-    # each test that fails has a fault listed below, so only a tree that
-    # fails one is walked id by id
-    if (
+    # a valid tree passes these set tests, so only a tree that fails one is
+    # listed id by id
+    if not (
         len(node_set) == len(nodes) and len(edge_set) == len(edges) and node_set.isdisjoint(edge_set)
         and node_target.keys() == node_set and len(targets) == len(node_target) and targets <= edge_set
         and edge_target.keys() <= edge_set and node_set.issuperset(edge_target.values())
         and root in edge_set and root not in edge_target and len(edge_target) == len(edge_set) - 1
     ):
-        # the root has no target node and every other edge enters the walk
-        # up from it only through its one target node, whose one target edge
-        # is walked at most once: so the walk ends, lists no edge twice, and
-        # what it misses descends into a cycle
-        if len(t.edge_order) == len(edges):
-            return []
-        stuck = sorted(edge_set.difference(t.edge_order))
-        return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
-
-    out: list[Diagnostic] = []
-    if len(node_set) != len(nodes) or len(edge_set) != len(edges):
-        out.append(make("DuplicateId", [], "tree ids", "repeated node or edge id"))
-    clash = sorted(node_set & edge_set)
-    if clash:
-        out.append(make("IdClash", clash, "tree ids", "ids used both as node and edge"))
-    for a in sorted(set(node_target) - node_set):
-        out.append(make("DanglingId", [str(a), str(node_target[a])], "rooted tree", f"node target entry ({a!r}, {node_target[a]!r}) references an unknown node"))
-    for a in sorted(node_set):
-        b = node_target.get(a)
-        if b is None:
-            out.append(make("NodeWithoutTarget", [a], "rooted tree", f"node {a!r} has no target edge"))
-        elif b not in edge_set:
-            out.append(make("DanglingId", [a, str(b)], "rooted tree", f"target edge of {a!r} is unknown"))
-    for b, a in sorted(edge_target.items()):
-        if b not in edge_set or a not in node_set:
-            out.append(make("DanglingId", [str(b), str(a)], "rooted tree", f"edge target entry ({b!r}, {a!r}) references unknown ids"))
-    seen_targets = set()
-    for a in sorted(node_set):
-        b = node_target.get(a)
-        if b in seen_targets:
-            out.append(make("SharedTargetEdge", [str(b)], "rooted tree", f"edge {b!r} is the target edge of two nodes"))
-        seen_targets.add(b)
-    if root not in edge_set:
-        out.append(make("DanglingId", [str(root)], "rooted tree", "root is not an edge"))
+        if len(node_set) != len(nodes) or len(edge_set) != len(edges):
+            out.append(make("DuplicateId", [], "tree ids", "repeated node or edge id"))
+        clash = sorted(node_set & edge_set)
+        if clash:
+            out.append(make("IdClash", clash, "tree ids", "ids used both as node and edge"))
+        for a in sorted(set(node_target) - node_set):
+            out.append(make("DanglingId", [str(a), str(node_target[a])], "rooted tree", f"node target entry ({a!r}, {node_target[a]!r}) references an unknown node"))
+        for a in sorted(node_set):
+            b = node_target.get(a)
+            if b is None:
+                out.append(make("NodeWithoutTarget", [a], "rooted tree", f"node {a!r} has no target edge"))
+            elif b not in edge_set:
+                out.append(make("DanglingId", [a, str(b)], "rooted tree", f"target edge of {a!r} is unknown"))
+        for b, a in sorted(edge_target.items()):
+            if b not in edge_set or a not in node_set:
+                out.append(make("DanglingId", [str(b), str(a)], "rooted tree", f"edge target entry ({b!r}, {a!r}) references unknown ids"))
+        seen_targets = set()
+        for a in sorted(node_set):
+            b = node_target.get(a)
+            if b in seen_targets:
+                out.append(make("SharedTargetEdge", [str(b)], "rooted tree", f"edge {b!r} is the target edge of two nodes"))
+            seen_targets.add(b)
+        if root not in edge_set:
+            out.append(make("DanglingId", [str(root)], "rooted tree", "root is not an edge"))
+            return sorted(set(out), key=sort_key)
+        targetless = sorted(b for b in edge_set if b not in edge_target)
+        if root in edge_target:
+            out.append(make("RootHasTarget", [root], "rooted tree", "the root edge has a target node"))
+        if len(targetless) > 1:
+            out.append(make("MultipleRoots", targetless, "rooted tree", "more than one targetless edge"))
+    if out:
         return sorted(set(out), key=sort_key)
-    targetless = sorted(b for b in edge_set if b not in edge_target)
-    if root in edge_target:
-        out.append(make("RootHasTarget", [root], "rooted tree", "the root edge has a target node"))
-    if len(targetless) > 1:
-        out.append(make("MultipleRoots", targetless, "rooted tree", "more than one targetless edge"))
-    return sorted(set(out), key=sort_key)
+
+    # the root has no target node and every other edge enters the walk up
+    # from it only through its one target node, whose one target edge is
+    # walked at most once: so the walk ends, and what it misses descends
+    # into a cycle
+    stuck = sorted(edge_set.difference(t.edge_order))
+    if stuck:
+        return [make("Cycle", [stuck[0]], "rooted tree", f"no finite descending path from {stuck[0]!r}")]
+    return []
 
 
 # -- subdivisions -----------------------------------------------------

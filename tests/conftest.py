@@ -4,9 +4,10 @@ import random
 import pytest
 
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.io import opetope_from_doc, parse_dfc, parse_opetope
+from opetopes.io import dfc_to_doc, opetope_from_doc, parse_dfc, parse_opetope
 from opetopes.oracle import oracle_kernel
 from opetopes.poset import MINUS, PLUS, ManyToOnePoset, dfc_validate, mop_validate
+from opetopes.to_poset import p_of
 from opetopes.trees import constellation_diagnostics, opetope_validate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -131,6 +132,12 @@ def generated_corpus(count: int, seed: int = 0, dims=(1, 2, 3, 4)):
         dim = dims[i % len(dims)]
         out.append(gen_opetope(rng, GenParams(dim=dim)))
     return out
+
+
+def edit_corpus() -> list[dict]:
+    """The 24 generated face-complex documents that tests/test_axiom_indexes.py edits, the same on every call."""
+    rng = random.Random(11)
+    return [dfc_to_doc(p_of(gen_opetope(rng, GenParams(dim=2 + i % 4, max_whitedots_per_edge=3)))) for i in range(24)]
 
 
 def relabel_doc(doc: dict, rng) -> tuple[dict, dict]:

@@ -19,13 +19,11 @@ import random
 import pytest
 
 from opetopes import poset
-from opetopes.generator import GenParams, gen_opetope
-from opetopes.io import dfc_to_doc, parse_dfc
+from opetopes.io import parse_dfc
 from opetopes.oracle import oracle_lozenge
 from opetopes.poset import LOOP, MINUS, make, sort_key
-from opetopes.to_poset import p_of
 
-from conftest import FIXTURES
+from conftest import FIXTURES, edit_corpus
 
 
 def reference_thinness(mop):
@@ -216,8 +214,7 @@ EDITS = (drop_source, add_source, swap_source_and_target, retarget, make_loop, d
 
 @pytest.fixture(scope="module")
 def generated():
-    rng = random.Random(11)
-    return [dfc_to_doc(p_of(gen_opetope(rng, GenParams(dim=2 + i % 4, max_whitedots_per_edge=3)))) for i in range(24)]
+    return edit_corpus()
 
 
 def single_edits(generated, edit):

@@ -6,10 +6,10 @@ Runs opetopes.cli.main in this process on these documents: the fixtures
 and the mutation fixtures; generated_corpus(200) (tests/conftest.py) in
 both encodings, each with an id-relabelled copy (conftest.relabel_doc);
 and the single edits of tests/test_axiom_indexes.py, every edit of EDITS
-on each of its 24 generated face complexes.  Each document gets
-validate, info, convert --to ope, convert --to dfc -o, roundtrip,
-export-dot, and iso against itself, against the next document and
-against its relabelled copy.  gen and oracle are left out: they read no
+on each of the 24 face complexes of conftest.edit_corpus.  Each
+document gets validate, info, convert --to ope, convert --to dfc -o,
+roundtrip, export-dot, and iso against itself, against the next document
+and against its relabelled copy.  gen and oracle are left out: they read no
 document the validators decide.
 
 Each line is the call's argv, then the sha256 of its exit code, stdout,
@@ -39,7 +39,7 @@ from opetopes.to_poset import p_of
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 import test_axiom_indexes  # noqa: E402
-from conftest import generated_corpus, relabel_doc  # noqa: E402
+from conftest import edit_corpus, generated_corpus, relabel_doc  # noqa: E402
 
 OUTPUT = "out.json"
 
@@ -55,7 +55,7 @@ def documents() -> list[tuple[str, str, str | None]]:
             name, copy = f"gen/{i:03d}.{ext}.json", f"gen/{i:03d}r.{ext}.json"
             docs.append((name, serialize_doc(doc), copy))
             docs.append((copy, serialize_doc(relabel_doc(doc, rng)[0]), name))
-    generated = test_axiom_indexes.generated.__wrapped__()  # the fixture's function, so the sweep edits what the tests edit
+    generated = edit_corpus()
     for edit in test_axiom_indexes.EDITS:
         for i, doc in enumerate(test_axiom_indexes.single_edits(generated, edit)):
             docs.append((f"edit/{edit.__name__}-{i:02d}.dfc.json", serialize_doc(doc), None))
