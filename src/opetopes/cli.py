@@ -36,15 +36,22 @@ from .trees import opetope_validate
 OK, INVALID, USAGE = 0, 1, 2
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # writes what json.dumps(obj, sort_keys=True) writes
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_ENCODER.encode(obj))
 
 
 def _read(path: str) -> str:
+    """The document at path as text, with CRLF and CR line endings read as LF, as text mode reads them."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path} is not UTF-8 text: {err}") from err
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _load_any(path: str):
@@ -87,8 +94,9 @@ def cmd_convert(args) -> int:
     else:
         doc = dfc_to_doc(p_of(obj)) if kind == "opetope" else dfc_to_doc(obj)
     text = serialize_doc(doc)
-    if args.output:
-        Path(args.output).write_text(text)
+    if args.output is not None:
+        with open(args.output, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return OK

@@ -136,9 +136,13 @@ def dfc_iso_search(c: Dfc, d: Dfc) -> DfcIso | None:
 
     c and d are isomorphic exactly when their zoom complexes are, and z_of
     names tree elements by cell ids, so the witness reads the opetope
-    witness id by id; the reserved cells map as in theta.
+    witness id by id; the reserved cells map as in theta.  An isomorphism
+    keeps every grade, so complexes whose grade sizes differ are answered
+    before either is translated.
     """
-    if c.dimension != d.dimension or len(c.mop.cells) != len(d.mop.cells):
+    if c.dimension != d.dimension or any(
+        len(c.mop.grade(k)) != len(d.mop.grade(k)) for k in range(-1, c.dimension + 1)
+    ):
         return None
     g = opetope_iso_search(z_of(c), z_of(d))
     if g is None:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import opetopes.equivalence
 from opetopes.cli import main
 from opetopes.diagnostics import RoundTripBroken
 from opetopes.equivalence import (
@@ -21,7 +22,7 @@ from opetopes.poset import dfc_validate, mop_from_doc, mop_validate, trusted_dfc
 from opetopes.to_poset import p_of
 from opetopes.trees import Opetope, opetope_diagnostics
 
-from conftest import linear_opetope_doc, load_dfc_doc, load_ope_doc, relabel_doc
+from conftest import generated_corpus, linear_opetope_doc, load_dfc_doc, load_ope_doc, relabel_doc
 from test_poset import ARROW
 
 
@@ -88,6 +89,23 @@ def test_dfc_iso_search_recovers_permutation(rho_dfc):
 
 def test_dfc_iso_search_distinguishes(rho_dfc, omega_dfc):
     assert dfc_iso_search(rho_dfc, omega_dfc) is None
+
+
+def test_dfc_iso_search_answers_unequal_grade_sizes_without_translating(monkeypatch):
+    def grades(c):
+        return [len(c.mop.grade(k)) for k in range(-1, c.dimension + 1)]
+
+    by_size = {}
+    for ope in generated_corpus(40):
+        c = p_of(ope)
+        by_size.setdefault((c.dimension, len(c.mop.cells)), []).append(c)
+    a, b = next((a, b) for same in by_size.values() for a in same for b in same if grades(a) != grades(b))
+
+    def no_translation(c):
+        raise AssertionError("z_of called")
+
+    monkeypatch.setattr(opetopes.equivalence, "z_of", no_translation)
+    assert dfc_iso_search(a, b) is None and dfc_iso_search(b, a) is None
 
 
 def test_opetope_iso_search_identity(omega_ope):

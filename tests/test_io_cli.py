@@ -395,6 +395,46 @@ def test_cli_reports_a_missing_file_as_before(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["validate", ""], "''"),
+    (["validate", "./missing.json"], "'./missing.json'"),
+    (["convert", "--to", "dfc", path("rho3.ope.json"), "-o", ""], "''"),
+], ids=["empty path", "unnormalised path", "empty output path"])
+def test_cli_names_a_path_as_given(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {named}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _syntax_error_on_line_3(text: str) -> str:
+    lines = text.split("\n")
+    assert lines[2] == "    {"
+    lines[2] = "    {]"
+    return "\n".join(lines)
+
+
+LINE_ENDINGS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+
+
+@pytest.mark.parametrize("name, expected_err", [
+    ("rho3.dfc.json", ""),
+    ("rho3.ope.json", ""),
+    ("broken.dfc.json", "error: Expecting property name enclosed in double quotes (line 3, column 6)\n"),
+])
+def test_cli_reads_crlf_and_cr_line_endings_as_lf(name, expected_err, tmp_path, monkeypatch, capsys):
+    text = _syntax_error_on_line_3(fixture_text("rho3.dfc.json")) if name == "broken.dfc.json" else fixture_text(name)
+    seen = {}
+    for label, ending in LINE_ENDINGS.items():
+        (tmp_path / label).mkdir()
+        (tmp_path / label / name).write_bytes(text.replace("\n", ending).encode("utf-8"))
+        monkeypatch.chdir(tmp_path / label)
+        code = main(["validate", name])
+        seen[label] = (code, *capsys.readouterr())
+    assert seen["LF"] == ((2, "", expected_err) if expected_err else (0, f'{{"file": "{name}", "valid": true}}\n', ""))
+    assert seen["CRLF"] == seen["LF"] and seen["CR"] == seen["LF"]
+
+
 @pytest.mark.parametrize("wrap", ["{}", '{{"cells": {}, "local_orders": []}}'], ids=["whole file", "cells"])
 def test_cli_reports_deeply_nested_json_as_a_parse_error(wrap, tmp_path, capsys):
     deep = tmp_path / "deep.json"

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tools/cli_sweep.py > sweep.txt
 
 Runs opetopes.cli.main in this process on these documents: the fixtures
-and the mutation fixtures; generated_corpus(200) (tests/conftest.py) in
+and the mutation fixtures; CRLF and lone-CR copies of the four top-level
+fixtures; generated_corpus(200) (tests/conftest.py) in
 both encodings, each with an id-relabelled copy (conftest.relabel_doc);
 and the single edits of tests/test_axiom_indexes.py, every edit of EDITS
 on each of the 24 face complexes of conftest.edit_corpus.  Each
@@ -49,6 +50,9 @@ def documents() -> list[tuple[str, str, str | None]]:
     docs = []
     for path in sorted((ROOT / "fixtures").rglob("*.json")):
         docs.append((path.relative_to(ROOT).as_posix(), path.read_text(), None))
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        for ending, folder in (("\r\n", "crlf"), ("\r", "cr")):
+            docs.append((f"{folder}/{path.name}", path.read_text().replace("\n", ending), None))
     rng = random.Random(0)
     for i, ope in enumerate(generated_corpus(200)):
         for ext, doc in (("ope", opetope_to_doc(ope)), ("dfc", dfc_to_doc(p_of(ope)))):
@@ -98,7 +102,7 @@ def main_sweep() -> None:
         os.chdir(tmp)
         for name, text, _ in docs:
             Path(name).parent.mkdir(parents=True, exist_ok=True)
-            Path(name).write_text(text)
+            Path(name).write_bytes(text.encode("utf-8"))
         for argv in calls(docs):
             print(json.dumps(argv), digest(argv))
         os.chdir(ROOT)
