@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,10 +141,9 @@ def cmd_gen(args) -> int:
     for i in range(args.count):
         ope = generator.gen_opetope(rng, params)
         text = serialize_doc(opetope_to_doc(ope))
-        if args.output:
-            out = Path(args.output)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"ope_{args.seed}_{i}.json").write_text(text)
+        if args.output is not None:  # "" names no directory, as it names no file for convert
+            os.makedirs(args.output, exist_ok=True)
+            (Path(args.output) / f"ope_{args.seed}_{i}.json").write_text(text)
         elif args.count == 1:
             sys.stdout.write(text)
         else:

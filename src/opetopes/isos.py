@@ -35,9 +35,9 @@ def dfc_iso_failures(c: Dfc, d: Dfc, fwd: dict) -> list[str]:
         if mc.dim[x] != md.dim[fx]:
             out.append(f"dimension of {x!r} not preserved")
             continue
-        if {fwd[y] for y in mc.delta[x]} != set(md.delta[fx]):
+        if frozenset(map(fwd.__getitem__, mc.delta[x])) != md.delta[fx]:
             out.append(f"delta of {x!r} not preserved")
-        if {fwd[y] for y in mc.gamma[x]} != set(md.gamma[fx]):
+        if frozenset(map(fwd.__getitem__, mc.gamma[x])) != md.gamma[fx]:
             out.append(f"gamma of {x!r} not preserved")
     if out:
         return out

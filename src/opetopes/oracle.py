@@ -536,7 +536,8 @@ def oracle_nesting_subtree(ez: Opetope, k: int, x: str) -> NestingSubtree:
     walking the descending chain of every leaf and nulldot, and groups
     every segment of the expansion, so one cell costs as much as the whole
     level.  Its leaves and root are the sources and target that
-    to_poset reads off the signed segment counts.
+    to_poset reads off the children of x, once trees.components has found
+    the dots above x connected: components by union-find.
     """
     s_hi = ez.trees[k + 2]
     s_lo = ez.trees[k + 1]

@@ -123,7 +123,7 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
     out: list[Diagnostic] = []
     cells = doc.get("cells", [])
     seen: set[str] = set()
-    order: list[str] = []
+    kept = []  # the first record of each good id
     for rec in cells:
         cid = rec.get("id")
         if not isinstance(cid, str) or not cid:
@@ -133,12 +133,10 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
             out.append(make("DuplicateId", [cid], "cell ids", f"cell id {cid!r} appears twice"))
             continue
         seen.add(cid)
-        order.append(cid)
+        kept.append(rec)
     dim, delta, gamma = {}, {}, {}
-    for rec in cells:
-        cid = rec.get("id")
-        if cid not in seen:
-            continue
+    for rec in kept:
+        cid = rec["id"]
         d = rec.get("dim")
         if type(d) is not int or d < -1:  # a JSON true or false is not a dimension
             out.append(make("BadDimension", [cid], "gradation", f"dim of {cid!r} must be an integer >= -1"))
@@ -172,7 +170,7 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
             out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
             continue
         local_orders[(x, z)] = seq
-    return ManyToOnePoset(order, dim, delta, gamma, local_orders), out
+    return ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders), out
 
 
 def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:

@@ -6,27 +6,31 @@ roots name the bottom (tree 1), the top cell (the last tree) and the top
 cell's target (the tree below it).  The cells of the complex are the
 edges of its trees of degree >= 2.  A cell x of tree k+2 has as sources
 the leaves, and as target the root, of the nesting subtree it cuts out of
-tree k+1; both are read off a signed count instead of building that
-subtree.
+tree k+1; both are read off x's children in tree k+2 instead of building
+that subtree.
 
-The count is trees.segment_sweep, the sweep that also decides the kernel
-rule: from the top of tree k+2 down, it sums the signed segment counts of
-the dots of tree k+1 above each edge.  The dots above x are connected (the kernel
-rule), so one -1 segment is left, on the target of x, and the +1 segments
-lie on its sources; more than one -1 is a bug, since the opetope was
-validated.  A loop's -1 segment places it in its local order, read with
-the cell it is a source of, one level up.  A count holds one entry per
-source plus one, so a level costs its input plus its output.  The cell
-maps go straight to the poset, with no document in between.
-oracle.oracle_nesting_subtree builds the subtree of a single cell and is
-the reference this route is tested against.
+A leaf of tree k+2 is a node of tree k+1: its sources are the node's
+source edges, its target the node's target edge.  The edge of a nulldot,
+a whitedot on an edge b, is a loop on b.  Any other x takes the union U
+of the sources and the union G of the targets of its children that are
+not loops: the edges in both lie inside the subtree and cancel, so x has
+sources U - G and target G - U, the boundary cancellation that oriented
+thinness asks of the cell above x.  When every child is a loop, x is a
+loop on their common edge.  That holds only when the dots above x are
+connected (the kernel rule), which trees.components decides, components
+by union-find, in the same sweep; a split is a bug, since the opetope was
+validated.  A loop's place in a local order is the index of its lowest
+whitedot on its edge, read with the cell it is a source of, one level
+up.  The cell maps go straight to the poset, with no document in
+between.  oracle.oracle_nesting_subtree builds the subtree of a single
+cell and is the reference this route is tested against.
 """
 
 from __future__ import annotations
 
 from .diagnostics import InternalError
 from .poset import Dfc, ManyToOnePoset, trusted_dfc
-from .trees import Opetope, RootedTree, segment_sweep
+from .trees import Opetope, RootedTree, components
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -71,29 +75,45 @@ def p_image(ope: Opetope) -> Dfc:
     dim, delta, gamma = {bottom: -1}, {bottom: frozenset()}, {bottom: frozenset()}
     for x in ez.trees[2].edges:
         dim[x], delta[x], gamma[x] = 0, frozenset(), frozenset((bottom,))
-    target_segment: dict[str, tuple[str, int]] = {}
+    lowest_index: dict[str, int] = {}  # loop -> index of its lowest whitedot, from the target end
     local_orders: dict[tuple[str, str], list[str]] = {}
+    loops = frozenset()  # the loops one dimension down
     for k in range(1, ope.dim + 1):
-        for x, count, minus in segment_sweep(ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]):
-            if minus != 1:
-                raise InternalError(f"the dots above {x!r} leave {minus} target segments; the opetope breaks the kernel rule")
-            sources = []
-            for seg, c in count.items():
-                if c > 0:
-                    sources.append(seg[0])
-                else:  # the one -1 segment, on the target
-                    target_segment[x] = seg
-            dim[x], gamma[x] = k, frozenset((target_segment[x][0],))
-            delta[x] = frozenset(sources)
-            loops_by_base: dict[str, list[str]] = {}
-            for y in delta[x]:
-                if delta[y] == gamma[y]:  # y is a loop on its target
-                    loops_by_base.setdefault(target_segment[y][0], []).append(y)
-            for z, ys in loops_by_base.items():
-                if len(ys) >= 2:
-                    # a loop's dots are a run of whitedots on z; its target
-                    # segment lies just below the lowest of them
-                    local_orders[(x, z)] = sorted(ys, key=lambda y: (target_segment[y][1], y))
+        t, w, u = ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]
+        dim.update(dict.fromkeys(u.edges, k))
+        for x in u.leaves:  # a leaf of u is the node x of t
+            delta[x], gamma[x] = frozenset(t.sources_of(x)), frozenset((t.node_target[x],))
+        level_loops = []
+        for b, ws in w.items():  # each whitedot on b is a nulldot, whose edge is a loop on b
+            on_b = frozenset((b,))
+            for i, d in enumerate(ws):
+                x = u.node_target[d]
+                delta[x] = gamma[x] = on_b
+                lowest_index[x] = i
+                level_loops.append(x)
+        for x, srcs, lowest in components(t, w, u):
+            if len(lowest) != 1:
+                raise InternalError(f"the dots above {x!r} form {len(lowest)} components; the opetope breaks the kernel rule")
+            non_loops = [s for s in srcs if s not in lowest_index]
+            if non_loops:
+                sources = set().union(*map(delta.__getitem__, non_loops))
+                targets = set().union(*map(gamma.__getitem__, non_loops))
+                delta[x], gamma[x] = frozenset(sources - targets), frozenset(targets - sources)
+            else:  # every child a loop: x loops on the same edge
+                delta[x] = gamma[x] = delta[srcs[0]]
+                lowest_index[x] = lowest_index[lowest[0]]
+                level_loops.append(x)
+        if len(loops) >= 2:
+            for x in u.edges:
+                if loops.isdisjoint(delta[x]):
+                    continue
+                loops_by_base: dict[frozenset, list[str]] = {}
+                for y in loops.intersection(delta[x]):
+                    loops_by_base.setdefault(gamma[y], []).append(y)
+                for (z,), ys in loops_by_base.items():
+                    if len(ys) >= 2:
+                        local_orders[(x, z)] = sorted(ys, key=lowest_index.__getitem__)
+        loops = frozenset(level_loops)
 
     return trusted_dfc(ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders))
 

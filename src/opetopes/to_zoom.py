@@ -41,16 +41,13 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
     nodes = [x for x in mop.grade(k - 1) if x in mop.lam]
     edges = mop.grade(k - 2)
     node_target = {x: mop.gamma_cell(x) for x in nodes}
-    owners: dict[str, list[str]] = {}
-    for x in nodes:
-        for y in mop.delta_minus(x):
-            owners.setdefault(y, []).append(x)
+    # a cell of lam is never a loop, so its delta is its proper sources
     edge_target = {}
-    for y in edges:
-        if len(owners.get(y, ())) > 1:
-            raise InternalError(f"edge {y!r} has several target nodes at level {k}")
-        if y in owners:
-            edge_target[y] = owners[y][0]
+    for x in nodes:
+        for y in mop.delta[x]:
+            if y in edge_target:
+                raise InternalError(f"edge {y!r} has several target nodes at level {k}")
+            edge_target[y] = x
     return RootedTree(nodes, edges, node_target, edge_target, dfc.iterated_targets[k - 2])
 
 
@@ -59,18 +56,19 @@ def level_tree(dfc: Dfc, k: int) -> RootedTree:
 
 def _stacked(mop: ManyToOnePoset, a: str, srcs: tuple[str, ...]) -> list[str]:
     """The sources of node a, each after the source it sits on in the tree below."""
+    delta, gamma, looping, local_orders = mop.delta, mop.gamma, mop.loops, mop.local_orders
     below, above, loops = {}, {}, {}  # edge c -> the source just below c, just above c, the loops on c
     for s in srcs:
-        c = mop.gamma_cell(s)
-        if s in mop.loops:
+        (c,) = gamma[s]
+        if s in looping:
             loops.setdefault(c, []).append(s)
         else:
             above[c] = s
-            for d in mop.delta[s]:
+            for d in delta[s]:
                 below[d] = s
     on: dict[str, list[str]] = {}  # source -> the sources sitting just above it
-    for c in below.keys() | above.keys() | loops.keys():
-        chain = [below.get(c), *mop.local_orders.get((a, c), loops.get(c, ())), above.get(c)]
+    for c in above.keys() | loops.keys():  # an edge with only a source below it stacks nothing
+        chain = [below.get(c), *local_orders.get((a, c), loops.get(c, ())), above.get(c)]
         chain = [s for s in chain if s is not None]
         for s1, s2 in zip(chain, chain[1:]):
             on.setdefault(s1, []).append(s2)
@@ -86,6 +84,7 @@ def _stacked(mop: ManyToOnePoset, a: str, srcs: tuple[str, ...]) -> list[str]:
 
 def subdivision(dfc: Dfc, u: RootedTree) -> dict[str, tuple[str, ...]]:
     """The nulldots of u as whitedots on each edge of the tree below it, ascending from the target end."""
+    mop = dfc.mop
     w: dict[str, list[str]] = {}
     stack = [u.root]
     while stack:
@@ -95,9 +94,10 @@ def subdivision(dfc: Dfc, u: RootedTree) -> dict[str, tuple[str, ...]]:
             continue
         srcs = u.sources_of(a)
         if srcs:
-            stack.extend(reversed(_stacked(dfc.mop, a, srcs)))
+            stack.extend(reversed(_stacked(mop, a, srcs)))
         else:
-            w.setdefault(dfc.mop.gamma_cell(e), []).append(a)
+            (c,) = mop.gamma[e]
+            w.setdefault(c, []).append(a)
     return {c: tuple(w[c]) for c in sorted(w)}
 
 

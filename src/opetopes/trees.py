@@ -14,17 +14,22 @@ IdClash.  The trees of degree 0..2 have constrained shapes.  Each check
 decides a valid input by set tests and lists ids one by one only for a
 rule that fails.
 
-The kernel rule is computed in one place, segment_sweep, by signed
-counts.  A segment (b, i) is the stretch of edge b above its i-th
-whitedot, counted from the target end.  Each dot counts +1 on the
-segments just above it and -1 on the one just below it.  Over a set of
-dots the segments between two of them cancel, and each connected
-component keeps one -1 segment, the one below its lowest dot.  One sweep
-down the next tree adds up the counts of sibling edges, smaller into
-larger, and carries how many -1 segments each holds: O(n log n) for n
-dots.  Two readers share it: constellation_diagnostics reports an element
-whose dots leave more than one -1 segment, and lists those dots only
-then; to_poset.p_image reads each cell's sources and target off it.
+The kernel rule is counted in one place, the sweep components, as
+components by union-find.  The dots of a subdivided tree form a forest:
+each dot hangs on the dot just below it on its edge (the next whitedot
+down, else the node below the edge), and the lowest dot on the root on
+nothing.  So a set of dots has one connected component per lowest dot, a
+dot whose dot below is outside the set.  One sweep of the next tree,
+children first, joins each edge to the edge below it in a union-find and
+keeps the lowest dots of each child that are still lowest.  On an exact
+constellation that holds the rule this is one find per edge, and path
+compression keeps the whole sweep within O(n log n) for n dots; each
+extra component costs one more find, and the diagnostics that report it
+list every dot anyway.  Two readers share it: constellation_diagnostics
+reports an element whose dots have more than one lowest dot, and lists
+those dots only then; to_poset.p_image checks that each cell's dots are
+connected before it reads the cell's sources and target off its
+children.
 """
 
 from __future__ import annotations
@@ -194,44 +199,49 @@ def _same_dots(code: str, dots, expected, message: str) -> list[Diagnostic]:
     return [make(code, sorted(diff), "exact constellation", message)] if diff else []
 
 
-def segment_sweep(t: RootedTree, w: dict, u: RootedTree):
-    """Per edge x of u, from the top down: (x, the signed count over the dots above x, its number of -1 segments).
+def components(t: RootedTree, w: dict, u: RootedTree):
+    """Per edge x of u with sources, children first: (x, its sources, the lowest dots above x).
 
-    A count maps segments (edge of t, index from the target end) to +1 or
-    -1, as the module docstring says; u is the next tree of an exact
-    constellation from t subdivided by w.  Each count is merged into the
-    one below it as the sweep goes on, so read it before the next step.
+    u is the next tree of an exact constellation from t subdivided by w,
+    so each dot is named by the edge of u that ends in it: a blackdot is a
+    leaf of u, and a whitedot the target edge of its nulldot.  The dots
+    above x are connected exactly when they have one lowest dot, as the
+    module docstring says.  The lists are the sweep's own: read them before
+    the next step.
     """
-    counts: dict[str, dict] = {}
-    for a in t.nodes:
-        b = t.node_target[a]
-        counts[a] = {(s, 0): 1 for s in t.sources_of(a)}
-        counts[a][(b, len(w.get(b, ())))] = -1
-    for b, whitedots in w.items():
-        for i, d in enumerate(whitedots):
-            counts[d] = {(b, i + 1): 1, (b, i): -1}
-    summed: dict[str, tuple[dict, int]] = {}
+    edge_of = u.node_target  # a whitedot, a nulldot of u -> its edge
+    node_below = t.edge_target.get  # an edge of t -> the node below it, None for the root
+    below = {}  # dot -> the dot just under it on its edge, None for the lowest on the root
+    for a, b in t.node_target.items():
+        ws = w.get(b)
+        below[a] = edge_of[ws[-1]] if ws else node_below(b)
+    for b, ws in w.items():
+        under = node_below(b)
+        for d in ws:
+            e = edge_of[d]
+            below[e], under = under, e
+    source_node, sources = u._source_node.get, u._sources
+    parent = {}  # union-find over the edges of u: an edge -> an edge below it
+    lowest: dict[str, list[str]] = {}
     for x in reversed(u.edge_order):
-        a = u.source_node_of(x)
-        srcs = () if a is None else u.sources_of(a)
-        if not srcs:  # a leaf of u is a blackdot of t, a nulldot of u a whitedot
-            count, minus = counts[x if a is None else a], 1
-        else:
-            count, minus = summed.pop(srcs[0])
-            for s in srcs[1:]:
-                more, more_minus = summed.pop(s)
-                if len(more) > len(count):
-                    count, more = more, count
-                minus += more_minus
-                # the dots above two sibling edges are disjoint, so a segment
-                # they share is +1 in one count and -1 in the other
-                for seg, c in more.items():
-                    if count.pop(seg, None) is None:
-                        count[seg] = c
-                    else:
-                        minus -= 1
-        summed[x] = (count, minus)
-        yield x, count, minus
+        srcs = sources.get(source_node(x), ())
+        if not srcs:  # the edge of a dot
+            continue
+        for s in srcs:
+            parent[s] = x
+        low = []
+        for s in srcs:
+            for d in lowest.pop(s, None) or (s,):
+                # d stays lowest unless the dot below it is joined to x
+                v = root = below[d]
+                while root in parent:
+                    root = parent[root]
+                while v != root:
+                    parent[v], v = root, parent[v]
+                if root != x:
+                    low.append(d)
+        lowest[x] = low
+        yield x, srcs, low
 
 
 def _dots_above(u: RootedTree, x: str) -> list[str]:
@@ -259,11 +269,11 @@ def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
     out.extend(_same_dots("WhitedotsNotNextNulldots", whitedots, u.nulldots, "the whitedots are not the nulldots of the next tree"))
     if out:
         return sorted(set(out), key=sort_key)
-    for x, _, minus in segment_sweep(t, subdivision, u):
-        if minus > 1:  # one -1 segment per component; only an edge with sources can split
+    for x, _, lowest in components(t, subdivision, u):
+        if len(lowest) > 1:  # one lowest dot per component; only an edge with sources can split
             dots = _dots_above(u, x)
             for y in (x, u.source_node_of(x)):  # a node has the dots of its target edge
-                out.append(make("KernelRuleViolated", [y, *dots], "kernel rule", f"dots over {y!r} split into {minus} components"))
+                out.append(make("KernelRuleViolated", [y, *dots], "kernel rule", f"dots over {y!r} split into {len(lowest)} components"))
     return sorted(out, key=sort_key)
 
 

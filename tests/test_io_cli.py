@@ -399,7 +399,8 @@ def test_cli_reports_a_missing_file_as_before(tmp_path, capsys):
     (["validate", ""], "''"),
     (["validate", "./missing.json"], "'./missing.json'"),
     (["convert", "--to", "dfc", path("rho3.ope.json"), "-o", ""], "''"),
-], ids=["empty path", "unnormalised path", "empty output path"])
+    (["gen", "--count", "2", "-o", ""], "''"),
+], ids=["empty path", "unnormalised path", "empty output path", "empty gen output path"])
 def test_cli_names_a_path_as_given(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -803,6 +804,18 @@ FACE_COMPLEX_CODES = [
                          ids=[case[2][0] for case in FACE_COMPLEX_CODES])
 def test_cli_validate_reports_each_reading_and_bottom_code(tmp_path, capsys, cells, orders, expected):
     _assert_validate_prints(tmp_path, capsys, cells, orders, expected)
+
+
+def test_cli_validate_keeps_the_first_record_of_a_repeated_id(tmp_path, capsys):
+    # the second record of p is left out, so its dim and its missing gamma are never read
+    doc = tmp_path / "doc.dfc.json"
+    doc.write_text(json.dumps({"cells": [BOTTOM, POINT, {"id": "p", "dim": 5, "delta": ["*"]}], "local_orders": []}))
+    assert main(["validate", str(doc)]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        {"axiom": "cell ids", "cells": ["p"], "code": "DuplicateId", "file": str(doc), "message": "cell id 'p' appears twice"},
+        {"file": str(doc), "valid": False},
+    ]
 
 
 HUGE = 10**18

@@ -164,7 +164,7 @@ def test_oracle_iso_identity_and_empty(rho_dfc):
     assert oracle_iso(arrow, point) == []
 
 
-# -- nesting subtrees: the signed counts against the per-cell reference --
+# -- nesting subtrees: components by union-find against the per-cell reference --
 
 
 def _assert_cuts_agree(ope):

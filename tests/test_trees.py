@@ -8,7 +8,7 @@ import time
 import pytest
 
 from opetopes.cli import main
-from opetopes.diagnostics import ValidationError, make
+from opetopes.diagnostics import InternalError, ValidationError, make
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.oracle import (
     Expansion,
@@ -28,6 +28,7 @@ from opetopes.trees import (
 
 from conftest import comb_opetope_doc, constellations, kernel_rule_by_both_routes, load_ope, load_ope_doc
 from opetopes.io import normalize_opetope, opetope_from_doc
+from opetopes.to_poset import p_of
 
 
 # the worked example tree: nodes a1..a4, edges b1..b5, root b1
@@ -304,6 +305,42 @@ def test_kernel_rule_by_counting_matches_the_listing_route_on_dot_swaps():
                 checked += 1
                 violated += bool(diags)
     assert checked >= 500 and violated >= 80, (checked, violated)
+
+
+def _breaks_kernel_rule_above_tree_2(ope: Opetope) -> bool:
+    """Whether a constellation i >= 2, the ones p_of reads, breaks the kernel rule."""
+    return any(
+        d.code == "KernelRuleViolated"
+        for c in constellations(ope)[2:]
+        for d in constellation_diagnostics(*c)
+    )
+
+
+def test_p_of_raises_exactly_on_a_broken_kernel_rule_after_dot_swaps():
+    # p_of trusts its input, but its guard must see every opetope whose
+    # trees 3..n break the kernel rule, and nothing else may go wrong
+    rng = random.Random(23)
+    params = [GenParams(dim=dim, max_whitedots_per_edge=3) for dim in (3, 4, 5, 6)]
+    checked = broken = 0
+    for p in params:
+        for _ in range(25):
+            ope = gen_opetope(rng, p)
+            for j in range(3, ope.dim + 1):
+                for _ in range(4):
+                    swapped = _swap_dots(ope.trees[j], rng)
+                    if swapped is None:
+                        break
+                    edited = Opetope(ope.trees[:j] + (swapped,) + ope.trees[j + 1:], ope.subdivisions)
+                    expected = _breaks_kernel_rule_above_tree_2(edited)
+                    try:
+                        p_of(edited)
+                        raised = False
+                    except InternalError:
+                        raised = True
+                    assert raised == expected, (p.dim, j)
+                    checked += 1
+                    broken += expected
+    assert checked >= 800 and broken >= 150, (checked, broken)
 
 
 def test_validate_of_a_4000_leaf_comb_is_fast(tmp_path, capsys):
