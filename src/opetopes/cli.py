@@ -59,14 +59,11 @@ def _load_any(path: str):
     """(kind, validated object) for a document of either encoding."""
     doc = parse_json(_read(path))
     kind = detect_kind(doc)
-    if kind == "dfc":
-        doc, warnings = normalize_dfc(doc)
-        for w in warnings:
-            _emit({"warning": w, "file": path})
-        return kind, dfc_validate(mop_validate(doc))
-    doc, warnings = normalize_opetope(doc)
+    doc, warnings = (normalize_dfc if kind == "dfc" else normalize_opetope)(doc)
     for w in warnings:
         _emit({"warning": w, "file": path})
+    if kind == "dfc":
+        return kind, dfc_validate(mop_validate(doc))
     return kind, opetope_validate(opetope_from_doc(doc))
 
 

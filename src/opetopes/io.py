@@ -286,13 +286,11 @@ def normalize_opetope(doc) -> tuple[dict, list[str]]:
     return doc, warnings
 
 
-def tree_from_doc(rec: dict) -> RootedTree:
-    return RootedTree(rec["nodes"], rec["edges"], rec["node_target"], rec["edge_target"], rec["root"])
-
-
 def opetope_from_doc(doc: dict) -> Opetope:
     """The zoom complex of a normalized document; its dim must count its trees.
 
+    Its trees adopt the target maps that normalize_opetope filled in place,
+    so the document stays unedited while the opetope is in use.
     Constellations are exact, so a sigma_black map must be the identity on
     the nodes of its tree and a sigma_white map the identity on the
     subdivision's whitedots; any other map is reported with every
@@ -301,7 +299,7 @@ def opetope_from_doc(doc: dict) -> Opetope:
     n = len(doc["trees"]) - 1
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != n):
         raise ValidationError([make("BadShape", [], "zoom complex", f"document declares dim {doc['dim']!r} but has {n + 1} trees")])
-    trees = tuple(tree_from_doc(rec) for rec in doc["trees"])
+    trees = tuple(RootedTree(t["nodes"], t["edges"], t["node_target"], t["edge_target"], t["root"]) for t in doc["trees"])
     subdivisions = tuple({b: tuple(ws) for b, ws in rec["subdivision"].items()} for rec in doc["constellations"])
     ope = Opetope(trees, subdivisions)
     non_exact = []
@@ -317,20 +315,14 @@ def opetope_from_doc(doc: dict) -> Opetope:
     return ope
 
 
-def tree_to_doc(t: RootedTree) -> dict:
-    return {
-        "nodes": list(t.nodes),
-        "edges": list(t.edges),
-        "node_target": dict(sorted(t.node_target.items())),
-        "edge_target": dict(sorted(t.edge_target.items())),
-        "root": t.root,
-    }
-
-
 def opetope_to_doc(ope: Opetope) -> dict:
     return {
         "dim": ope.dim,
-        "trees": [tree_to_doc(t) for t in ope.trees],
+        "trees": [
+            {"nodes": list(t.nodes), "edges": list(t.edges), "node_target": dict(sorted(t.node_target.items())),
+             "edge_target": dict(sorted(t.edge_target.items())), "root": t.root}
+            for t in ope.trees
+        ],
         "constellations": [
             {"subdivision": {b: list(ws) for b, ws in sorted(sub.items()) if ws}} for sub in ope.subdivisions
         ],

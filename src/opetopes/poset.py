@@ -18,9 +18,10 @@ facets(x) lists delta(x) | gamma(x) in id order.  The constructor stores
 the cells in id order, the one order every reader uses, and its one pass
 grades them and reads the strata straight off delta/gamma: lam, the cells
 of dim >= 0 in no gamma(x) - delta(x), and loops, the cells with
-delta = gamma nonempty.  The face-complex checks decide each cell x from
-delta and gamma alone: oriented thinness with the sign rule says that the
-boundary of the boundary of x cancels, each cell below a facet of x met
+delta = gamma nonempty, and it adopts the maps it is handed.  The
+face-complex checks decide each cell x from delta and gamma alone:
+oriented thinness with the sign rule says that the boundary of the
+boundary of x cancels, each cell below a facet of x met
 once with each sign, which takes a few list and set operations per facet
 of x instead of a walk over every chain z < y < x.  Only a cell that
 fails is walked chain by chain, to list its faults; the local orders
@@ -43,34 +44,32 @@ LOOP = "o"
 class ManyToOnePoset:
     """Graded cell set with source/target facet maps and local loop orders.
 
-    Immutable by convention after construction; read from a document by
-    mop_from_doc (checked by mop_validate), or built from the maps of a
-    translator (to_poset.p_image).
-    cells are stored in id order.  local_orders maps (x, z) to the stored
-    order of the loops on z among the sources of x.  The strata lam and
-    loops are read off delta/gamma in the constructor's pass.
+    Its builders, mop_from_doc (checked by mop_validate) and
+    to_poset.p_image, convert each map once and the constructor adopts it
+    as handed: dim and a frozenset delta and gamma for every cell, and
+    local_orders mapping (x, z) to a tuple, the stored order of the loops
+    on z among the sources of x.  Immutable by convention.  cells are
+    stored in id order; the strata lam and loops are read off delta/gamma
+    in the constructor's one pass.
     """
 
-    def __init__(self, cells, dim, delta, gamma, local_orders):
-        self.cells = tuple(sorted(cells))
-        self.dim = dict(dim)
-        self.delta = {c: frozenset(delta.get(c, ())) for c in self.cells}
-        self.gamma = {c: frozenset(gamma.get(c, ())) for c in self.cells}
-        self.local_orders = {k: tuple(v) for k, v in local_orders.items()}
+    def __init__(self, dim, delta, gamma, local_orders):
+        self.cells = tuple(sorted(dim))
+        self.dim, self.delta, self.gamma, self.local_orders = dim, delta, gamma, local_orders
 
         self._by_dim: dict[int, list[str]] = {}
         proper_targets: set[str] = set()
         loops = []
         for x in self.cells:
-            self._by_dim.setdefault(self.dim[x], []).append(x)
-            d, g = self.delta[x], self.gamma[x]
+            self._by_dim.setdefault(dim[x], []).append(x)
+            d, g = delta[x], gamma[x]
             if d == g:
                 if d:
                     loops.append(x)
             else:
                 proper_targets.update(g - d)
         # the strata: lam, the cells of dim >= 0 that are never a proper target, and the loops
-        self.lam = frozenset(c for c in self.cells if self.dim[c] >= 0 and c not in proper_targets)
+        self.lam = frozenset(c for c in self.cells if dim[c] >= 0 and c not in proper_targets)
         self.loops = frozenset(loops)
 
     # -- basic queries -------------------------------------------------
@@ -81,7 +80,7 @@ class ManyToOnePoset:
 
     @property
     def dimension(self) -> int:
-        return max(self.dim.values())
+        return max(self._by_dim)
 
     def grade(self, k: int) -> tuple[str, ...]:
         return tuple(self._by_dim.get(k, ()))
@@ -158,7 +157,7 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
                 else:
                     local_seen.add(r)
                     ok.append(r)
-            store[cid] = ok
+            store[cid] = frozenset(ok)
     local_orders = {}
     for rec in doc.get("local_orders", []):
         x, z, seq = rec.get("x"), rec.get("z"), rec.get("order", [])
@@ -169,8 +168,8 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
         if (x, z) in local_orders:
             out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
             continue
-        local_orders[(x, z)] = seq
-    return ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders), out
+        local_orders[(x, z)] = tuple(seq)
+    return ManyToOnePoset(dim, delta, gamma, local_orders), out
 
 
 def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
@@ -223,8 +222,9 @@ def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     required: set[tuple[str, str]] = set()
     # a loop source is a cell whose delta meets its gamma, so only a cell
     # with such a cell in its delta can need a stored order
-    looping = frozenset(compress(mop.cells, map(not_, map(frozenset.isdisjoint, mop.delta.values(), mop.gamma.values()))))
-    for x in sorted(mop.lam) if looping else ():
+    delta, gamma = mop.delta, mop.gamma
+    looping = frozenset(compress(delta, map(not_, map(frozenset.isdisjoint, delta.values(), map(gamma.__getitem__, delta)))))
+    for x in mop.lam if looping else ():
         if mop.dim[x] < 1 or looping.isdisjoint(mop.delta[x]):
             continue
         loop_sources[x] = _loop_sources(mop, x)

@@ -21,9 +21,10 @@ connected (the kernel rule), which trees.components decides, components
 by union-find, in the same sweep; a split is a bug, since the opetope was
 validated.  A loop's place in a local order is the index of its lowest
 whitedot on its edge, read with the cell it is a source of, one level
-up.  The cell maps go straight to the poset, with no document in
-between.  oracle.oracle_nesting_subtree builds the subtree of a single
-cell and is the reference this route is tested against.
+up.  The cell maps are built in their final form (frozensets, and tuples
+for the local orders) and the poset adopts them with no document and no
+copy in between.  oracle.oracle_nesting_subtree builds the subtree of a
+single cell and is the reference this route is tested against.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def p_image(ope: Opetope) -> Dfc:
     for x in ez.trees[2].edges:
         dim[x], delta[x], gamma[x] = 0, frozenset(), frozenset((bottom,))
     lowest_index: dict[str, int] = {}  # loop -> index of its lowest whitedot, from the target end
-    local_orders: dict[tuple[str, str], list[str]] = {}
+    local_orders: dict[tuple[str, str], tuple[str, ...]] = {}
     loops = frozenset()  # the loops one dimension down
     for k in range(1, ope.dim + 1):
         t, w, u = ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]
@@ -112,10 +113,10 @@ def p_image(ope: Opetope) -> Dfc:
                     loops_by_base.setdefault(gamma[y], []).append(y)
                 for (z,), ys in loops_by_base.items():
                     if len(ys) >= 2:
-                        local_orders[(x, z)] = sorted(ys, key=lowest_index.__getitem__)
+                        local_orders[(x, z)] = tuple(sorted(ys, key=lowest_index.__getitem__))
         loops = frozenset(level_loops)
 
-    return trusted_dfc(ManyToOnePoset(dim.keys(), dim, delta, gamma, local_orders))
+    return trusted_dfc(ManyToOnePoset(dim, delta, gamma, local_orders))
 
 
 def p_of(ope: Opetope) -> Dfc:

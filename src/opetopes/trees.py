@@ -43,13 +43,17 @@ from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
 
 class RootedTree:
-    """Finite rooted tree with first-class edge identities; nodes and edges are stored in id order."""
+    """Finite rooted tree with first-class edge identities; nodes and edges are stored in id order.
+
+    The target maps are stored as handed, not copied: io.opetope_from_doc
+    hands over a normalized document's, every other builder fresh ones.
+    """
 
     def __init__(self, nodes, edges, node_target, edge_target, root):
         self.nodes = tuple(sorted(nodes))
         self.edges = tuple(sorted(edges))
-        self.node_target = dict(node_target)   # node -> edge below it
-        self.edge_target = dict(edge_target)   # edge -> node below it
+        self.node_target = node_target   # node -> edge below it
+        self.edge_target = edge_target   # edge -> node below it
         self.root = root
         self._source_node = source_node = {}   # edge -> node above it
         for a, b in self.node_target.items():

@@ -7,6 +7,7 @@ import pathlib
 import random
 import sys
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from opetopes.to_poset import p_of
 from opetopes.to_zoom import z_of
 from opetopes.trees import opetope_diagnostics
 
-from conftest import FIXTURES, fixture_text, generated_corpus, linear_opetope_doc, load_dfc, relabel_doc
+from conftest import FIXTURES, edit_corpus, fixture_text, generated_corpus, linear_opetope_doc, load_dfc, relabel_doc
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.json"))
 
@@ -929,3 +930,32 @@ def test_cli_validates_each_loaded_document_once(monkeypatch, capsys, poset_buil
     assert tuple(calls.values()) == expected
     # a face-complex document is read into one poset; p_of builds one more per translation
     assert len(poset_builds) == posets
+
+
+def _contract_documents() -> list[dict]:
+    """The fixtures and the mutations, the edit corpus, one document with a dangling and a repeated facet, and generated opetopes in both encodings."""
+    docs = [json.loads(fixture_text(name)) for name in ALL_FIXTURES]
+    edited = edit_corpus()
+    docs += edited
+    listed = json.loads(json.dumps(edited[0]))
+    top = listed["cells"][-1]
+    top["delta"] += ["nowhere", top["delta"][0]]
+    docs.append(listed)
+    for ope in generated_corpus(8, seed=5):
+        docs += [opetope_to_doc(ope), dfc_to_doc(p_of(ope))]
+    return docs
+
+
+def test_every_poset_the_commands_build_holds_its_builders_maps(tmp_path, capsys, poset_builds):
+    for i, doc in enumerate(_contract_documents()):
+        file = tmp_path / f"d{i}.json"
+        file.write_text(json.dumps(doc))
+        for argv in (["validate"], ["roundtrip"], ["convert", "--to", "ope"], ["convert", "--to", "dfc"]):
+            assert main([*argv, str(file)]) in (0, 1)
+    capsys.readouterr()
+    assert len(poset_builds) > 100
+    for mop in poset_builds:
+        assert mop.dim.keys() == mop.delta.keys() == mop.gamma.keys()
+        assert all(type(v) is frozenset for v in chain(mop.delta.values(), mop.gamma.values()))
+        assert all(type(seq) is tuple for seq in mop.local_orders.values())
+        assert mop.dimension == max(mop.dim.values())

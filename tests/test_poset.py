@@ -43,13 +43,17 @@ def codes(diags):
 
 
 def test_constructors_store_cells_nodes_and_edges_in_id_order():
-    mop = ManyToOnePoset(["t", "*", "f", "s"], {"*": -1, "s": 0, "t": 0, "f": 1},
-                         {"f": ["s"]}, {"s": ["*"], "t": ["*"], "f": ["t"]}, {})
+    none = frozenset()
+    delta = {"t": none, "*": none, "f": frozenset("s"), "s": none}
+    gamma = {"t": frozenset("*"), "*": none, "f": frozenset("t"), "s": frozenset("*")}
+    mop = ManyToOnePoset({"t": 0, "*": -1, "f": 1, "s": 0}, delta, gamma, {})
     assert mop.cells == ("*", "f", "s", "t")
+    assert mop.delta is delta and mop.gamma is gamma and mop.dimension == 1
     assert mop.grade(0) == ("s", "t")
-    tree = RootedTree(["n3", "n1", "n2"], ["e2", "e0", "e3", "e1"], {"n1": "e0", "n2": "e1", "n3": "e2"},
-                      {"e2": "n1", "e1": "n1", "e3": "n2"}, "e0")
+    node_target, edge_target = {"n1": "e0", "n2": "e1", "n3": "e2"}, {"e2": "n1", "e1": "n1", "e3": "n2"}
+    tree = RootedTree(["n3", "n1", "n2"], ["e2", "e0", "e3", "e1"], node_target, edge_target, "e0")
     assert tree.nodes == ("n1", "n2", "n3") and tree.edges == ("e0", "e1", "e2", "e3")
+    assert tree.node_target is node_target and tree.edge_target is edge_target
     assert tree.sources_of("n1") == ("e1", "e2") and tree.leaves == ("e3",) and tree.nulldots == ("n3",)
 
 
