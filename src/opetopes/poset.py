@@ -11,6 +11,8 @@ collect every violation instead of stopping at the first one.
 A document becomes a poset in one read (mop_from_doc), which leaves out
 what it cannot place and reports it; mop_validate adds the poset axioms
 and returns that same poset, which dfc_validate checks as a face complex.
+The face-complex check is defined only on a poset that mop_validate
+returned: it trusts the poset axioms and does not test regularity again.
 On a valid document the reading is a set test per record, and only a
 record that fails it is listed reference by reference.
 The signs add nothing to delta and gamma: sign(y, x) reads them, and
@@ -25,14 +27,14 @@ boundary of x cancels, each cell below a facet of x met
 once with each sign, which takes a few list and set operations per facet
 of x instead of a walk over every chain z < y < x.  Only a cell that
 fails is walked chain by chain, to list its faults; the local orders
-count the loop sources of x by the cell they loop on.
+count the loop sources of x, met in mop_diagnostics' one pass, by the
+cell they loop on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import not_
+from itertools import chain
 
 from .diagnostics import Diagnostic, ValidationError, make, sort_key
 
@@ -187,54 +189,55 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
         if mop.delta[b] or mop.gamma[b]:
             out.append(make("BottomBoundary", [b], "bottom cell", "the bottom cell must have empty delta and gamma"))
 
+    looping = set()  # the cells whose delta meets their gamma, the only possible loop sources
     for x in mop.cells:
-        k = mop.dim[x]
+        k, d, g = mop.dim[x], mop.delta[x], mop.gamma[x]
+        inter = d & g
+        if inter:
+            looping.add(x)
         if k < 0:
             continue
-        if len(mop.gamma[x]) != 1:
-            out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(mop.gamma[x])} elements"))
-        for y in mop.delta[x] | mop.gamma[x]:
+        if len(g) != 1:
+            out.append(make("GammaNotSingleton", [x], "gamma is a singleton", f"gamma of {x!r} has {len(g)} elements"))
+        for y in d | g:
             if mop.dim[y] != k - 1:
                 out.append(make("GradationBroken", [x, y], "gradation", f"facet {y!r} of {x!r} is not one dimension down"))
-        inter = mop.delta[x] & mop.gamma[x]
-        if inter and mop.delta[x] != mop.gamma[x]:
+        if inter and d != g:
             out.append(make("LoopAxiomViolated", [x], "delta meets gamma only on loops", f"delta and gamma of {x!r} overlap without being equal"))
         if k == 0:
-            if bottoms and (mop.gamma[x] != frozenset(bottoms[:1]) or mop.delta[x]):
+            if bottoms and (g != frozenset(bottoms[:1]) or d):
                 out.append(make("ZeroCellBoundary", [x], "0-cells sit on the bottom", f"0-cell {x!r} must have empty delta and the bottom cell as gamma"))
 
-    out.extend(_local_order_diagnostics(mop))
+    out.extend(_local_order_diagnostics(mop, looping))
     return sorted(set(out), key=sort_key)
 
 
-def _loop_sources(mop: ManyToOnePoset, x: str) -> dict[str, set[str]]:
+def _loop_sources(mop: ManyToOnePoset, x: str, looping: set[str]) -> dict[str, set[str]]:
     """The proper sources of x that are loops, by the cell they loop on."""
     out: dict[str, set[str]] = {}
-    for y in mop.delta_minus(x):
+    for y in mop.delta_minus(x) & looping:
         for z in mop.delta[y] & mop.gamma[y]:
             out.setdefault(z, set()).add(y)
     return out
 
 
-def _local_order_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
+def _local_order_diagnostics(mop: ManyToOnePoset, looping: set[str]) -> list[Diagnostic]:
+    """The local-order faults; looping holds every cell whose delta meets its gamma (mop_diagnostics' pass)."""
     out = []
     loop_sources = {}
     required: set[tuple[str, str]] = set()
-    # a loop source is a cell whose delta meets its gamma, so only a cell
-    # with such a cell in its delta can need a stored order
-    delta, gamma = mop.delta, mop.gamma
-    looping = frozenset(compress(delta, map(not_, map(frozenset.isdisjoint, delta.values(), map(gamma.__getitem__, delta)))))
+    # only a cell with a looping cell in its delta can need a stored order
     for x in mop.lam if looping else ():
         if mop.dim[x] < 1 or looping.isdisjoint(mop.delta[x]):
             continue
-        loop_sources[x] = _loop_sources(mop, x)
+        loop_sources[x] = _loop_sources(mop, x, looping)
         required.update((x, z) for z, ys in loop_sources[x].items() if len(ys) >= 2)
     for key in sorted(required - set(mop.local_orders)):
         x, z = key
         out.append(make("LocalOrderMissing", [x, z], "local order", f"{x!r} has several loop sources on {z!r} but no stored order"))
     for (x, z), seq in sorted(mop.local_orders.items()):
         if x not in loop_sources:
-            loop_sources[x] = _loop_sources(mop, x)
+            loop_sources[x] = _loop_sources(mop, x, looping)
         expected = loop_sources[x].get(z, set())
         if len(set(seq)) != len(seq) or set(seq) != expected:
             out.append(make("LocalOrderInvalid", [x, z, *seq], "local order", f"stored order at ({x!r}, {z!r}) is not an enumeration of the loop sources"))
@@ -279,30 +282,11 @@ class Dfc:
         return self.mop.bottom
 
 
-def _proper_facets(mop: ManyToOnePoset) -> tuple[dict, dict] | None:
-    """Each cell's proper sources and proper targets, or None when some cell is irregular.
-
-    A cell is regular when its delta and gamma are disjoint or equal, and it
-    has one target exactly when its dim is >= 0: what mop_validate asks.
-    On a regular poset the proper sources and targets are delta and gamma
-    themselves, emptied on the loops; no set is built for them.
-    """
-    delta, gamma, dim, loops = mop.delta, mop.gamma, mop.dim, mop.loops
-    for c in mop.cells:
-        g = gamma[c]
-        if len(g) != (dim[c] >= 0) or not (c in loops or delta[c].isdisjoint(g)):
-            return None
-    if not loops:
-        return delta, gamma
-    proper = dict.fromkeys(loops, frozenset())
-    return {**delta, **proper}, {**gamma, **proper}
-
-
 def _keeps_facet_flow(mop: ManyToOnePoset, x: str, dm: dict, gm: dict) -> bool:
     """Whether the non-loop cell x of a regular poset is thin, keeps the sign rule and has an acyclic facet flow.
 
     dm and gm map each cell to its proper sources and proper targets
-    (_proper_facets).  The chains z < y < x whose two signs multiply to +
+    (_facet_flow_diagnostics).  The chains z < y < x whose two signs multiply to +
     list z in plus, those whose signs multiply to - list z in minus: the
     two halves of the boundary of the boundary of x.  x is thin and keeps
     the sign rule exactly when they cancel, each z met once in each, that
@@ -345,18 +329,19 @@ def _keeps_facet_flow(mop: ManyToOnePoset, x: str, dm: dict, gm: dict) -> bool:
 
 
 def _facet_flow_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
-    """Oriented thinness and acyclicity, decided per cell from delta and gamma; a cell that fails is listed chain by chain."""
-    proper = _proper_facets(mop)
-    if proper is None:
-        failing = [x for x in mop.cells if mop.dim[x] >= 1]
-    else:
-        failing = [
-            x for x in mop.cells
-            if mop.dim[x] >= 1 and x not in mop.loops and not _keeps_facet_flow(mop, x, *proper)
-        ]
+    """Oriented thinness and acyclicity, decided per cell from delta and gamma; a cell that fails is listed chain by chain.
+
+    The poset is regular, as mop_validate left it and untested here, so the
+    proper sources and targets are delta and gamma emptied on the loops.
+    """
+    dm, gm, loops = mop.delta, mop.gamma, mop.loops
+    if loops:
+        proper = dict.fromkeys(loops, frozenset())
+        dm, gm = {**dm, **proper}, {**gm, **proper}
     out = []
-    for x in failing:
-        out.extend(_facet_flow_listing(mop, x))
+    for x in mop.cells:
+        if mop.dim[x] >= 1 and x not in loops and not _keeps_facet_flow(mop, x, dm, gm):
+            out.extend(_facet_flow_listing(mop, x))
     return out
 
 
@@ -435,7 +420,10 @@ def _find_cycle(vertices, succ) -> list[str] | None:
 
 
 def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
-    """Every DFC axiom violation of a poset that passed mop_validate (local orders included)."""
+    """Every face-complex axiom violation of a poset that mop_validate returned, the only posets it is defined on.
+
+    Regularity and the other poset axioms, local orders included, are not tested again.
+    """
     out: list[Diagnostic] = []
     # every facet lies one dimension down (mop_diagnostics), so climbing
     # cofaces from any cell ends at a maximal cell: one maximal cell is greatest
@@ -455,6 +443,7 @@ def dfc_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
 
 
 def dfc_validate(mop: ManyToOnePoset) -> Dfc:
+    """The face complex on a poset that mop_validate returned (regularity not re-tested), or ValidationError."""
     diags = dfc_diagnostics(mop)
     if diags:
         raise ValidationError(diags)

@@ -7,7 +7,12 @@ loop sources of x for every (x, z).  The one walk over the facets of
 facets must report what the thinness and acyclicity scans report
 together, and the local-order index what its scan reports: the same
 diagnostics, repeats included, compared in sorted order, on valid
-complexes and on single-edit corruptions.  On the same documents, the
+complexes and on single-edit corruptions.  The face-complex check is
+defined only on a poset that mop_validate returned, so the facet flow is
+compared only where the poset is regular; every other document shows a
+poset fault.  The local orders are compared on every document, the fast
+index handed the looping cells computed here from their definition.  On
+the same documents, the
 strata that the poset reads off its signs match their definitions, and a
 sole maximal cell of a poset that passes the poset axioms has every cell
 below it.
@@ -95,7 +100,8 @@ def _loop_chain_set(mop, x, z):
     return tuple(sorted(y for y in mop.delta_minus(x) if mop.sign(z, y) == LOOP))
 
 
-def reference_local_orders(mop):
+def reference_local_orders(mop, looping=None):
+    """The local-order faults by recounting every (x, z); ignores the looping set the fast check is handed."""
     out = []
     required = set()
     for x in sorted(mop.lam):
@@ -118,12 +124,6 @@ def reference_facet_flow(mop):
     return reference_thinness(mop) + reference_acyclicity(mop)
 
 
-REFERENCES = {
-    "_facet_flow_diagnostics": reference_facet_flow,
-    "_local_order_diagnostics": reference_local_orders,
-}
-
-
 def _outcome(fn, *args):
     """("ok", the diagnostics sorted, repeats kept) or ("raises", the exception's type)."""
     try:
@@ -136,6 +136,19 @@ def _mop(doc):
     return poset.mop_from_doc(doc)[0]
 
 
+def _looping(mop):
+    """The cells whose delta meets their gamma, by definition."""
+    return {x for x in mop.cells if mop.delta[x] & mop.gamma[x]}
+
+
+def _regular(mop):
+    """Whether every cell has delta and gamma disjoint or equal, and one target exactly when its dim is >= 0."""
+    return all(
+        len(mop.gamma[x]) == (mop.dim[x] >= 0) and (mop.delta[x].isdisjoint(mop.gamma[x]) or mop.delta[x] == mop.gamma[x])
+        for x in mop.cells
+    )
+
+
 def _diagnostics(doc):
     """What validating the document reports: the faults of its reading and poset, else its face-complex faults."""
     mop, read = poset.mop_from_doc(doc)
@@ -143,14 +156,31 @@ def _diagnostics(doc):
 
 
 def assert_same_diagnostics(doc, monkeypatch):
+    """The fast checks report what the scans report on the document.
+
+    The face-complex check is defined only on a poset that mop_validate
+    returned and does not test regularity again, so the facet flow and
+    dfc_diagnostics are compared only on a regular poset.  An irregular one
+    must show a poset fault instead.
+    """
     # the one walk groups the chains z < y < x by z, so it lists them in another order than the scans
-    for name, reference in REFERENCES.items():
-        assert _outcome(getattr(poset, name), _mop(doc)) == _outcome(reference, _mop(doc)), name
-    fast = (_outcome(poset.mop_diagnostics, _mop(doc)), _outcome(poset.dfc_diagnostics, _mop(doc)))
+    mop = _mop(doc)
+    assert _outcome(poset._local_order_diagnostics, mop, _looping(mop)) == _outcome(reference_local_orders, mop)
+    regular = _regular(mop)
+    if regular:
+        assert _outcome(poset._facet_flow_diagnostics, mop) == _outcome(reference_facet_flow, mop)
+    else:
+        assert poset.mop_diagnostics(mop)
+
+    def run():
+        mop = _mop(doc)
+        return _outcome(poset.mop_diagnostics, mop), regular and _outcome(poset.dfc_diagnostics, mop)
+
+    fast = run()
     with monkeypatch.context() as m:
-        for name, reference in REFERENCES.items():
-            m.setattr(poset, name, reference)
-        slow = (_outcome(poset.mop_diagnostics, _mop(doc)), _outcome(poset.dfc_diagnostics, _mop(doc)))
+        m.setattr(poset, "_local_order_diagnostics", reference_local_orders)
+        m.setattr(poset, "_facet_flow_diagnostics", reference_facet_flow)
+        slow = run()
     assert fast == slow
 
 
@@ -301,3 +331,18 @@ def test_one_maximal_cell_is_greatest_once_the_poset_axioms_hold(generated):
     ], "local_orders": []}
     assert _down_set_of_sole_maximal_cell(_mop(cycle)) == {"f", "s", "t", "*"}
     assert "GradationBroken" in {d.code for d in poset.mop_diagnostics(_mop(cycle))}
+
+
+def test_the_face_complex_comparison_keeps_every_regular_poset(generated):
+    # assert_same_diagnostics compares the facet flow and dfc_diagnostics
+    # only on regular posets: pin how many documents that still is
+    regular = valid = failing = 0
+    for doc in all_documents(generated):
+        mop, read = poset.mop_from_doc(doc)
+        if not _regular(mop):
+            continue
+        regular += 1
+        if not read and not poset.mop_diagnostics(mop):
+            valid += 1
+            failing += bool(poset._facet_flow_diagnostics(mop))
+    assert (regular, valid, failing) == (208, 141, 60)

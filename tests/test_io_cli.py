@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import opetopes.cli
 import opetopes.equivalence
 import opetopes.io
+import opetopes.poset
 import opetopes.trees
 from opetopes.cli import main
 from opetopes.diagnostics import ParseError, ValidationError
@@ -32,7 +33,7 @@ from opetopes.io import (
     parse_opetope,
     serialize_doc,
 )
-from opetopes.poset import dfc_diagnostics, dfc_validate, mop_validate
+from opetopes.poset import dfc_diagnostics, dfc_validate, mop_diagnostics, mop_validate
 from opetopes.to_poset import p_of
 from opetopes.to_zoom import z_of
 from opetopes.trees import opetope_diagnostics
@@ -959,3 +960,29 @@ def test_every_poset_the_commands_build_holds_its_builders_maps(tmp_path, capsys
         assert all(type(v) is frozenset for v in chain(mop.delta.values(), mop.gamma.values()))
         assert all(type(seq) is tuple for seq in mop.local_orders.values())
         assert mop.dimension == max(mop.dim.values())
+
+
+def test_the_face_complex_check_sees_only_posets_that_pass_the_poset_axioms(tmp_path, monkeypatch, capsys, poset_builds):
+    # dfc_diagnostics is defined only on a poset that mop_validate returned
+    # and does not test regularity again; every command must keep to that
+    checked = []
+    original = opetopes.poset.dfc_diagnostics
+
+    def recording(mop):
+        assert mop_diagnostics(mop) == []  # raised through main, so the command stops here
+        checked.append(mop)
+        return original(mop)
+
+    # rebind the name in every module that imported it, so every caller is seen
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("opetopes") and getattr(mod, "dfc_diagnostics", None) is original:
+            monkeypatch.setattr(mod, "dfc_diagnostics", recording)
+    for i, doc in enumerate(_contract_documents()):
+        file = str(tmp_path / f"d{i}.json")
+        pathlib.Path(file).write_text(json.dumps(doc))
+        for argv in (["validate"], ["info"], ["roundtrip"], ["iso", file], ["convert", "--to", "ope"], ["convert", "--to", "dfc"]):
+            assert main([*argv, file]) in (0, 1)
+    capsys.readouterr()
+    assert len(checked) > 100
+    # and the commands were handed posets that break the poset axioms
+    assert any(mop_diagnostics(mop) for mop in poset_builds)

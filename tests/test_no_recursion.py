@@ -2,10 +2,23 @@
 
 oracle.py (brute force) and generator.py (seeded drawing of small
 structures) are exempt; every other module works with explicit stacks.
+The static check sees only direct self-calls, so every reading command
+also runs on two large documents under a recursion limit a fixed number
+of frames above the test.
 """
 
 import ast
+import json
 import pathlib
+import random
+import sys
+
+from opetopes.cli import main
+from opetopes.generator import GenParams, gen_opetope
+from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc
+from opetopes.to_poset import p_of
+
+from conftest import comb_opetope_doc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "opetopes"
 EXEMPT = {"oracle.py", "generator.py"}
@@ -39,3 +52,35 @@ def test_no_library_function_calls_itself():
         for name, line in _self_calls(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+FRAMES = 60  # the frames the commands may use above the caller, on any input
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_commands_run_in_bounded_depth_on_large_documents(tmp_path, capsys):
+    drawn = gen_opetope(random.Random(1), GenParams(8, max_tree_dots=100000, max_whitedots_per_edge=3))
+    comb = opetope_from_doc(comb_opetope_doc(1000))
+    assert len(p_of(drawn).mop.cells) == 968
+    files = []
+    for name, ope in (("drawn", drawn), ("comb", comb)):
+        for kind, doc in (("ope", opetope_to_doc(ope)), ("dfc", dfc_to_doc(p_of(ope)))):
+            file = tmp_path / f"{name}.{kind}.json"
+            file.write_text(json.dumps(doc))
+            files.append(str(file))
+    commands = (["validate"], ["info"], ["convert", "--to", "ope"], ["convert", "--to", "dfc"], ["roundtrip"], ["export-dot"])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + FRAMES)
+    try:
+        exits = {(*argv, file): main([*argv, file]) for file in files for argv in commands}
+        exits.update({("iso", file, file): main(["iso", file, file]) for file in files})
+    finally:
+        sys.setrecursionlimit(limit)
+    capsys.readouterr()
+    assert len(exits) == 28 and set(exits.values()) == {0}, exits
