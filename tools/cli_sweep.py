@@ -13,6 +13,13 @@ roundtrip, export-dot, and iso against itself, against the next document
 and against its relabelled copy.  gen and oracle are left out: they read no
 document the validators decide.
 
+Then the reader's error paths get validate alone: each of the four
+top-level fixtures with one JSON path (the whole document included)
+replaced by each of VALUES or deleted, with an unknown field added to
+one of its objects, with a structure map (sigma_black, sigma_white) of
+each value added to one of its constellations, and in TWO_EDITS seeded
+documents carrying two of these edits at once.
+
 Each line is the call's argv, then the sha256 of its exit code, stdout,
 stderr and the file -o wrote; a call that raises digests the exception
 in place of the exit code.  Documents are written to a temporary
@@ -43,6 +50,68 @@ import test_axiom_indexes  # noqa: E402
 from conftest import edit_corpus, generated_corpus, relabel_doc  # noqa: E402
 
 OUTPUT = "out.json"
+# every JSON type, and the id-like, empty and nested values a reader must tell apart
+VALUES = [None, True, 5, 1.5, "", "zz", [], [1], ["a"], [[]], {}, {"a": "b"}, {"a": []}]
+DELETE = object()  # an edit's value that deletes the field
+TWO_EDITS = 300  # per fixture
+
+
+def json_paths(doc) -> list[tuple[tuple, object]]:
+    """(path, value) of every value in doc, the document itself first, in document order."""
+    out, stack = [], [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        out.append((path, value))
+        items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+        stack += reversed([(path + (k,), v) for k, v in items])
+    return out
+
+
+def edited(doc, edits):
+    """A copy of doc with each (path, value) edit applied in turn; KeyError, IndexError or TypeError when one no longer applies."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        if not path:
+            doc = json.loads(json.dumps(value))
+            continue
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if not isinstance(target, dict if isinstance(last, str) else list):
+            raise TypeError(f"no field {last!r} at {parents}")
+        if value is DELETE:
+            del target[last]
+        elif isinstance(last, str) or last < len(target):
+            target[last] = json.loads(json.dumps(value))
+        else:
+            raise IndexError(last)
+    return doc
+
+
+def error_documents() -> list[tuple[str, str, None]]:
+    """The reader's error-path documents, as (file name, text, None)."""
+    docs = []
+    rng = random.Random(29)
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        doc = json.loads(path.read_text())
+        paths = json_paths(doc)
+        edits = [((p, v),) for p, _ in paths for v in (VALUES + [DELETE] if p else VALUES)]
+        objects = [p for p, value in paths if isinstance(value, dict)]
+        edits += [((p + ("zz",), "zz"),) for p in objects]
+        constellations = [p for p in objects if p[:1] == ("constellations",) and len(p) == 2]
+        edits += [((p + (key,), v),) for p in constellations for key in ("sigma_black", "sigma_white") for v in VALUES]
+        pairs = []
+        while len(pairs) < TWO_EDITS:
+            pair = rng.choice(edits) + rng.choice(edits)
+            try:
+                edited(doc, pair)
+            except (KeyError, IndexError, TypeError):
+                continue
+            pairs.append(pair)
+        for i, e in enumerate(edits + pairs):
+            docs.append((f"err/{path.stem}/{i:04d}.json", json.dumps(edited(doc, e)), None))
+    return docs
 
 
 def documents() -> list[tuple[str, str, str | None]]:
@@ -97,13 +166,13 @@ def calls(docs) -> list[list[str]]:
 
 
 def main_sweep() -> None:
-    docs = documents()
+    docs, errors = documents(), error_documents()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, text, _ in docs:
+        for name, text, _ in docs + errors:
             Path(name).parent.mkdir(parents=True, exist_ok=True)
             Path(name).write_bytes(text.encode("utf-8"))
-        for argv in calls(docs):
+        for argv in calls(docs) + [["validate", name] for name, _, _ in errors]:
             print(json.dumps(argv), digest(argv))
         os.chdir(ROOT)
 
