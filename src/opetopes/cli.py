@@ -21,12 +21,11 @@ from .equivalence import dfc_iso_search, opetope_iso_search, tau, theta
 from .io import (
     detect_kind,
     dfc_to_doc,
-    normalize_dfc,
-    normalize_opetope,
     opetope_from_doc,
     opetope_to_doc,
     parse_json,
     serialize_doc,
+    unknown_fields,
 )
 # mop_diagnostics is not called here; perfbench's tracer test reaches it through this module
 from .poset import dfc_validate, mop_diagnostics, mop_validate  # noqa: F401
@@ -56,15 +55,21 @@ def _read(path: str) -> str:
 
 
 def _load_any(path: str):
-    """(kind, validated object) for a document of either encoding."""
+    """(kind, validated object) for a document of either encoding; its unknown fields are warned of once it is read."""
     doc = parse_json(_read(path))
     kind = detect_kind(doc)
-    doc, warnings = (normalize_dfc if kind == "dfc" else normalize_opetope)(doc)
-    for w in warnings:
+    try:
+        read = mop_validate(doc) if kind == "dfc" else opetope_from_doc(doc)
+    except ValidationError:  # the document was read: its warnings come before its diagnostics
+        _warn(doc, path)
+        raise
+    _warn(doc, path)
+    return kind, dfc_validate(read) if kind == "dfc" else opetope_validate(read)
+
+
+def _warn(doc, path: str) -> None:
+    for w in unknown_fields(doc):
         _emit({"warning": w, "file": path})
-    if kind == "dfc":
-        return kind, dfc_validate(mop_validate(doc))
-    return kind, opetope_validate(opetope_from_doc(doc))
 
 
 def cmd_validate(args) -> int:

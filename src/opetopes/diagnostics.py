@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -49,6 +50,32 @@ class ParseError(Exception):
         if location is not None:
             message = f"{message} (line {location[0]}, column {location[1]})"
         super().__init__(message)
+
+
+def json_path(where: tuple, *keys) -> str:
+    """The JSON path of field where = (array, index, field) and keys below it; built only for an error."""
+    array, i, field = where
+    return f"{array}[{i}].{field}" + "".join(f"[{json.dumps(k)}]" for k in keys)
+
+
+def check_id(value, where: tuple, *keys, strict: bool = False) -> None:
+    """ParseError unless value is an id: never a container, and when strict a non-empty string (else BadId reports it)."""
+    if type(value) is str and value:
+        return
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{json_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
+    if strict:
+        kind = "non-empty string" if value == "" else "string"
+        raise ParseError(f"{json_path(where, *keys)} must be a {kind} id, not {json.dumps(value)}")
+
+
+def check_ids(value, where: tuple, *keys, container=list, strict: bool = False) -> None:
+    """ParseError unless value is an array (or an object, for container=dict) whose values pass check_id."""
+    if not isinstance(value, container):
+        raise ParseError(f"{json_path(where, *keys)} must be an {'array' if container is list else 'object'} of ids")
+    for key, v in value.items() if container is dict else enumerate(value):
+        if type(v) is not str or not v:  # inline: a call per id costs more than the rest of the read
+            check_id(v, where, *keys, key, strict=strict)
 
 
 class InternalError(Exception):

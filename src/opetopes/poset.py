@@ -8,9 +8,10 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 (unique sign-rule lozenge completions) and acyclic facet flow.  Validators
 collect every violation instead of stopping at the first one.
 
-A document becomes a poset in one read (mop_from_doc), which leaves out
-what it cannot place and reports it; mop_validate adds the poset axioms
-and returns that same poset, which dfc_validate checks as a face complex.
+A document becomes a poset in one read (mop_from_doc), which checks its
+JSON types as it goes, edits nothing, and leaves out what it cannot place
+and reports it; mop_validate adds the poset axioms and returns that same
+poset, which dfc_validate checks as a face complex.
 The face-complex check is defined only on a poset that mop_validate
 returned: it trusts the poset axioms and does not test regularity again.
 On a valid document the reading is a set test per record, and only a
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagnostics import Diagnostic, ValidationError, make, sort_key
+from .diagnostics import Diagnostic, ParseError, ValidationError, check_id, check_ids, make, sort_key
 
 MINUS = "-"
 PLUS = "+"
@@ -115,26 +116,58 @@ class ManyToOnePoset:
 # -- MOP validation ----------------------------------------------------
 
 
-def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
+def mop_from_doc(doc) -> tuple[ManyToOnePoset, list[Diagnostic]]:
     """The poset a document describes, and the id-level faults met while reading it.
 
-    A cell with a bad or repeated id is left out, and so is a reference to
+    The one reader of a face-complex document: ParseError on the first
+    field of the wrong JSON type, met cell by cell (id, delta, gamma, bad
+    ids included), then local order by local order.  An absent delta,
+    gamma or local_orders reads as empty; the document is not edited.  A
+    cell with a bad or repeated id is left out, and so is a reference to
     an unknown or repeated facet, or a local order on unknown cells.
     """
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        raise ParseError("a DFC document is an object with a 'cells' array")
     out: list[Diagnostic] = []
-    cells = doc.get("cells", [])
     seen: set[str] = set()
     kept = []  # the first record of each good id
-    for rec in cells:
-        cid = rec.get("id")
-        if not isinstance(cid, str) or not cid:
-            out.append(make("BadId", [str(cid)], "cell ids", "cell id must be a non-empty string"))
-            continue
+    for i, rec in enumerate(doc["cells"]):
+        if not isinstance(rec, dict) or "id" not in rec:
+            raise ParseError("each cell is an object with at least an 'id'")
+        cid, delta, gamma = rec["id"], rec.get("delta", []), rec.get("gamma", [])
+        # the common case, decided without a JSON path per field
+        if not (type(cid) is str and cid and type(delta) is list and type(gamma) is list and all(type(v) is str and v for v in delta + gamma)):
+            check_id(cid, ("cells", i, "id"))
+            check_ids(delta, ("cells", i, "delta"))
+            check_ids(gamma, ("cells", i, "gamma"))
+            if type(cid) is not str or not cid:
+                out.append(make("BadId", [str(cid)], "cell ids", "cell id must be a non-empty string"))
+                continue
         if cid in seen:
             out.append(make("DuplicateId", [cid], "cell ids", f"cell id {cid!r} appears twice"))
             continue
         seen.add(cid)
         kept.append(rec)
+    # the local orders need only the ids, so a wrong type in them is met before any facet set is built
+    orders = doc.get("local_orders", [])
+    if not isinstance(orders, list):
+        raise ParseError("local_orders must be an array")
+    local_orders = {}
+    for i, rec in enumerate(orders):
+        if not isinstance(rec, dict) or not rec.keys() >= {"x", "z", "order"}:
+            raise ParseError("each local order is an object with 'x', 'z' and 'order'")
+        x, z, seq = rec["x"], rec["z"], rec["order"]
+        check_id(x, ("local_orders", i, "x"))
+        check_id(z, ("local_orders", i, "z"))
+        check_ids(seq, ("local_orders", i, "order"))
+        bad = [r for r in [x, z, *seq] if r not in seen]
+        if bad:
+            out.append(make("DanglingId", [str(b) for b in bad], "local orders", "local order references unknown cells"))
+            continue
+        if (x, z) in local_orders:
+            out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
+            continue
+        local_orders[(x, z)] = tuple(seq)
     dim, delta, gamma = {}, {}, {}
     for rec in kept:
         cid = rec["id"]
@@ -160,17 +193,6 @@ def mop_from_doc(doc: dict) -> tuple[ManyToOnePoset, list[Diagnostic]]:
                     local_seen.add(r)
                     ok.append(r)
             store[cid] = frozenset(ok)
-    local_orders = {}
-    for rec in doc.get("local_orders", []):
-        x, z, seq = rec.get("x"), rec.get("z"), rec.get("order", [])
-        bad = [r for r in [x, z, *seq] if r not in seen]
-        if bad:
-            out.append(make("DanglingId", [str(b) for b in bad], "local orders", "local order references unknown cells"))
-            continue
-        if (x, z) in local_orders:
-            out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
-            continue
-        local_orders[(x, z)] = tuple(seq)
     return ManyToOnePoset(dim, delta, gamma, local_orders), out
 
 
@@ -245,7 +267,7 @@ def _local_order_diagnostics(mop: ManyToOnePoset, looping: set[str]) -> list[Dia
 
 
 def mop_validate(doc: dict) -> ManyToOnePoset:
-    """The poset of a document, or ValidationError with every fault of its reading and every axiom it breaks."""
+    """The poset of a document, or ValidationError with every fault of its reading and every axiom it breaks (ParseError as mop_from_doc)."""
     mop, read = mop_from_doc(doc)
     diags = set(read).union(mop_diagnostics(mop))  # a fault read twice is reported once
     if diags:

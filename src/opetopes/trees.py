@@ -46,7 +46,7 @@ class RootedTree:
     """Finite rooted tree with first-class edge identities; nodes and edges are stored in id order.
 
     The target maps are stored as handed, not copied: io.opetope_from_doc
-    hands over a normalized document's, every other builder fresh ones.
+    hands over those of the document it reads, every other builder fresh ones.
     """
 
     def __init__(self, nodes, edges, node_target, edge_target, root):

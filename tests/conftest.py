@@ -4,7 +4,7 @@ import random
 import pytest
 
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.io import dfc_to_doc, opetope_from_doc, parse_dfc, parse_opetope
+from opetopes.io import dfc_to_doc, opetope_from_doc, parse_json, parse_opetope
 from opetopes.oracle import oracle_kernel
 from opetopes.poset import MINUS, PLUS, ManyToOnePoset, dfc_validate, mop_validate
 from opetopes.to_poset import p_of
@@ -18,13 +18,11 @@ def fixture_text(name: str) -> str:
 
 
 def load_dfc(name: str):
-    doc, _ = parse_dfc(fixture_text(name))
-    return dfc_validate(mop_validate(doc))
+    return dfc_validate(mop_validate(parse_json(fixture_text(name))))
 
 
 def load_dfc_doc(name: str) -> dict:
-    doc, _ = parse_dfc(fixture_text(name))
-    return doc
+    return parse_json(fixture_text(name))
 
 
 def load_ope(name: str):

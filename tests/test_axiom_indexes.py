@@ -24,7 +24,7 @@ import random
 import pytest
 
 from opetopes import poset
-from opetopes.io import parse_dfc
+from opetopes.io import parse_json
 from opetopes.oracle import oracle_lozenge
 from opetopes.poset import LOOP, MINUS, make, sort_key
 
@@ -261,8 +261,7 @@ FIXTURE_PATHS = sorted(FIXTURES.glob("*.dfc.json")) + sorted(FIXTURES.glob("muta
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.name)
 def test_indexed_checks_match_the_scans_on_fixtures(path, monkeypatch):
-    doc, _ = parse_dfc(path.read_text())
-    assert_same_diagnostics(doc, monkeypatch)
+    assert_same_diagnostics(parse_json(path.read_text()), monkeypatch)
 
 
 def test_indexed_checks_match_the_scans_on_generated_complexes(generated, monkeypatch):
@@ -281,7 +280,7 @@ def test_indexed_checks_match_the_scans_after_one_edit(edit, generated, monkeypa
 
 def all_documents(generated):
     """The fixtures, the mutations, the generated complexes and each of their single edits."""
-    docs = [parse_dfc(path.read_text())[0] for path in FIXTURE_PATHS] + generated
+    docs = [parse_json(path.read_text()) for path in FIXTURE_PATHS] + generated
     return docs + [edited for edit in EDITS for edited in single_edits(generated, edit)]
 
 

@@ -1,5 +1,7 @@
 """Documents and the command-line surface."""
 
+import copy
+import gc
 import importlib
 import importlib.util
 import json
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opetopes.cli
+import opetopes.diagnostics
 import opetopes.equivalence
 import opetopes.io
 import opetopes.poset
@@ -24,14 +27,11 @@ from opetopes.dot import export_dot
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import (
     dfc_to_doc,
-    normalize_dfc,
-    normalize_opetope,
     opetope_from_doc,
     opetope_to_doc,
-    parse_dfc,
     parse_json,
-    parse_opetope,
     serialize_doc,
+    unknown_fields,
 )
 from opetopes.poset import dfc_diagnostics, dfc_validate, mop_diagnostics, mop_validate
 from opetopes.to_poset import p_of
@@ -46,11 +46,8 @@ ALL_FIXTURES = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_serialize_parse_serialize_is_stable(name):
     text = fixture_text(name)
-    parse = parse_dfc if ".dfc." in name else parse_opetope
-    doc, _ = parse(text)
-    once = serialize_doc(doc)
-    doc2, _ = parse(once)
-    assert serialize_doc(doc2) == once
+    once = serialize_doc(parse_json(text))
+    assert serialize_doc(parse_json(once)) == once
     # the shipped fixtures are already canonical
     assert once == text
 
@@ -109,20 +106,22 @@ def test_make_fixtures_regenerates_the_fixtures_byte_for_byte(tmp_path, monkeypa
 
 def test_malformed_json_reports_location():
     with pytest.raises(ParseError) as err:
-        parse_dfc('{"cells": [ {"id": "*", "dim": -1} ')
+        parse_json('{"cells": [ {"id": "*", "dim": -1} ')
     assert err.value.location is not None
 
 
 def test_unknown_fields_warned_and_preserved():
     doc = {"cells": [{"id": "*", "dim": -1, "color": "red"}], "note": "hi"}
-    text = serialize_doc(doc)
-    parsed, warnings = parse_dfc(text)
-    assert any("color" in w for w in warnings) and any("note" in w for w in warnings)
+    parsed = parse_json(serialize_doc(doc))
+    mop_validate(parsed)
+    assert unknown_fields(parsed) == ["cell '*': unknown field 'color'", "document: unknown field 'note'"]
     assert '"color": "red"' in serialize_doc(parsed)
     ope = json.loads(fixture_text("rho3.ope.json"))
     ope["note"] = "hi"
-    parsed, warnings = parse_opetope(serialize_doc(ope))
-    assert warnings == ["document: unknown field 'note'"]
+    ope["trees"][1]["x"] = ope["constellations"][0]["y"] = 1
+    parsed = parse_json(serialize_doc(ope))
+    opetope_from_doc(parsed)
+    assert unknown_fields(parsed) == ["tree 1: unknown field 'x'", "constellation 0: unknown field 'y'", "document: unknown field 'note'"]
     assert '"note": "hi"' in serialize_doc(parsed)
 
 
@@ -185,7 +184,7 @@ def test_cli_validate_matches_library(capsys):
     main(["validate", path("mutations/m02_loop_flattened.dfc.json")])
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     got = sorted({e["code"] for e in lines if "code" in e})
-    doc, _ = parse_dfc(fixture_text("mutations/m02_loop_flattened.dfc.json"))
+    doc = parse_json(fixture_text("mutations/m02_loop_flattened.dfc.json"))
     expected = sorted({d.code for d in dfc_diagnostics(mop_validate(doc))})
     assert got == expected
 
@@ -602,7 +601,7 @@ def test_cli_names_the_json_path_of_a_wrong_type(tmp_path, capsys, case, error):
     assert f"error: {error}" in capsys.readouterr().err
 
 
-def test_normalizing_a_valid_document_builds_no_json_path(monkeypatch):
+def test_reading_a_valid_document_builds_no_json_path(monkeypatch):
     texts = [fixture_text(name) for name in ("rho3.dfc.json", "omega4.dfc.json", "rho3.ope.json", "omega4.ope.json")]
     rng = random.Random(5)
     for dim in range(1, 6):
@@ -612,12 +611,12 @@ def test_normalizing_a_valid_document_builds_no_json_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a JSON path was built for a valid document")
 
-    monkeypatch.setattr(opetopes.io.json, "dumps", refuse)
-    monkeypatch.setattr(opetopes.io, "_path", refuse)
+    monkeypatch.setattr(opetopes.diagnostics.json, "dumps", refuse)
+    monkeypatch.setattr(opetopes.diagnostics, "json_path", refuse)
     for text in texts:
         doc = json.loads(text)
-        _, warnings = normalize_dfc(doc) if "cells" in doc else normalize_opetope(doc)
-        assert warnings == []
+        mop_validate(doc) if "cells" in doc else opetope_from_doc(doc)
+        assert unknown_fields(doc) == []
 
 
 @pytest.mark.parametrize("name, field, value, path", NON_STRING_IDS)
@@ -986,3 +985,65 @@ def test_the_face_complex_check_sees_only_posets_that_pass_the_poset_axioms(tmp_
     assert len(checked) > 100
     # and the commands were handed posets that break the poset axioms
     assert any(mop_diagnostics(mop) for mop in poset_builds)
+
+
+# optional fields and the value an absent one reads as; an opetope document's dim reads as its trees less one
+OPTIONAL = {"delta": [], "gamma": [], "local_orders": [], "nodes": [], "edges": [], "node_target": {}, "edge_target": {},
+            "constellations": [], "subdivision": {}}
+
+
+def _without_defaults(doc: dict) -> dict:
+    """A copy of doc that leaves out each optional field holding the value an absent one reads as."""
+    doc = json.loads(json.dumps(doc))
+    doc.pop("dim", None)
+    for rec in [doc, *doc.get("cells", []), *doc.get("trees", []), *doc.get("constellations", [])]:
+        for key in [k for k, v in rec.items() if k in OPTIONAL and v == OPTIONAL[k]]:
+            del rec[key]
+    return doc
+
+
+def test_no_command_edits_the_document_it_reads(tmp_path, monkeypatch, capsys):
+    read = []  # (the document a command decoded, a deep copy taken as it was decoded)
+
+    def recording(text):
+        doc = parse_json(text)
+        read.append((doc, copy.deepcopy(doc)))
+        return doc
+
+    monkeypatch.setattr(opetopes.cli, "parse_json", recording)
+    docs = [json.loads(fixture_text(name)) for name in ("rho3.dfc.json", "omega4.dfc.json", "rho3.ope.json", "omega4.ope.json")]
+    rng = random.Random(3)
+    for dim in range(5):
+        ope = gen_opetope(rng, GenParams(dim=dim))
+        docs += [opetope_to_doc(ope), dfc_to_doc(p_of(ope))]
+    file = tmp_path / "doc.json"
+    left_out = 0
+    for full in docs:
+        bare = _without_defaults(full)
+        left_out += len(json.dumps(full)) - len(json.dumps(bare))
+        for argv in (["validate"], ["info"], ["convert", "--to", "ope"], ["convert", "--to", "dfc"], ["roundtrip"]):
+            outputs = []
+            for doc in (bare, full):
+                file.write_text(json.dumps(doc))
+                read.clear()
+                outputs.append((main([*argv, str(file)]), capsys.readouterr()))
+                ((decoded, before),) = read
+                assert decoded == before == doc, (argv, doc)
+            assert outputs[0] == outputs[1], argv
+    assert left_out > 1000
+
+
+def test_reading_a_document_leaves_no_reference_cycle(tmp_path, capsys):
+    # an exception kept in a local of the frame it was raised through is such a cycle
+    unknown = tmp_path / "unknown.json"
+    doc = json.loads(fixture_text("mutations/m01_gamma_two_targets.dfc.json"))
+    doc["note"] = 1
+    unknown.write_text(json.dumps(doc))
+    wrong_type = _edited(tmp_path, *WRONG_TYPES[0])
+    files = [path(name) for name in ALL_FIXTURES] + [str(unknown), str(wrong_type)]
+    main(["validate", *files])
+    for file in files:
+        gc.collect()
+        main(["validate", file])
+        assert gc.collect() == 0, file
+    capsys.readouterr()

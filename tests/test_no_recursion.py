@@ -3,8 +3,9 @@
 oracle.py (brute force) and generator.py (seeded drawing of small
 structures) are exempt; every other module works with explicit stacks.
 The static check sees only direct self-calls, so every reading command
-also runs on two large documents under a recursion limit a fixed number
-of frames above the test.
+also runs on two large documents, and gen (whose nesting recurses once
+per level) draws ten opetopes of each dim from 3 to 12, under a
+recursion limit a fixed number of frames above the test.
 """
 
 import ast
@@ -80,7 +81,8 @@ def test_the_commands_run_in_bounded_depth_on_large_documents(tmp_path, capsys):
     try:
         exits = {(*argv, file): main([*argv, file]) for file in files for argv in commands}
         exits.update({("iso", file, file): main(["iso", file, file]) for file in files})
+        exits.update({("gen", dim): main(["gen", "--dim", str(dim), "--count", "10"]) for dim in range(3, 13)})
     finally:
         sys.setrecursionlimit(limit)
     capsys.readouterr()
-    assert len(exits) == 28 and set(exits.values()) == {0}, exits
+    assert len(exits) == 38 and set(exits.values()) == {0}, exits

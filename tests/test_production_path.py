@@ -24,8 +24,7 @@ ORACLE = PACKAGE / "oracle.py"
 
 NEVER_ENTERED = {
     "cli.cmd_oracle": "the oracle command runs the reference constructions, not the production path",
-    "io.parse_dfc": "the tests and tools/make_fixtures.py read face-complex documents from text",
-    "io.parse_opetope": "perfbench and tools/make_fixtures.py read opetope documents from text",
+    "io.parse_opetope": "perfbench and tools/make_fixtures.py read opetope documents from text; the commands decode with parse_json and read once",
     "diagnostics.NotAnIsomorphism.__init__": "raised only on a bug",
 }
 

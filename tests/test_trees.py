@@ -27,7 +27,7 @@ from opetopes.trees import (
 )
 
 from conftest import comb_opetope_doc, constellations, kernel_rule_by_both_routes, load_ope, load_ope_doc
-from opetopes.io import normalize_opetope, opetope_from_doc
+from opetopes.io import opetope_from_doc
 from opetopes.to_poset import p_of
 
 
@@ -66,7 +66,7 @@ def expansion_tree(base: RootedTree, w: dict) -> RootedTree:
 
 
 def comb(leaves: int) -> Opetope:
-    return opetope_from_doc(normalize_opetope(comb_opetope_doc(leaves))[0])
+    return opetope_from_doc(comb_opetope_doc(leaves))
 
 
 def test_paper_tree_valid():

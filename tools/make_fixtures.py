@@ -9,7 +9,8 @@ import copy
 import json
 import pathlib
 
-from opetopes.io import parse_dfc, parse_opetope, serialize_doc
+from opetopes.io import parse_json, parse_opetope, serialize_doc
+from opetopes.poset import mop_from_doc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -251,7 +252,7 @@ def main():
     for p in sorted(ROOT.rglob("*.json")):
         text = p.read_text()
         if ".dfc." in p.name:
-            parse_dfc(text)
+            mop_from_doc(parse_json(text))
         else:
             parse_opetope(text)
     print(f"wrote {len(plain)} fixtures and {len(dfc_mutations()) + len(ope_mutations())} mutations under {ROOT}")
