@@ -195,21 +195,20 @@ def cmd_oracle(args) -> int:
         bad = oracle.oracle_hexagon(obj)
         _emit({"hexagon": "ok" if not bad else [list(map(str, b)) for b in bad]})
         return OK if not bad else INVALID
-    if args.check == "iso":
-        if args.against is None:
-            raise ParseError("iso oracle needs a second document, given with --against")
-        kind2, other = _load_any(args.against)
-        if kind != "dfc" or kind2 != "dfc":
-            raise ParseError("iso oracle needs two DFC documents")
-        for path, dfc in ((args.file, obj), (args.against, other)):
-            for k in range(-1, dfc.dimension + 1):
-                if len(dfc.mop.grade(k)) > oracle.ISO_GRADE_BOUND:
-                    raise ParseError(f"iso oracle permutes whole grades and takes at most {oracle.ISO_GRADE_BOUND} cells"
-                                     f" per grade; grade {k} of {path} has {len(dfc.mop.grade(k))}")
-        witnesses = oracle.oracle_iso(obj, other)
-        _emit({"witnesses": [dict(sorted(w.items())) for w in witnesses]})
-        return OK if witnesses else INVALID
-    raise ParseError(f"unknown oracle check {args.check!r}")
+    # iso, the last of the checks the parser accepts
+    if args.against is None:
+        raise ParseError("iso oracle needs a second document, given with --against")
+    kind2, other = _load_any(args.against)
+    if kind != "dfc" or kind2 != "dfc":
+        raise ParseError("iso oracle needs two DFC documents")
+    for path, dfc in ((args.file, obj), (args.against, other)):
+        for k in range(-1, dfc.dimension + 1):
+            if len(dfc.mop.grade(k)) > oracle.ISO_GRADE_BOUND:
+                raise ParseError(f"iso oracle permutes whole grades and takes at most {oracle.ISO_GRADE_BOUND} cells"
+                                 f" per grade; grade {k} of {path} has {len(dfc.mop.grade(k))}")
+    witnesses = oracle.oracle_iso(obj, other)
+    _emit({"witnesses": [dict(sorted(w.items())) for w in witnesses]})
+    return OK if witnesses else INVALID
 
 
 def cmd_export_dot(args) -> int:

@@ -1,4 +1,8 @@
-"""Machine-readable validation diagnostics and error types shared by all modules."""
+"""Machine-readable validation diagnostics, the error types shared by all modules, and the one id rule.
+
+Both readers read each id with check_id or check_ids: it is a non-empty
+string, and any other value is a ParseError naming its JSON path.
+"""
 
 from __future__ import annotations
 
@@ -58,24 +62,23 @@ def json_path(where: tuple, *keys) -> str:
     return f"{array}[{i}].{field}" + "".join(f"[{json.dumps(k)}]" for k in keys)
 
 
-def check_id(value, where: tuple, *keys, strict: bool = False) -> None:
-    """ParseError unless value is an id: never a container, and when strict a non-empty string (else BadId reports it)."""
+def check_id(value, where: tuple, *keys) -> None:
+    """ParseError unless value is an id, a non-empty string, in either encoding."""
     if type(value) is str and value:
         return
     if isinstance(value, (list, dict)):
         raise ParseError(f"{json_path(where, *keys)} must be an id, not an {'array' if isinstance(value, list) else 'object'}")
-    if strict:
-        kind = "non-empty string" if value == "" else "string"
-        raise ParseError(f"{json_path(where, *keys)} must be a {kind} id, not {json.dumps(value)}")
+    kind = "non-empty string" if value == "" else "string"
+    raise ParseError(f"{json_path(where, *keys)} must be a {kind} id, not {json.dumps(value)}")
 
 
-def check_ids(value, where: tuple, *keys, container=list, strict: bool = False) -> None:
+def check_ids(value, where: tuple, *keys, container=list) -> None:
     """ParseError unless value is an array (or an object, for container=dict) whose values pass check_id."""
     if not isinstance(value, container):
         raise ParseError(f"{json_path(where, *keys)} must be an {'array' if container is list else 'object'} of ids")
     for key, v in value.items() if container is dict else enumerate(value):
         if type(v) is not str or not v:  # inline: a call per id costs more than the rest of the read
-            check_id(v, where, *keys, key, strict=strict)
+            check_id(v, where, *keys, key)
 
 
 class InternalError(Exception):

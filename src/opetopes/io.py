@@ -6,9 +6,9 @@ serialize byte for byte.  Each encoding has one reader, which checks the
 JSON types as it builds the object and edits no document:
 poset.mop_from_doc for a face complex, opetope_from_doc here for a zoom
 complex.  A field of the wrong JSON type is a ParseError naming its path,
-and an absent optional field reads as empty.  An id is never a container;
-in a face-complex document it may be any scalar, in an opetope document it
-is a non-empty string.  Unknown fields are warned of by unknown_fields and
+and an absent optional field reads as empty.  An id, in either encoding,
+is a non-empty string (diagnostics.check_id).  Unknown fields, on the
+document and on each of its records, are warned of by unknown_fields and
 left in the document, so serialize_doc of a parsed document writes them
 back; the commands write documents rebuilt from the validated object
 (dfc_to_doc, opetope_to_doc), which drop them.  An opetope document may
@@ -26,9 +26,16 @@ from .diagnostics import ParseError, ValidationError, check_id, check_ids, make
 from .poset import Dfc
 from .trees import Opetope, RootedTree, opetope_diagnostics
 
-DFC_CELL_KEYS = {"id", "dim", "delta", "gamma"}
-TREE_KEYS = {"nodes", "edges", "node_target", "edge_target", "root"}
-CONSTELLATION_KEYS = {"subdivision", "sigma_black", "sigma_white"}
+# The fields the readers read, per encoding and record kind in document order: the array
+# of the records (None for the document itself), the name a warning gives one, its fields.
+KNOWN_FIELDS = {
+    "dfc": (("cells", "cell", {"id", "dim", "delta", "gamma"}),
+            ("local_orders", "local order", {"x", "z", "order"}),
+            (None, "document", {"cells", "local_orders"})),
+    "opetope": (("trees", "tree", {"nodes", "edges", "node_target", "edge_target", "root"}),
+                ("constellations", "constellation", {"subdivision", "sigma_black", "sigma_white"}),
+                (None, "document", {"dim", "trees", "constellations"})),
+}
 
 
 def parse_json(text: str):
@@ -139,21 +146,17 @@ def detect_kind(doc) -> str:
 
 
 def unknown_fields(doc: dict) -> list[str]:
-    """A warning for each field the readers ignore, read off the keys of a document its reader has read."""
+    """A warning for each field the readers ignore, in document order, read off the keys of a document its reader has read.
+
+    A cell is named by its id, any other record by its index.
+    """
     out = []
-    if "cells" in doc:
-        for rec in doc["cells"]:
-            if not rec.keys() <= DFC_CELL_KEYS:
-                out += [f"cell {rec['id']!r}: unknown field {key!r}" for key in sorted(rec.keys() - DFC_CELL_KEYS)]
-        known = {"cells", "local_orders"}
-    else:
-        for kind, records, keys in (("tree", doc["trees"], TREE_KEYS),
-                                    ("constellation", doc.get("constellations", []), CONSTELLATION_KEYS)):
-            for i, rec in enumerate(records):
-                if not rec.keys() <= keys:
-                    out += [f"{kind} {i}: unknown field {key!r}" for key in sorted(rec.keys() - keys)]
-        known = {"dim", "trees", "constellations"}
-    return out + [f"document: unknown field {key!r}" for key in sorted(doc.keys() - known)]
+    for array, name, known in KNOWN_FIELDS[detect_kind(doc)]:
+        for i, rec in enumerate([doc] if array is None else doc.get(array, [])):
+            if not rec.keys() <= known:
+                label = name if array is None else f"{name} {rec['id']!r}" if array == "cells" else f"{name} {i}"
+                out += [f"{label}: unknown field {key!r}" for key in sorted(rec.keys() - known)]
+    return out
 
 
 # -- DFC documents -----------------------------------------------------
@@ -209,11 +212,11 @@ def opetope_from_doc(doc) -> Opetope:
         if not (type(root) is str and root and type(nodes) is list and type(edges) is list
                 and type(node_target) is dict and type(edge_target) is dict
                 and all(type(v) is str and v for v in chain(nodes, edges, node_target.values(), edge_target.values()))):
-            check_id(root, ("trees", i, "root"), strict=True)
-            check_ids(nodes, ("trees", i, "nodes"), strict=True)
-            check_ids(edges, ("trees", i, "edges"), strict=True)
-            check_ids(node_target, ("trees", i, "node_target"), container=dict, strict=True)
-            check_ids(edge_target, ("trees", i, "edge_target"), container=dict, strict=True)
+            check_id(root, ("trees", i, "root"))
+            check_ids(nodes, ("trees", i, "nodes"))
+            check_ids(edges, ("trees", i, "edges"))
+            check_ids(node_target, ("trees", i, "node_target"), container=dict)
+            check_ids(edge_target, ("trees", i, "edge_target"), container=dict)
         fields.append((nodes, edges, node_target, edge_target, root))
     constellations = doc.get("constellations", [])
     if not isinstance(constellations, list):
@@ -227,10 +230,10 @@ def opetope_from_doc(doc) -> Opetope:
             raise ParseError(f"constellations[{i}].subdivision must be an object mapping edges to arrays of whitedots")
         for b, ws in sub.items():
             if not (type(ws) is list and all(type(v) is str and v for v in ws)):
-                check_ids(ws, ("constellations", i, "subdivision"), b, strict=True)
+                check_ids(ws, ("constellations", i, "subdivision"), b)
         for key in ("sigma_black", "sigma_white"):
             if rec.get(key) is not None:
-                check_ids(rec[key], ("constellations", i, key), container=dict, strict=True)
+                check_ids(rec[key], ("constellations", i, key), container=dict)
         subdivisions.append({b: tuple(ws) for b, ws in sub.items()})
     n = len(fields) - 1
     if len(constellations) != n:

@@ -9,7 +9,8 @@ is such a poset with a greatest element, plus-cofaces for loops, oriented thinne
 collect every violation instead of stopping at the first one.
 
 A document becomes a poset in one read (mop_from_doc), which checks its
-JSON types as it goes, edits nothing, and leaves out what it cannot place
+JSON types as it goes, takes an id to be a non-empty string as the
+opetope reader does, edits nothing, and leaves out what it cannot place
 and reports it; mop_validate adds the poset axioms and returns that same
 poset, which dfc_validate checks as a face complex.
 The face-complex check is defined only on a poset that mop_validate
@@ -28,8 +29,9 @@ boundary of x cancels, each cell below a facet of x met
 once with each sign, which takes a few list and set operations per facet
 of x instead of a walk over every chain z < y < x.  Only a cell that
 fails is walked chain by chain, to list its faults; the local orders
-count the loop sources of x, met in mop_diagnostics' one pass, by the
-cell they loop on.
+are checked against one map from (x, z) to the sources of x that loop
+on z, built in one pass over the cells of lam whose delta holds a cell
+that mop_diagnostics' pass found looping, and the x of each stored order.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ def mop_from_doc(doc) -> tuple[ManyToOnePoset, list[Diagnostic]]:
     """The poset a document describes, and the id-level faults met while reading it.
 
     The one reader of a face-complex document: ParseError on the first
-    field of the wrong JSON type, met cell by cell (id, delta, gamma, bad
-    ids included), then local order by local order.  An absent delta,
-    gamma or local_orders reads as empty; the document is not edited.  A
-    cell with a bad or repeated id is left out, and so is a reference to
-    an unknown or repeated facet, or a local order on unknown cells.
+    field of the wrong JSON type, met cell by cell (id, delta, gamma),
+    then local order by local order, where an id, as in an opetope
+    document, is a non-empty string (diagnostics.check_id).  An absent
+    delta, gamma or local_orders reads as empty; the document is not
+    edited.  A cell with a repeated id is left out, and so is a reference
+    to an unknown or repeated facet, or a local order on unknown cells.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ParseError("a DFC document is an object with a 'cells' array")
@@ -140,9 +143,6 @@ def mop_from_doc(doc) -> tuple[ManyToOnePoset, list[Diagnostic]]:
             check_id(cid, ("cells", i, "id"))
             check_ids(delta, ("cells", i, "delta"))
             check_ids(gamma, ("cells", i, "gamma"))
-            if type(cid) is not str or not cid:
-                out.append(make("BadId", [str(cid)], "cell ids", "cell id must be a non-empty string"))
-                continue
         if cid in seen:
             out.append(make("DuplicateId", [cid], "cell ids", f"cell id {cid!r} appears twice"))
             continue
@@ -162,7 +162,7 @@ def mop_from_doc(doc) -> tuple[ManyToOnePoset, list[Diagnostic]]:
         check_ids(seq, ("local_orders", i, "order"))
         bad = [r for r in [x, z, *seq] if r not in seen]
         if bad:
-            out.append(make("DanglingId", [str(b) for b in bad], "local orders", "local order references unknown cells"))
+            out.append(make("DanglingId", bad, "local orders", "local order references unknown cells"))
             continue
         if (x, z) in local_orders:
             out.append(make("DuplicateLocalOrder", [x, z], "local orders", f"two local orders stored at ({x!r}, {z!r})"))
@@ -186,7 +186,7 @@ def mop_from_doc(doc) -> tuple[ManyToOnePoset, list[Diagnostic]]:
             local_seen = set()
             for r in refs:
                 if r not in seen:
-                    out.append(make("DanglingId", [cid, str(r)], "cell ids", f"{key} of {cid!r} references unknown cell {r!r}"))
+                    out.append(make("DanglingId", [cid, r], "cell ids", f"{key} of {cid!r} references unknown cell {r!r}"))
                 elif r in local_seen:
                     out.append(make("DuplicateFacet", [cid, r], "cell ids", f"{key} of {cid!r} lists {r!r} twice"))
                 else:
@@ -234,34 +234,22 @@ def mop_diagnostics(mop: ManyToOnePoset) -> list[Diagnostic]:
     return sorted(set(out), key=sort_key)
 
 
-def _loop_sources(mop: ManyToOnePoset, x: str, looping: set[str]) -> dict[str, set[str]]:
-    """The proper sources of x that are loops, by the cell they loop on."""
-    out: dict[str, set[str]] = {}
-    for y in mop.delta_minus(x) & looping:
-        for z in mop.delta[y] & mop.gamma[y]:
-            out.setdefault(z, set()).add(y)
-    return out
-
-
 def _local_order_diagnostics(mop: ManyToOnePoset, looping: set[str]) -> list[Diagnostic]:
     """The local-order faults; looping holds every cell whose delta meets its gamma (mop_diagnostics' pass)."""
-    out = []
-    loop_sources = {}
-    required: set[tuple[str, str]] = set()
     # only a cell with a looping cell in its delta can need a stored order
-    for x in mop.lam if looping else ():
-        if mop.dim[x] < 1 or looping.isdisjoint(mop.delta[x]):
-            continue
-        loop_sources[x] = _loop_sources(mop, x, looping)
-        required.update((x, z) for z, ys in loop_sources[x].items() if len(ys) >= 2)
-    for key in sorted(required - set(mop.local_orders)):
-        x, z = key
+    needing = {x for x in mop.lam if mop.dim[x] >= 1 and not looping.isdisjoint(mop.delta[x])} if looping else set()
+    sources: dict[tuple[str, str], set[str]] = {}  # (x, z): the proper sources of x that are loops on z
+    for x in needing.union(x for x, _ in mop.local_orders):
+        for y in mop.delta_minus(x) & looping:
+            for z in mop.delta[y] & mop.gamma[y]:
+                sources.setdefault((x, z), set()).add(y)
+    required = {key for key, ys in sources.items() if len(ys) >= 2 and key[0] in needing}
+    out = []  # in no order: mop_diagnostics sorts what it reports
+    for x, z in required - mop.local_orders.keys():
         out.append(make("LocalOrderMissing", [x, z], "local order", f"{x!r} has several loop sources on {z!r} but no stored order"))
-    for (x, z), seq in sorted(mop.local_orders.items()):
-        if x not in loop_sources:
-            loop_sources[x] = _loop_sources(mop, x, looping)
-        expected = loop_sources[x].get(z, set())
-        if len(set(seq)) != len(seq) or set(seq) != expected:
+    for (x, z), seq in mop.local_orders.items():
+        stored = set(seq)
+        if len(stored) != len(seq) or stored != sources.get((x, z), set()):
             out.append(make("LocalOrderInvalid", [x, z, *seq], "local order", f"stored order at ({x!r}, {z!r}) is not an enumeration of the loop sources"))
     return out
 
@@ -406,11 +394,8 @@ def _facet_flow_listing(mop: ManyToOnePoset, x: str) -> list[Diagnostic]:
         if not other.get(z):
             out.append(make("LoopChainMissingCompletion", [z, y, x], "oriented thinness (loop chains)", f"chain {z!r} <o {y!r} <- {x!r} has no admissible completion"))
     # the facet flow: b -> a when the target of b is a proper source of a
-    succ = {b: [] for b in fac}
-    for b in fac:
-        if mop.dim[b] < 0 or not mop.gamma[b]:
-            continue
-        succ[b] = [a for a in sources_on.get(mop.gamma_cell(b), ()) if a != b]
+    # (on a poset mop_validate returned, each facet b of x has dim >= 0 and one target)
+    succ = {b: [a for a in sources_on.get(mop.gamma_cell(b), ()) if a != b] for b in fac}
     cycle = _find_cycle(fac, succ)
     if cycle:
         out.append(make("AcyclicityCycle", [x, *cycle], "acyclicity", f"facet flow of {x!r} has a directed cycle"))
