@@ -248,9 +248,16 @@ def cmd_info(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process.
+
+    Each command has its own parser (prog "opetopes validate", "opetopes
+    convert", and so on for iso, roundtrip, gen, oracle, export-dot and
+    info); the top-level parser's `commands` maps each name to it, so main
+    parses a well-formed line with that parser alone.
+    """
     parser = argparse.ArgumentParser(prog="opetopes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> the command's parser, filled by add_parser
 
     p = sub.add_parser("validate", help="validate DFC or opetope documents")
     p.add_argument("files", nargs="+")
@@ -300,9 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the top-level parser would hand the rest of a line that names a command to that command's
+        # parser, so that parser reads it alone; the top-level parser runs only on no command, an
+        # unknown one or arguments left over, and reports them in its own words
+        command = parser.commands.get(argv[0]) if argv else None
+        args, left_over = command.parse_known_args(argv[1:]) if command is not None else (None, True)
+        if left_over:
+            args = parser.parse_args(argv)
     except SystemExit as err:
         return USAGE if err.code not in (0, None) else OK
     try:

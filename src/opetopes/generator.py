@@ -103,12 +103,24 @@ def gen_nesting(rng: random.Random, t: RootedTree, w: dict, namer: _Namer) -> Ro
     node_target: dict[str, str] = {}
     edge_target: dict[str, str] = {}
 
-    def build_circle(members: set[str], outer_edge: str) -> None:
+    root_edge = namer.fresh("e")
+    edges.append(root_edge)
+    # (dots of a circle, the circle enclosing it or None for the outermost), popped depth first
+    # in child order; a child's edge is named when it is popped, so names and draws come in pre-order
+    stack = [(dots, None)] if dots else []
+    while stack:
+        members, parent = stack.pop()
+        if parent is None:
+            outer_edge = root_edge
+        else:
+            outer_edge = namer.fresh("e")
+            edges.append(outer_edge)
+            edge_target[outer_edge] = parent
         if len(members) == 1 and members <= whitedots:
-            (w,) = members
-            nodes.append(w)
-            node_target[w] = outer_edge
-            return
+            (dot,) = members
+            nodes.append(dot)
+            node_target[dot] = outer_edge
+            continue
         circle = namer.fresh("n")
         nodes.append(circle)
         node_target[circle] = outer_edge
@@ -122,22 +134,13 @@ def gen_nesting(rng: random.Random, t: RootedTree, w: dict, namer: _Namer) -> Ro
             children.append(group)
             pool -= group
         # whitedots never stay direct: each becomes a minimal empty circle
-        for w in sorted(pool & whitedots):
-            children.append({w})
+        for dot in sorted(pool & whitedots):
+            children.append({dot})
         pool -= whitedots
         for b in sorted(pool):  # direct blackdots give leaf edges
             edges.append(b)
             edge_target[b] = circle
-        for group in children:
-            child_edge = namer.fresh("e")
-            edges.append(child_edge)
-            edge_target[child_edge] = circle
-            build_circle(group, child_edge)
-
-    root_edge = namer.fresh("e")
-    edges.append(root_edge)
-    if dots:
-        build_circle(dots, root_edge)
+        stack += [(group, circle) for group in reversed(children)]
     return RootedTree(nodes, edges, node_target, edge_target, root_edge)
 
 

@@ -1,11 +1,10 @@
 """No recursion depth grows with the input: no library function calls itself.
 
-oracle.py (brute force) and generator.py (seeded drawing of small
-structures) are exempt; every other module works with explicit stacks.
-The static check sees only direct self-calls, so every reading command
-also runs on two large documents, and gen (whose nesting recurses once
-per level) draws ten opetopes of each dim from 3 to 12, under a
-recursion limit a fixed number of frames above the test.
+oracle.py (brute force) is exempt; every other module works with
+explicit stacks.  The static check sees only direct self-calls, so every
+reading command also runs on two large documents, and gen draws ten
+opetopes of each dim from 3 to 12, under a recursion limit a fixed
+number of frames above the test.
 """
 
 import ast
@@ -22,7 +21,7 @@ from opetopes.to_poset import p_of
 from conftest import comb_opetope_doc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "opetopes"
-EXEMPT = {"oracle.py", "generator.py"}
+EXEMPT = {"oracle.py"}
 
 
 def _self_calls(tree):

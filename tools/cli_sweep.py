@@ -10,8 +10,8 @@ and the single edits of tests/test_axiom_indexes.py, every edit of EDITS
 on each of the 24 face complexes of conftest.edit_corpus.  Each
 document gets validate, info, convert --to ope, convert --to dfc -o,
 roundtrip, export-dot, and iso against itself, against the next document
-and against its relabelled copy.  gen and oracle are left out: they read no
-document the validators decide.
+and against its relabelled copy.  gen and oracle are left out here: they
+read no document the validators decide.
 
 Then the reader's error paths get validate alone: each of the four
 top-level fixtures with one JSON path (the whole document included)
@@ -19,6 +19,13 @@ replaced by each of VALUES or deleted, with an unknown field added to
 one of its objects, with a structure map (sigma_black, sigma_white) of
 each value added to one of its constellations, and in TWO_EDITS seeded
 documents carrying two of these edits at once.
+
+Last come the command lines of tests/test_cli_parse.py, on rho3 in both
+encodings: lines argparse refuses or answers with help (each command with
+no arguments, a missing or an extra positional, an unknown option, a bad
+choice, a non-integer --dim, -h; no command, an unknown one, --help), and
+a well-formed line of every command, "--" before a file name included.
+COLUMNS is set to 80, so usage and help wrap the same on any terminal.
 
 Each line is the call's argv, then the sha256 of its exit code, stdout,
 stderr and the file -o wrote; a call that raises digests the exception
@@ -47,6 +54,7 @@ from opetopes.to_poset import p_of
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 import test_axiom_indexes  # noqa: E402
+from test_cli_parse import malformed_lines, well_formed_lines  # noqa: E402
 from conftest import edit_corpus, generated_corpus, relabel_doc  # noqa: E402
 
 OUTPUT = "out.json"
@@ -166,13 +174,16 @@ def calls(docs) -> list[list[str]]:
 
 
 def main_sweep() -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal's width
     docs, errors = documents(), error_documents()
+    dfc, ope = "fixtures/rho3.dfc.json", "fixtures/rho3.ope.json"
+    lines = malformed_lines(dfc, ope) + well_formed_lines(dfc, ope, OUTPUT)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, text, _ in docs + errors:
             Path(name).parent.mkdir(parents=True, exist_ok=True)
             Path(name).write_bytes(text.encode("utf-8"))
-        for argv in calls(docs) + [["validate", name] for name, _, _ in errors]:
+        for argv in calls(docs) + [["validate", name] for name, _, _ in errors] + lines:
             print(json.dumps(argv), digest(argv))
         os.chdir(ROOT)
 
