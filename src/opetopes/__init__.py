@@ -8,37 +8,6 @@ equivalence, and a seeded random generator of valid instances in
 generator.  oracle is the reference side: the paper's constructions
 that the command line never runs (path orders, source trees, whitedot
 orders through loop paths, the functors' actions on isomorphisms) and
-brute-force re-checks of the structural facts.
+brute-force re-checks of the structural facts.  The package re-exports
+nothing: each name is imported from the module that defines it.
 """
-
-from .diagnostics import (
-    Diagnostic,
-    IncomparableLoops,
-    InternalError,
-    NotAnIsomorphism,
-    ParseError,
-    RoundTripBroken,
-    ValidationError,
-)
-from .poset import (
-    LOOP,
-    MINUS,
-    PLUS,
-    Dfc,
-    ManyToOnePoset,
-    dfc_diagnostics,
-    dfc_validate,
-    mop_diagnostics,
-    mop_from_doc,
-    mop_validate,
-)
-from .trees import (
-    Opetope,
-    RootedTree,
-    constellation_diagnostics,
-    opetope_diagnostics,
-    opetope_validate,
-    tree_diagnostics,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

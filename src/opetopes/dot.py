@@ -18,9 +18,7 @@ def _quote(s: str) -> str:
 def export_dot(obj: Dfc | Opetope) -> str:
     if isinstance(obj, Dfc):
         return _dot_hasse(obj)
-    if isinstance(obj, Opetope):
-        return _dot_trees(obj)
-    raise TypeError(f"cannot export {type(obj).__name__} to DOT")
+    return _dot_trees(obj)
 
 
 def _dot_hasse(dfc: Dfc) -> str:
@@ -55,7 +53,7 @@ def _dot_trees(ope: Opetope) -> str:
 
         for b in t.edges:
             lower = t.edge_target.get(b)
-            upper = t.source_node_of(b)
+            upper = t.source_node.get(b)
             tail = pre + lower if lower is not None else port(b, "root")
             stops = [tail]
             for w in subdivision.get(b, ()):

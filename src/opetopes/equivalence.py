@@ -20,7 +20,7 @@ from .isos import DfcIso, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_is
 from .poset import Dfc
 from .to_poset import p_of
 from .to_zoom import z_of
-from .trees import Opetope, RootedTree
+from .trees import Opetope, arrow_parts
 
 
 # -- round trips --------------------------------------------------------
@@ -50,12 +50,6 @@ def theta(c: Dfc) -> DfcIso:
     return DfcIso(c, d, fwd)
 
 
-def _arrow_parts(t: RootedTree) -> tuple[str, str, str]:
-    (node,) = t.nodes
-    (leaf,) = [b for b in t.edges if b != t.root]
-    return t.root, node, leaf
-
-
 def tau(y: Opetope) -> OpetopeIso:
     """The identity-on-elements witness from an opetope to the zoom of its complex.
 
@@ -66,7 +60,7 @@ def tau(y: Opetope) -> OpetopeIso:
     n = y.dim
     fwd = {x: x for t in y.trees[2:] for part in (t.nodes, t.edges) for x in part}
     for s, t in zip(y.trees[:2], y2.trees):
-        fwd.update(zip(_arrow_parts(s), _arrow_parts(t)))
+        fwd.update(zip(arrow_parts(s), arrow_parts(t)))
     failures = opetope_iso_failures(y, y2, fwd)
     if failures:
         raise RoundTripBroken(f"tau on a {n}-opetope: " + "; ".join(failures[:4]))
@@ -99,20 +93,20 @@ def _canonical_order(y: Opetope) -> list[tuple[list, list]]:
                     key[w] = (1, r, p)
         least: dict = {}  # edge -> least key pinned above it; level 0 has one leaf
         for b in reversed(t.edge_order):
-            a = t.source_node_of(b)
+            a = t.source_node.get(b)
             if a is None:
                 least[b] = key.get(b, ())
             else:
-                srcs = t.sources_of(a)
+                srcs = t.sources[a]
                 least[b] = min(map(least.__getitem__, srcs)) if srcs else key.get(a, ())
         nodes, edges, stack = [], [], [t.root]
         while stack:
             b = stack.pop()
             edges.append(b)
-            a = t.source_node_of(b)
+            a = t.source_node.get(b)
             if a is not None:
                 nodes.append(a)
-                srcs = t.sources_of(a)
+                srcs = t.sources[a]
                 stack.extend(sorted(srcs, key=least.__getitem__, reverse=True) if len(srcs) > 1 else srcs)
         out.append((nodes, edges))
     return out

@@ -73,7 +73,7 @@ def dot_adjacency(t: RootedTree, w: dict) -> dict[str, set[str]]:
     for b in t.edges:
         whitedots = w.get(b, ())
         adj.update((d, set()) for d in whitedots)
-        run = [d for d in (t.edge_target.get(b), *whitedots, t.source_node_of(b)) if d is not None]
+        run = [d for d in (t.edge_target.get(b), *whitedots, t.source_node.get(b)) if d is not None]
         for d, e in zip(run, run[1:]):
             adj[d].add(e)
             adj[e].add(d)

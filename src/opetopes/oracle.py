@@ -29,12 +29,11 @@ from itertools import permutations
 from weakref import WeakKeyDictionary
 
 from .diagnostics import IncomparableLoops, InternalError, NotAnIsomorphism, ValidationError, make
-from .equivalence import _arrow_parts
 from .isos import DfcIso, OpetopeIso, dfc_iso_failures, make_dfc_iso, opetope_iso_failures
 from .poset import LOOP, MINUS, PLUS, Dfc, ManyToOnePoset
 from .to_poset import extend, p_of
 from .to_zoom import level_tree, z_of
-from .trees import Opetope, RootedTree, tree_diagnostics
+from .trees import Opetope, RootedTree, arrow_parts, tree_diagnostics
 
 
 # -- the paper's reference constructions ---------------------------------
@@ -89,7 +88,7 @@ class Expansion:
             edge_target.pop(b, None)
             if tgt is not None:
                 edge_target[segs[0]] = tgt
-            src = base.source_node_of(b)
+            src = base.source_node.get(b)
             if src is not None:
                 node_target[src] = segs[-1]
             for i, d in enumerate(dots):
@@ -102,7 +101,7 @@ class Expansion:
 
     def segment_ends(self, seg: str) -> tuple[str | None, str | None]:
         """(dot below, dot above) of a segment; None at the boundary."""
-        return self.tree.edge_target.get(seg), self.tree.source_node_of(seg)
+        return self.tree.edge_target.get(seg), self.tree.source_node.get(seg)
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def z_map(f: DfcIso) -> OpetopeIso:
     src, tgt = z_of(f.source), z_of(f.target)
     fwd = {x: f.fwd[x] for t in src.trees[2:] for part in (t.nodes, t.edges) for x in part}
     for s, t in zip(src.trees[:2], tgt.trees):
-        fwd.update(zip(_arrow_parts(s), _arrow_parts(t)))
+        fwd.update(zip(arrow_parts(s), arrow_parts(t)))
     return make_opetope_iso(src, tgt, fwd)
 
 
@@ -563,7 +562,7 @@ def oracle_nesting_subtree(ez: Opetope, k: int, x: str) -> NestingSubtree:
 
     for w in sorted(dots & whitedots):
         below = exp.tree.node_target[w]
-        for above in exp.tree.sources_of(w):
+        for above in exp.tree.sources[w]:
             union(above, below)
 
     groups: dict[str, list[str]] = {}

@@ -285,7 +285,8 @@ class Dfc:
 
     @property
     def degenerate(self) -> bool:
-        return self.dimension == 0
+        """Whether the 1-dimensional iterated target is a loop: the face-complex reading of trees.Opetope.degenerate."""
+        return self.dimension >= 2 and self.iterated_targets[1] in self.mop.loops
 
     @property
     def bottom(self) -> str:

@@ -34,7 +34,8 @@ from .poset import Dfc, ManyToOnePoset, trusted_dfc
 from .trees import Opetope, RootedTree, components
 
 
-def _fresh(name: str, used: set[str]) -> str:
+def fresh(name: str, used: set[str]) -> str:
+    """name, primed until used does not hold it, then added to used."""
     while name in used:
         name += "'"
     used.add(name)
@@ -50,8 +51,8 @@ def extend(ope: Opetope) -> Opetope:
     used = set()
     for t in ope.trees:
         used |= set(t.nodes) | set(t.edges)
-    top = _fresh("__top", used)
-    ext_root = _fresh("__ext_root", used)
+    top = fresh("__top", used)
+    ext_root = fresh("__ext_root", used)
     s_n = ope.trees[-1]
     corolla = RootedTree(
         (top,),
@@ -83,7 +84,7 @@ def p_image(ope: Opetope) -> Dfc:
         t, w, u = ez.trees[k + 1], ez.subdivisions[k + 1], ez.trees[k + 2]
         dim.update(dict.fromkeys(u.edges, k))
         for x in u.leaves:  # a leaf of u is the node x of t
-            delta[x], gamma[x] = frozenset(t.sources_of(x)), frozenset((t.node_target[x],))
+            delta[x], gamma[x] = frozenset(t.sources[x]), frozenset((t.node_target[x],))
         level_loops = []
         for b, ws in w.items():  # each whitedot on b is a nulldot, whose edge is a loop on b
             on_b = frozenset((b,))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .diagnostics import InternalError
 from .poset import Dfc, ManyToOnePoset
-from .to_poset import _fresh
+from .to_poset import fresh
 from .trees import Opetope, RootedTree
 
 
@@ -89,10 +89,10 @@ def subdivision(dfc: Dfc, u: RootedTree) -> dict[str, tuple[str, ...]]:
     stack = [u.root]
     while stack:
         e = stack.pop()
-        a = u.source_node_of(e)
+        a = u.source_node.get(e)
         if a is None:
             continue
-        srcs = u.sources_of(a)
+        srcs = u.sources[a]
         if srcs:
             stack.extend(reversed(_stacked(mop, a, srcs)))
         else:
@@ -111,7 +111,7 @@ def z_of(dfc: Dfc) -> Opetope:
     used = set(mop.cells)
     if n == 0:
         point = mop.grade(0)[0]
-        t0_leaf = _fresh("__t0_leaf", used)
+        t0_leaf = fresh("__t0_leaf", used)
         t0 = RootedTree((point,), (dfc.bottom, t0_leaf), {point: dfc.bottom}, {t0_leaf: point}, dfc.bottom)
         return Opetope((t0,), ())
 
@@ -121,9 +121,9 @@ def z_of(dfc: Dfc) -> Opetope:
     if len(leaves) != 1:
         raise InternalError(f"base tree has {len(leaves)} leaves; cannot augment")
     t1_node = leaves[0]
-    t1_leaf = _fresh("__t1_leaf", used)
-    t0_root = _fresh("__t0_root", used)
-    t0_leaf = _fresh("__t0_leaf", used)
+    t1_leaf = fresh("__t1_leaf", used)
+    t0_root = fresh("__t0_root", used)
+    t0_leaf = fresh("__t0_leaf", used)
     t1 = RootedTree((t1_node,), (dfc.bottom, t1_leaf), {t1_node: dfc.bottom}, {t1_leaf: t1_node}, dfc.bottom)
     t0 = RootedTree((t1_leaf,), (t0_root, t0_leaf), {t1_leaf: t0_root}, {t0_leaf: t1_leaf}, t0_root)
 

@@ -47,6 +47,7 @@ class RootedTree:
 
     The target maps are stored as handed, not copied: io.opetope_from_doc
     hands over those of the document it reads, every other builder fresh ones.
+    The maps up the tree, sources and source_node, are built here and read as plain dicts.
     """
 
     def __init__(self, nodes, edges, node_target, edge_target, root):
@@ -55,10 +56,10 @@ class RootedTree:
         self.node_target = node_target   # node -> edge below it
         self.edge_target = edge_target   # edge -> node below it
         self.root = root
-        self._source_node = source_node = {}   # edge -> node above it
+        self.source_node = source_node = {}   # edge -> node above it
         for a, b in self.node_target.items():
             source_node.setdefault(b, a)
-        self._sources = sources = {a: [] for a in self.nodes}  # node -> the edges above it, in id order
+        self.sources = sources = {a: [] for a in self.nodes}  # node -> the edges above it, in id order: trees are not planar
         for b in self.edges:
             a = self.edge_target.get(b)
             if a in sources:
@@ -69,19 +70,12 @@ class RootedTree:
     @property
     def leaves(self) -> tuple[str, ...]:
         """The edges with no node above them, in id order."""
-        return tuple(filterfalse(self._source_node.__contains__, self.edges))
+        return tuple(filterfalse(self.source_node.__contains__, self.edges))
 
     @property
     def nulldots(self) -> tuple[str, ...]:
         """The nodes with no source edge, in id order."""
-        return tuple(compress(self.nodes, map(not_, map(self._sources.__getitem__, self.nodes))))
-
-    def sources_of(self, a: str) -> tuple[str, ...]:
-        """Edges whose target node is a, in sorted order (trees are not planar)."""
-        return self._sources[a]
-
-    def source_node_of(self, b: str) -> str | None:
-        return self._source_node.get(b)
+        return tuple(compress(self.nodes, map(not_, map(self.sources.__getitem__, self.nodes))))
 
     @cached_property
     def edge_order(self) -> tuple[str, ...]:
@@ -94,9 +88,9 @@ class RootedTree:
         """
         order = [self.root]
         for b in order:
-            a = self._source_node.get(b)
+            a = self.source_node.get(b)
             if a is not None:
-                order.extend(self._sources[a])
+                order.extend(self.sources[a])
         return tuple(order)
 
     @property
@@ -105,7 +99,7 @@ class RootedTree:
 
     @property
     def is_linear(self) -> bool:
-        return all(len(self._sources[a]) == 1 for a in self.nodes) and len(self.edges) == len(self.nodes) + 1
+        return all(len(self.sources[a]) == 1 for a in self.nodes) and len(self.edges) == len(self.nodes) + 1
 
 
 def tree_diagnostics(t: RootedTree) -> list[Diagnostic]:
@@ -224,7 +218,7 @@ def components(t: RootedTree, w: dict, u: RootedTree):
         for d in ws:
             e = edge_of[d]
             below[e], under = under, e
-    source_node, sources = u._source_node.get, u._sources
+    source_node, sources = u.source_node.get, u.sources
     parent = {}  # union-find over the edges of u: an edge -> an edge below it
     lowest: dict[str, list[str]] = {}
     for x in reversed(u.edge_order):
@@ -253,11 +247,11 @@ def _dots_above(u: RootedTree, x: str) -> list[str]:
     dots, stack = [], [x]
     while stack:
         b = stack.pop()
-        a = u.source_node_of(b)
+        a = u.source_node.get(b)
         if a is None:
             dots.append(b)
-        elif u.sources_of(a):
-            stack.extend(u.sources_of(a))
+        elif u.sources[a]:
+            stack.extend(u.sources[a])
         else:
             dots.append(a)
     return sorted(dots)
@@ -276,7 +270,7 @@ def constellation_diagnostics(t: RootedTree, subdivision: dict, u: RootedTree) -
     for x, _, lowest in components(t, subdivision, u):
         if len(lowest) > 1:  # one lowest dot per component; only an edge with sources can split
             dots = _dots_above(u, x)
-            for y in (x, u.source_node_of(x)):  # a node has the dots of its target edge
+            for y in (x, u.source_node[x]):  # a node has the dots of its target edge
                 out.append(make("KernelRuleViolated", [y, *dots], "kernel rule", f"dots over {y!r} split into {len(lowest)} components"))
     return sorted(out, key=sort_key)
 
@@ -302,11 +296,19 @@ class Opetope:
 
     @property
     def degenerate(self) -> bool:
+        """Whether tree 2 is the unit tree: the 2-dimensional iterated target has no source arrow."""
         return self.dim >= 2 and self.trees[2].is_unit
 
 
 def _is_arrow_shape(t: RootedTree) -> bool:
     return len(t.nodes) == 1 and len(t.edges) == 2
+
+
+def arrow_parts(t: RootedTree) -> tuple[str, str, str]:
+    """The root, the node and the leaf of a tree of arrow shape, such as trees 0 and 1 of an opetope."""
+    (node,) = t.nodes
+    (leaf,) = [b for b in t.edges if b != t.root]
+    return t.root, node, leaf
 
 
 def opetope_diagnostics(ope: Opetope) -> list[Diagnostic]:

@@ -4,18 +4,24 @@ A sys.settrace hook counts the call, line and return events in frames of
 src/opetopes while one stage runs (Goldsmith, Aiken and Wilkerson 2007,
 "Measuring Empirical Computational Complexity").  The counts are the same
 on every run with the same Python, so the exponent fitted to them against
-the cell count is a tier-1 fact, not a timing.  Four stages are counted:
+the cell count is a tier-1 fact, not a timing.  Nine stages are counted:
 the face-complex check dfc_validate(mop_validate(doc)), the zoom-complex
-check opetope_validate(opetope_from_doc(doc)), p_of and z_of.  Inputs are
+check opetope_validate(opetope_from_doc(doc)), p_of, z_of, the round-trip
+witnesses theta and tau, both iso searches (an input against itself) and
+serialize_doc (both documents of an input).  Inputs are
 tools/scale_table.py's draws, GenParams(dim, max_tree_dots=100000,
 max_whitedots_per_edge=3) from random.Random(1) for dims 4-9 (34 to 2,152
 cells), and the combs of tests/conftest.py on 125 to 1000 leaves (502 to
-4,002 cells), whose one wide tree the draws do not have.
+4,002 cells), whose one wide tree the draws do not have.  The last five
+stages are fitted on the smaller inputs only (SMALLER: dims 4-8, 125 to
+500 leaves), which keeps their traced runs to about 0.5 s.
 
 Measured with Python 3.11, every exponent lies in [0.92, 1.02]: the
 draws read 1.011 (face-complex check), 0.928 (zoom-complex check),
-0.994 (p_of) and 0.999 (z_of), the combs 1.000, 0.987, 0.996 and 0.999.
-BOUND leaves a margin of about 0.14 over the largest, and a quadratic
+0.994 (p_of), 0.999 (z_of), 0.990 (theta), 0.980 (tau), 0.957 and 0.971
+(the opetope and face-complex iso searches) and 0.929 (serialize_doc),
+the combs 1.000, 0.987, 0.996, 0.999, 0.996, 0.994, 0.987, 0.993 and
+0.989.  BOUND leaves a margin of about 0.14 over the largest, and a quadratic
 pass injected into the face-complex check (QUADRATIC) moves the draws'
 exponent to 1.328, over it.  Counts do not see
 work inside C calls (sorts, set algebra); tools/scale_table.py's wall
@@ -32,8 +38,9 @@ import pytest
 
 import opetopes
 from opetopes import poset
+from opetopes.equivalence import dfc_iso_search, opetope_iso_search, tau, theta
 from opetopes.generator import GenParams, gen_opetope
-from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc
+from opetopes.io import dfc_to_doc, opetope_from_doc, opetope_to_doc, serialize_doc
 from opetopes.poset import dfc_validate, mop_validate
 from opetopes.to_poset import p_of
 from opetopes.to_zoom import z_of
@@ -49,7 +56,15 @@ STAGES = {
     "validate .ope": lambda i: opetope_validate(opetope_from_doc(i.ope_doc)),
     "p_of": lambda i: p_of(i.ope),
     "z_of": lambda i: z_of(i.dfc),
+    "theta": lambda i: theta(i.dfc),
+    "tau": lambda i: tau(i.ope),
+    "opetope_iso_search": lambda i: opetope_iso_search(i.ope, i.ope),
+    "dfc_iso_search": lambda i: dfc_iso_search(i.dfc, i.dfc),
+    "serialize_doc": lambda i: (serialize_doc(i.dfc_doc), serialize_doc(i.ope_doc)),
 }
+# how many of each family's inputs, smallest first, the stages after z_of are fitted on
+SMALLER = {"draws": 5, "combs": 3}
+FULL = ("validate .dfc", "validate .ope", "p_of", "z_of")
 
 
 def events(stage, inp) -> int:
@@ -104,7 +119,8 @@ def exponent(inputs, stage) -> float:
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("family", ["draws", "combs"])
 def test_each_stage_grows_close_to_linearly_in_the_cells(families, family, stage):
-    measured = exponent(families[family], stage)
+    inputs = families[family] if stage in FULL else families[family][:SMALLER[family]]
+    measured = exponent(inputs, stage)
     assert measured <= BOUND, f"{stage} on the {family}: events grow as cells ** {measured:.3f}"
 
 

@@ -12,7 +12,7 @@ import time
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import opetopes.cli
@@ -500,26 +500,36 @@ def cells_by_dim_of(tree_sizes) -> dict[str, int]:
     return {str(k): grades[k] for k in range(-1, n + 1)}
 
 
+def info_of_both_encodings(doc, tmp_path, capsys) -> int:
+    """info on an opetope document and on its face complex agree; the opetope's dimension."""
+    ope, dfc = tmp_path / "doc.ope.json", tmp_path / "doc.dfc.json"
+    ope.write_text(json.dumps(doc))
+    assert main(["convert", "--to", "dfc", str(ope), "-o", str(dfc)]) == 0
+    assert main(["info", str(ope)]) == 0
+    assert main(["info", str(dfc)]) == 0
+    ope_info, dfc_info = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert ope_info["dimension"] == dfc_info["dimension"]
+    assert dfc_info["cells_by_dim"] == cells_by_dim_of(ope_info["tree_sizes"])
+    assert ope_info["degenerate"] == dfc_info["degenerate"]
+    return ope_info["dimension"]
+
+
 def test_cli_info_of_both_encodings_of_an_opetope_agrees(tmp_path, capsys):
-    # degenerate is left out: the two encodings read it differently (ROADMAP item 6)
     docs = [json.loads(fixture_text(name)) for name in ("rho3.ope.json", "omega4.ope.json")]
     for name in ("rho3.dfc.json", "omega4.dfc.json"):
         docs.append(opetope_to_doc(z_of(load_dfc(name))))
     docs += [opetope_to_doc(ope) for ope in generated_corpus(200)]
     assert main(["gen", "--dim", "0"]) == 0
     docs.append(json.loads(capsys.readouterr().out))
-    ope, dfc = tmp_path / "doc.ope.json", tmp_path / "doc.dfc.json"
-    dims = set()
-    for doc in docs:
-        ope.write_text(json.dumps(doc))
-        assert main(["convert", "--to", "dfc", str(ope), "-o", str(dfc)]) == 0
-        assert main(["info", str(ope)]) == 0
-        assert main(["info", str(dfc)]) == 0
-        ope_info, dfc_info = (json.loads(line) for line in capsys.readouterr().out.splitlines())
-        assert ope_info["dimension"] == dfc_info["dimension"]
-        assert dfc_info["cells_by_dim"] == cells_by_dim_of(ope_info["tree_sizes"])
-        dims.add(ope_info["dimension"])
-    assert dims == {0, 1, 2, 3, 4}
+    assert {info_of_both_encodings(doc, tmp_path, capsys) for doc in docs} == {0, 1, 2, 3, 4}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_cli_info_of_both_encodings_of_a_drawn_opetope_agrees(tmp_path, capsys, dim, seed):
+    doc = opetope_to_doc(gen_opetope(seed, GenParams(dim=dim, max_whitedots_per_edge=3)))
+    assert info_of_both_encodings(doc, tmp_path, capsys) == dim
 
 
 def test_cli_rejects_boolean_dims(tmp_path, capsys):

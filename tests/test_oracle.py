@@ -9,6 +9,7 @@ from opetopes.equivalence import dfc_iso_search
 from opetopes.generator import GenParams, gen_opetope
 from opetopes.io import opetope_from_doc
 from opetopes.oracle import (
+    FACT_SUITE,
     all_chains,
     oracle_hexagon,
     oracle_iso,
@@ -21,9 +22,11 @@ from opetopes.poset import (
     LOOP,
     MINUS,
     PLUS,
+    ManyToOnePoset,
     _facet_flow_diagnostics,
     dfc_validate,
     mop_validate,
+    trusted_dfc,
 )
 from opetopes.to_poset import extend, p_of
 from opetopes.trees import opetope_validate
@@ -126,6 +129,48 @@ def test_fact_suite_green_on_fixtures(rho_dfc, omega_dfc):
 def test_fact_suite_on_arrow():
     suite = run_fact_suite(dfc_validate(mop_validate(ARROW)))
     assert all(not v for v in suite.values())
+
+
+def unchecked(cells):
+    """The face complex on (id, dim, delta, gamma) cells, built by the trusted constructors, which check nothing."""
+    dim = {c: k for c, k, _, _ in cells}
+    delta = {c: frozenset(d) for c, _, d, _ in cells}
+    gamma = {c: frozenset(g) for c, _, _, g in cells}
+    return trusted_dfc(ManyToOnePoset(dim, delta, gamma, {}))
+
+
+# the bottom, two points c and d, and an arrow f from c to d
+ARROW_CELLS = [("*", -1, (), ()), ("c", 0, (), ("*",)), ("d", 0, (), ("*",)), ("f", 1, ("c",), ("d",))]
+LOOP_ON_C = ("l", 1, ("c",), ("c",))
+# a lone point e beside the arrow
+LONE_POINT = [*ARROW_CELLS, ("e", 0, (), ("*",))]
+# every fact but the hexagon (test_hexagon_oracle_reports_planted_violation): cells that break it, and what its check reports
+BROKEN_FACTS = {
+    # x has the loop l on c as target but f, which leaves c, as source
+    "confinement": ([*ARROW_CELLS, LOOP_ON_C, ("x", 2, ("f",), ("l",))], [("c", "l", "x", "f")]),
+    # x leaves the loop l on c for f, whose source c is no loop: one signed completion, not two
+    "loop_dichotomy": ([*ARROW_CELLS, LOOP_ON_C, ("x", 2, ("l",), ("f",))], [("c", "l", "x", (("f", PLUS, MINUS),), False)]),
+    # e is in lam but no source of the arrow
+    "lambda_iterated_target": (LONE_POINT, [(0, ("c", "e"), ("c",))]),
+    # e is the source of nothing, and not the 0-dimensional iterated target d
+    "not_source_is_iterated_target": (LONE_POINT, [(0, ("d", "e"))]),
+    # x has no source, and its target f is no loop
+    "nulldot_targets_are_loops": ([*ARROW_CELLS, ("x", 2, (), ("f",))], ["x"]),
+    # the node f of tree 2 is no leaf of tree 3, where the loop x on f sits on it
+    "blackdots_are_leaves": ([*ARROW_CELLS, ("x", 2, ("f",), ("f",))], [(2, ("f",), ())]),
+    # x's one source, the point c, is no edge of tree 3, so x is a nulldot there yet no whitedot below
+    "whitedots_are_nulldots": ([*ARROW_CELLS, ("x", 2, ("c",), ("f",))], [(2, (), ("x",))]),
+    # no path order puts e before or after c or d
+    "pencil_linearity": (LONE_POINT, [("*", PLUS, "c", "e"), ("*", PLUS, "d", "e")]),
+    # the arrow f leaves two points, so tree 2 forks
+    "t2_linear": ([*ARROW_CELLS[:3], ("e", 0, (), ("*",)), ("f", 1, ("c", "e"), ("d",))], [(("f",),)]),
+}
+
+
+@pytest.mark.parametrize("fact", BROKEN_FACTS)
+def test_each_fact_check_reports_a_planted_counterexample(fact):
+    cells, counterexamples = BROKEN_FACTS[fact]
+    assert FACT_SUITE[fact](unchecked(cells)) == counterexamples
 
 
 def _small_instances():

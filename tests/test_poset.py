@@ -54,7 +54,7 @@ def test_constructors_store_cells_nodes_and_edges_in_id_order():
     tree = RootedTree(["n3", "n1", "n2"], ["e2", "e0", "e3", "e1"], node_target, edge_target, "e0")
     assert tree.nodes == ("n1", "n2", "n3") and tree.edges == ("e0", "e1", "e2", "e3")
     assert tree.node_target is node_target and tree.edge_target is edge_target
-    assert tree.sources_of("n1") == ("e1", "e2") and tree.leaves == ("e3",) and tree.nulldots == ("n3",)
+    assert tree.sources["n1"] == ("e1", "e2") and tree.leaves == ("e3",) and tree.nulldots == ("n3",)
 
 
 def test_rho_fixture_is_valid_mop_and_dfc(rho_dfc):
@@ -163,7 +163,7 @@ def test_find_cycle_reports_the_cycle_of_the_recursive_search():
 
 def test_point_validates_and_the_lone_bottom_cell_does_not():
     point = dfc_validate(mop_validate({"cells": [cell("*", -1), cell("p", 0, (), ["*"])], "local_orders": []}))
-    assert point.degenerate and point.omega == "p"
+    assert not point.degenerate and point.omega == "p"
     bottom = mop_validate({"cells": [cell("*", -1)], "local_orders": []})
     assert codes(dfc_diagnostics(bottom)) == ["NoGreatestElement"]
 

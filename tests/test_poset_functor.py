@@ -93,9 +93,9 @@ def test_p_of_arrow():
     assert pd.mop.delta[f] != pd.mop.gamma[f]
 
 
-def test_p_of_zero_opetope_is_degenerate_point():
+def test_p_of_zero_opetope_is_the_point():
     pd = p_of(gen_opetope(0, GenParams(dim=0)))
-    assert pd.degenerate and pd.dimension == 0
+    assert not pd.degenerate and pd.dimension == 0
     assert len(pd.mop.cells) == 2
 
 

@@ -107,3 +107,25 @@ def test_production_modules_hold_only_the_production_path(tmp_path):
     assert not allowed_but_entered, f"allowlisted but entered: {allowed_but_entered}"
     in_oracle = sorted({line for path, line in resolved if path == ORACLE})
     assert not in_oracle, f"oracle.py entered on the production path at lines {in_oracle}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_each_name_is_reached_one_way():
+    """The package holds only its docstring, and no module reaches into another's private names.
+
+    A module imports no _name, and reads x._name only on self.
+    """
+    package = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert len(package.body) == 1 and ast.get_docstring(package), "the package holds more than its docstring"
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                crossings += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    crossings.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not crossings, f"private names reached from outside their home: {crossings}"

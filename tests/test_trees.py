@@ -155,7 +155,7 @@ def test_expansions_differ_when_whitedot_counts_differ():
     seen = {}
     for w in [{}, {"b2": ("u",)}, {"b2": ("u", "v")}, {"b3": ("u",)}]:
         exp = expansion_tree(t, w)
-        shape = (len(exp.nodes), len(exp.edges), tuple(sorted(len(exp.sources_of(a)) for a in exp.nodes)))
+        shape = (len(exp.nodes), len(exp.edges), tuple(sorted(len(exp.sources[a]) for a in exp.nodes)))
         key = tuple(sorted((b, len(ws)) for b, ws in w.items()))
         seen[key] = shape
     assert len(set(seen.values())) >= 3  # distinct per-edge counts change the shape
